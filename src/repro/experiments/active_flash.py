@@ -50,7 +50,6 @@ from ..services import (
 from ..services.wire import OP_PUT
 from ..sim.process import spawn
 from .chaos import CHAOS_RELIABILITY
-from .qos_noisy import _engine_mode
 from .report import ExperimentResult
 
 #: Hot-key count; ranks 0..N-1 of the Zipf popularity order, which is
@@ -405,50 +404,45 @@ def active_main(argv: Optional[list] = None) -> int:
         "--chaos", action="store_true",
         help="single cell only: active-on under link flaps with the auditor armed",
     )
-    parser.add_argument(
-        "--engine", choices=("fast", "plain"), default="fast",
-        help="event-engine mode (CI matrixes over both)",
-    )
     args = parser.parse_args(argv)
 
-    with _engine_mode(args.engine):
-        if args.sweep:
-            if args.seeds:
-                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            elif args.seed is not None:
-                seeds = (args.seed,)
-            else:
-                seeds = (1, 2, 3)
-            result = run_flash_sweep(seeds=seeds)
-            print(result.to_text())
-            for key, value in result.summary.items():
-                print(f"  {key}: {value}")
-            ok = (
-                result.summary["all_invariants_ok"]
-                and result.summary["contrast_ok"]
-                and result.summary["chaos_ok"]
-            )
-            return 0 if ok else 1
+    if args.sweep:
+        if args.seeds:
+            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        elif args.seed is not None:
+            seeds = (args.seed,)
+        else:
+            seeds = (1, 2, 3)
+        result = run_flash_sweep(seeds=seeds)
+        print(result.to_text())
+        for key, value in result.summary.items():
+            print(f"  {key}: {value}")
+        ok = (
+            result.summary["all_invariants_ok"]
+            and result.summary["contrast_ok"]
+            and result.summary["chaos_ok"]
+        )
+        return 0 if ok else 1
 
-        seed = args.seed if args.seed is not None else 1
-        if args.chaos:
-            chaos = run_flash_chaos(seed=seed)
-            print(
-                f"active-chaos seed={chaos.seed}: served {chaos.cell.served}, "
-                f"client handler replies {chaos.cell.handler_served}, "
-                f"p99 {chaos.cell.p99_ns:,.0f} ns, "
-                f"audit {'ok' if chaos.audit_ok else f'{chaos.audit_violations} VIOLATIONS'}"
-            )
-            return 0 if chaos.invariants_ok else 1
-        out = run_flash_crowd(seed=seed, variant=args.variant)
+    seed = args.seed if args.seed is not None else 1
+    if args.chaos:
+        chaos = run_flash_chaos(seed=seed)
         print(
-            f"active-flash seed={out.seed} variant={out.variant}: "
-            f"p99 {out.off.p99_ns:,.0f} ns off vs {out.on.p99_ns:,.0f} ns on "
-            f"(speedup {out.speedup:.2f}), served {out.on.served}, "
-            f"host dispatches saved {out.dispatch_saving}"
+            f"active-chaos seed={chaos.seed}: served {chaos.cell.served}, "
+            f"client handler replies {chaos.cell.handler_served}, "
+            f"p99 {chaos.cell.p99_ns:,.0f} ns, "
+            f"audit {'ok' if chaos.audit_ok else f'{chaos.audit_violations} VIOLATIONS'}"
         )
-        print(
-            f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}; "
-            f"contrast: {'yes' if out.contrast_ok else 'NO'}"
-        )
-        return 0 if out.invariants_ok and out.contrast_ok else 1
+        return 0 if chaos.invariants_ok else 1
+    out = run_flash_crowd(seed=seed, variant=args.variant)
+    print(
+        f"active-flash seed={out.seed} variant={out.variant}: "
+        f"p99 {out.off.p99_ns:,.0f} ns off vs {out.on.p99_ns:,.0f} ns on "
+        f"(speedup {out.speedup:.2f}), served {out.on.served}, "
+        f"host dispatches saved {out.dispatch_saving}"
+    )
+    print(
+        f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}; "
+        f"contrast: {'yes' if out.contrast_ok else 'NO'}"
+    )
+    return 0 if out.invariants_ok and out.contrast_ok else 1

@@ -136,13 +136,13 @@ def main(argv: list[str] | None = None) -> int:
         return fuzz_main(argv[1:])
     if argv and argv[0] == "qos":
         # Noisy-neighbor QoS cell: owns its flags (`rvma-experiments
-        # qos --sweep --engine plain`).
+        # qos --sweep --seed 2`).
         from .qos_noisy import qos_main
 
         return qos_main(argv[1:])
     if argv and argv[0] == "active":
         # Active-mailbox flash-crowd cell: owns its flags
-        # (`rvma-experiments active --sweep --engine plain`).
+        # (`rvma-experiments active --sweep --seed 2`).
         from .active_flash import active_main
 
         return active_main(argv[1:])

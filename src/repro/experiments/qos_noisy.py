@@ -26,9 +26,8 @@ Also the home of the ``qos`` CLI subcommand
 from __future__ import annotations
 
 import argparse
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..cluster.builder import Cluster
 from ..core.api import RvmaApi
@@ -388,19 +387,6 @@ def run_noisy_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
 # ------------------------------------------------------------------- qos CLI
 
 
-@contextmanager
-def _engine_mode(mode: str) -> Iterator[None]:
-    """Pin the engine fast/plain mode for the run (CI matrixes over it)."""
-    from ..sim import engine
-
-    saved = engine.DEFAULT_FAST
-    engine.DEFAULT_FAST = mode == "fast"
-    try:
-        yield
-    finally:
-        engine.DEFAULT_FAST = saved
-
-
 def qos_main(argv: Optional[list[str]] = None) -> int:
     """``rvma-experiments qos``: run the noisy-neighbor cell or sweep."""
     parser = argparse.ArgumentParser(
@@ -423,40 +409,35 @@ def qos_main(argv: Optional[list[str]] = None) -> int:
         "--no-qos", action="store_true",
         help="single cell only: run with QoS disabled (shows the violation)",
     )
-    parser.add_argument(
-        "--engine", choices=("fast", "plain"), default="fast",
-        help="event-engine mode (CI matrixes over both)",
-    )
     args = parser.parse_args(argv)
 
-    with _engine_mode(args.engine):
-        if args.sweep:
-            if args.seeds:
-                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            elif args.seed is not None:
-                seeds = (args.seed,)
-            else:
-                seeds = (1, 2, 3)
-            result = run_noisy_sweep(seeds=seeds)
-            print(result.to_text())
-            for key, value in result.summary.items():
-                print(f"  {key}: {value}")
-            ok = result.summary["all_invariants_ok"] and result.summary["qos_off_shows_violation"]
-            return 0 if ok else 1
+    if args.sweep:
+        if args.seeds:
+            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        elif args.seed is not None:
+            seeds = (args.seed,)
+        else:
+            seeds = (1, 2, 3)
+        result = run_noisy_sweep(seeds=seeds)
+        print(result.to_text())
+        for key, value in result.summary.items():
+            print(f"  {key}: {value}")
+        ok = result.summary["all_invariants_ok"] and result.summary["qos_off_shows_violation"]
+        return 0 if ok else 1
 
-        out = run_noisy_neighbor(
-            seed=args.seed if args.seed is not None else 1, qos=not args.no_qos
-        )
-        print(
-            f"qos-noisy seed={out.seed} qos={'on' if out.qos else 'off'}: "
-            f"victim p99 {out.victim_p99_ns:,.0f} ns vs solo "
-            f"{out.victim_solo_p99_ns:,.0f} ns (factor {out.isolation_factor:.2f}), "
-            f"shed {out.overload_replies}, quota rejects {out.quota_rejects}, "
-            f"victim misses {out.victim_deadline_misses}"
-        )
-        print(
-            f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}; "
-            f"isolated: {'yes' if out.isolated else 'no'}"
-            + (f" ({out.error})" if out.error else "")
-        )
-        return 0 if out.invariants_ok and (out.isolated or not out.qos) else 1
+    out = run_noisy_neighbor(
+        seed=args.seed if args.seed is not None else 1, qos=not args.no_qos
+    )
+    print(
+        f"qos-noisy seed={out.seed} qos={'on' if out.qos else 'off'}: "
+        f"victim p99 {out.victim_p99_ns:,.0f} ns vs solo "
+        f"{out.victim_solo_p99_ns:,.0f} ns (factor {out.isolation_factor:.2f}), "
+        f"shed {out.overload_replies}, quota rejects {out.quota_rejects}, "
+        f"victim misses {out.victim_deadline_misses}"
+    )
+    print(
+        f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}; "
+        f"isolated: {'yes' if out.isolated else 'no'}"
+        + (f" ({out.error})" if out.error else "")
+    )
+    return 0 if out.invariants_ok and (out.isolated or not out.qos) else 1

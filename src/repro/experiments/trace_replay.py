@@ -65,7 +65,6 @@ from ..workloads import (
 )
 from ..workloads.replayer import _OP_CODES
 from .chaos import CHAOS_RELIABILITY
-from .qos_noisy import _engine_mode
 
 #: Per-op deadline budget for QoS replay cells (the fuzzer's value): a
 #: miss means a genuinely shed request, not a slow one.
@@ -625,7 +624,6 @@ def trace_main(argv: Optional[list] = None) -> int:
     p_rep.add_argument("--active", action="store_true")
     p_rep.add_argument("--no-audit", action="store_true")
     p_rep.add_argument("--max-backlog", type=int, default=None)
-    p_rep.add_argument("--engine", choices=("fast", "plain"), default="fast")
     p_rep.add_argument("--report-out", default=None,
                        help="write the wall-scrubbed RunReport JSON here")
 
@@ -649,7 +647,6 @@ def trace_main(argv: Optional[list] = None) -> int:
     p_cmp = sub.add_parser("compare", help="base vs qos-on vs active-on on one trace")
     p_cmp.add_argument("trace")
     p_cmp.add_argument("--seed", type=int, default=1)
-    p_cmp.add_argument("--engine", choices=("fast", "plain"), default="fast")
     p_cmp.add_argument("--report-out", default=None,
                        help="write the merged wall-scrubbed RunReport JSON here")
 
@@ -713,12 +710,11 @@ def trace_main(argv: Optional[list] = None) -> int:
 
     if args.cmd == "replay":
         trace = _load_trace_arg(args.trace)
-        with _engine_mode(args.engine):
-            cell = replay_trace(
-                trace, seed=args.seed, qos=args.qos, active=args.active,
-                audit=not args.no_audit, observe=args.report_out is not None,
-                max_backlog=args.max_backlog,
-            )
+        cell = replay_trace(
+            trace, seed=args.seed, qos=args.qos, active=args.active,
+            audit=not args.no_audit, observe=args.report_out is not None,
+            max_backlog=args.max_backlog,
+        )
         print(
             f"replayed {trace.trace_id} seed={args.seed} "
             f"qos={'on' if args.qos else 'off'} active={'on' if args.active else 'off'}: "
@@ -737,9 +733,8 @@ def trace_main(argv: Optional[list] = None) -> int:
 
     if args.cmd == "compare":
         trace = _load_trace_arg(args.trace)
-        with _engine_mode(args.engine):
-            out = compare_trace(trace, seed=args.seed,
-                                observe=args.report_out is not None)
+        out = compare_trace(trace, seed=args.seed,
+                            observe=args.report_out is not None)
         print(f"compare {out.trace_id} seed={out.seed} (identical offered load: "
               f"{'yes' if out.offered_identical else 'NO'})")
         for label, cell in (("base", out.base), ("qos-on", out.qos_on),

@@ -11,7 +11,7 @@ from .message import (
     Packet,
 )
 from .routing import PathChoice, RoutingMode, choose_path
-from .switch import PacketFabric, RoutedPacket, Switch
+from .switch import PacketFabric, Switch
 from .topology import (
     TOPOLOGY_KINDS,
     Dragonfly,
@@ -39,7 +39,6 @@ __all__ = [
     "PacketFabric",
     "PACKET_HEADER_BYTES",
     "PathChoice",
-    "RoutedPacket",
     "RoutingMode",
     "Star",
     "Switch",

@@ -19,7 +19,7 @@ from ..sim.component import Component
 from ..sim.engine import Simulator
 from .config import NetworkConfig
 from .message import Delivery, DeliveryInfo, Message, MTU, PACKET_HEADER_BYTES
-from .routing import PathChoice, RoutingMode, choose_path
+from .routing import RoutingMode
 from .topology.base import Topology
 
 DeliveryHandler = Callable[[Delivery], None]
@@ -242,22 +242,11 @@ class BaseFabric(Component):
 
     # --- routing ----------------------------------------------------------------
 
-    def _path_backlog(self, path_switches: list[int], src: int, dst: int) -> float:
-        """UGAL-ish score: queued work on the path plus a hop penalty."""
-        now = self.sim.now
-        backlog = 0.0
-        for ch in self.channels_for(path_switches, src, dst):
-            wait = self.free_at[ch] - now
-            if wait > 0:
-                backlog += wait
-        return backlog + len(path_switches) * self.config.hop_latency
-
     def _pair_paths(self, src: int, dst: int) -> tuple:
         """Cached (static_path, candidate_paths, allowed) for a node pair.
 
         Topology routes are pure functions of the immutable topology;
-        callers must not mutate the returned lists (choose_path copies
-        the winning path before handing it out).  ``allowed`` is the
+        callers must not mutate the returned lists.  ``allowed`` is the
         fault-filtered candidate index tuple, baked in at build time —
         the cache is invalidated on every fault transition, so it never
         goes stale.
@@ -275,27 +264,6 @@ class BaseFabric(Component):
             )
             self._paths_cache[key] = cached
         return cached
-
-    def select_path(self, src: int, dst: int, mode: RoutingMode) -> PathChoice:
-        """Pick a switch path per the routing mode (load-aware when adaptive)."""
-        static_path, cands, allowed = self._pair_paths(src, dst)
-        if mode is RoutingMode.STATIC:
-            return PathChoice(list(static_path), 0)
-        if len(allowed) != len(cands):
-            sub = [cands[i] for i in allowed]
-            ch = choose_path(
-                sub,
-                mode,
-                load_fn=lambda p: self._path_backlog(p, src, dst),
-                rng_pick=lambda n: self.sim.rng.choice(f"{self.name}.route", n),
-            )
-            return PathChoice(ch.path, allowed[ch.index])
-        return choose_path(
-            cands,
-            mode,
-            load_fn=lambda p: self._path_backlog(p, src, dst),
-            rng_pick=lambda n: self.sim.rng.choice(f"{self.name}.route", n),
-        )
 
     def _pair_routes(self, src: int, dst: int) -> tuple:
         """Cached channel sequences for every route of a node pair."""

@@ -7,22 +7,21 @@ independently.  Under adaptive routing each packet may take a different
 candidate path, producing genuine out-of-order arrival — the phenomenon
 that breaks RDMA last-byte polling (paper §II, §IV-D).
 
-Two execution paths share one timing model:
-
-* **Plain** (``Simulator(fast=False)``) — the reference oracle: every
-  packet is a :class:`RoutedPacket` hopping through real ``Switch``
-  components over real links, one engine event per wire arrival and
-  one per crossbar traversal.
-* **Fast** (``fast=True``) — vectorized: per-packet state lives in
-  struct-of-arrays slot arrays on the fabric, routes are precompiled
-  into per-hop step records, and packets due to advance at the same
-  simulated instant are grouped into *one* engine event per
-  link-timestep (``_advance_batch``) instead of two events per hop per
-  packet.  Both paths read and write the same ``SerializingLink``
-  ``_free_at`` horizons and the same ``Switch.packets_forwarded``
-  counters with the same float arithmetic in the same order, so
-  delivery bytes, timing, ``fabric.*`` metrics and span streams are
-  identical between modes (asserted by the fabric conformance suite).
+Sending is vectorized: per-packet state lives in struct-of-arrays slot
+arrays on the fabric, routes are precompiled into per-hop step records,
+and packets due to advance at the same simulated instant are grouped
+into *one* engine event per link-timestep (``_advance_batch``) instead
+of two events per hop per packet.  The :class:`Switch` components and
+``SerializingLink`` cables hold the state that arithmetic reads and
+writes — the links' ``_free_at`` horizons and byte counters, and each
+switch's ``packets_forwarded`` counter — but no packet ever hops
+through their ports.  The per-packet event chain this replaced (every
+packet a routed envelope hopping through real ports, one engine event
+per wire arrival and one per crossbar traversal) lives on as
+``ReferencePacketFabric`` in the test helpers: the fabric conformance
+suite (``tests/properties/test_fabric_determinism.py``) asserts that
+delivery bytes, timing, ``fabric.*`` metrics and span streams are
+identical between the two.
 
 Used at small scale (validation, microbenchmarks, integrity tests);
 the flow fabric covers the 8,192-node motif runs.
@@ -30,7 +29,6 @@ the flow fabric covers the 8,192-node motif runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..sim.component import Component
@@ -40,18 +38,8 @@ from ..sim.link import SerializingLink
 from .config import NetworkConfig
 from .fabric import BaseFabric
 from .message import Delivery, DeliveryInfo, Message, Packet, PACKET_HEADER_BYTES
-from .routing import PathChoice, RoutingMode, choose_path
+from .routing import RoutingMode
 from .topology.base import Topology
-
-
-@dataclass(slots=True)
-class RoutedPacket:
-    """A packet plus its source route and current position."""
-
-    packet: Packet
-    route: list[int]  # switch ids, first = source's switch
-    hop: int  # index into route of the switch currently holding it
-    path_index: int
 
 
 class Switch(Component):
@@ -60,7 +48,9 @@ class Switch(Component):
     Contention is modelled by the serializing output links; the
     crossbar adds a traversal delay at ``crossbar_factor x link_bw``
     (1.5x per the paper) plus a fixed pipeline latency, and is never the
-    bottleneck — matching the paper's setup.
+    bottleneck — matching the paper's setup.  The packet fabric applies
+    that timing itself; the switch owns the output ports and counts the
+    packets it forwards.
     """
 
     def __init__(self, sim: Simulator, switch_id: int, config: NetworkConfig) -> None:
@@ -77,43 +67,24 @@ class Switch(Component):
 
     def make_switch_port(self, neighbor: int):
         """Create the output port cabled towards *neighbor* switch."""
-        port = self.add_port(f"sw{neighbor}", self.on_packet)
+        port = self.add_port(f"sw{neighbor}")
         self.to_switch[neighbor] = port
         return port
 
     def make_node_port(self, node: int):
         """Create the ejection port cabled to endpoint *node*."""
-        port = self.add_port(f"node{node}", self.on_packet)
+        port = self.add_port(f"node{node}")
         self.to_node[node] = port
         return port
-
-    def on_packet(self, env: RoutedPacket) -> None:
-        """Receive a packet, traverse the crossbar, forward it."""
-        xbar = env.packet.wire_size / self.config.crossbar_bw
-        self.sim.post(self.config.switch_latency + xbar, self._forward, env)
-
-    def _forward(self, env: RoutedPacket) -> None:
-        self.packets_forwarded += 1
-        env.hop += 1
-        if env.hop < len(env.route):
-            nxt = env.route[env.hop]
-            self.to_switch[nxt].send(env, env.packet.wire_size)
-        else:
-            dst = env.packet.message.dst
-            self.to_node[dst].send(env, env.packet.wire_size)
 
 
 class _Endpoint(Component):
     """NIC-side cable terminus for one node in the packet fabric."""
 
-    def __init__(self, sim: Simulator, node_id: int, fabric: "PacketFabric") -> None:
+    def __init__(self, sim: Simulator, node_id: int) -> None:
         super().__init__(sim, f"ep{node_id}")
         self.node_id = node_id
-        self.fabric = fabric
-        self.inj_port = self.add_port("inj", self._on_arrival)
-
-    def _on_arrival(self, env: RoutedPacket) -> None:
-        self.fabric._on_packet_arrival(self.node_id, env)
+        self.inj_port = self.add_port("inj")
 
 
 class PacketFabric(BaseFabric):
@@ -144,7 +115,7 @@ class PacketFabric(BaseFabric):
         self.endpoints = []
         for node in range(topology.n_nodes):
             sw = self.switches[topology.node_switch(node)]
-            ep = _Endpoint(sim, node, self)
+            ep = _Endpoint(sim, node)
             sp = sw.make_node_port(node)
             SerializingLink(sim, ep.inj_port, sp, cfg.injection_latency, cfg.link_bw)
             self.endpoints.append(ep)
@@ -156,7 +127,7 @@ class PacketFabric(BaseFabric):
         #: so per-packet adaptive scoring skips the port/dict traversal.
         self._scored_paths: dict[tuple[int, int], tuple] = {}
 
-        # --- fast-path state (struct-of-arrays over in-flight packets) ---
+        # --- in-flight packet state (struct-of-arrays) ---
         # One slot per in-flight packet; slots are recycled through
         # ``_fp_free``.  A *step* is one transmission performed by the
         # switch at route[i]: ``(switch, link_free_at_dict, port_key,
@@ -209,38 +180,18 @@ class PacketFabric(BaseFabric):
         data: bytes = b"",
         mode: Optional[RoutingMode] = None,
     ) -> Message:
-        """Fragment into MTU packets, source-routing each independently."""
-        mode = mode or self.config.routing
-        if self.sim.fast:
-            return self._send_fast(src, dst, size, header, data, mode)
-        msg = self._mk_message(src, dst, size, header, data)
-        n_pkts = 0
-        for pkt in msg.fragment():
-            choice = self.select_path(src, dst, mode)
-            env = RoutedPacket(packet=pkt, route=choice.path, hop=0, path_index=choice.index)
-            self.endpoints[src].inj_port.send(env, pkt.wire_size)
-            n_pkts += 1
-        spans = self.sim.spans
-        if spans.active and spans.wants("fabric"):
-            sp = spans.begin("fabric", "msg_flight", src=src, dst=dst, size=size, packets=n_pkts)
-            if sp is not None:
-                self._msg_spans[id(msg)] = [sp, n_pkts]
-        return msg
+        """Fragment into MTU packets, source-routing each independently.
 
-    def _send_fast(
-        self, src: int, dst: int, size: int, header: Any, data: bytes, mode: RoutingMode
-    ) -> Message:
-        """Vectorized send: inline the injection transmit and enqueue
-        each packet's first crossbar traversal into a shared batch.
-
-        Per packet this does exactly the reference arithmetic —
-        ``start = max(free_at, now); tail = start + wire*inv_bw;
-        first_forward = (tail + latency) + (switch_latency +
-        wire/crossbar_bw)`` — without creating the endpoint/link/switch
-        event chain.  Path selection happens *before* the injection
-        horizon is bumped, in the same order as the reference loop, so
-        adaptive scoring and rng draws are identical.
+        Inlines the injection transmit and enqueues each packet's first
+        crossbar traversal into a shared batch.  Per packet this does
+        exactly the per-hop arithmetic — ``start = max(free_at, now);
+        tail = start + wire*inv_bw; first_forward = (tail + latency) +
+        (switch_latency + wire/crossbar_bw)`` — without an
+        endpoint/link/switch event chain.  Path selection happens
+        *before* the injection horizon is bumped, packet by packet, so
+        adaptive scoring and rng draws follow the per-packet order.
         """
+        mode = mode or self.config.routing
         msg = self._mk_message(src, dst, size, header, data)
         sim = self.sim
         now = sim.now
@@ -255,8 +206,8 @@ class PacketFabric(BaseFabric):
         if mode is RoutingMode.STATIC:
             fixed_steps = static_steps
         elif len(cand_steps) == 1:
-            # Single candidate: the reference choose_path shortcuts
-            # without an rng draw; mirror that exactly.
+            # Single candidate: choose_path shortcuts without an rng
+            # draw; mirror that exactly.
             fixed_steps = cand_steps[0]
         else:
             fixed_steps = None
@@ -287,11 +238,11 @@ class PacketFabric(BaseFabric):
                 steps = fixed_steps
                 pidx = 0
             else:
-                # Inline adaptive selection: identical scoring math,
-                # near-best tie-break and rng draw discipline as
-                # select_path/choose_path (choice over one candidate
-                # never draws), minus the PathChoice/path-copy
-                # allocations — only the index is needed here.
+                # Inline adaptive selection: the UGAL scoring math,
+                # near-best tie-break and rng draw discipline of
+                # choose_path (choice over one candidate never draws),
+                # minus the PathChoice/path-copy allocations — only
+                # the index is needed here.
                 scores = []
                 for chans, base in use_scorers:
                     for free_at, pid in chans:
@@ -374,11 +325,11 @@ class PacketFabric(BaseFabric):
         """Run every forward due at *when*: one engine event for the
         whole link-timestep batch.
 
-        Each slot performs what the reference does in ``Switch._forward``
-        plus the downstream link transmit: bump the forwarding switch's
-        counter, serialize onto the next cable, then either enqueue the
-        next crossbar traversal or hand the packet to the delivery batch
-        at its ejection-arrival time.
+        Each slot performs one switch forward plus the downstream link
+        transmit: bump the forwarding switch's counter, serialize onto
+        the next cable, then either enqueue the next crossbar traversal
+        or hand the packet to the delivery batch at its ejection-arrival
+        time.
         """
         slots = self._fwd_due.pop(when)
         sim = self.sim
@@ -423,9 +374,10 @@ class PacketFabric(BaseFabric):
     def _deliver_batch(self, when: float) -> None:
         """Deliver every packet whose ejection completes at *when*.
 
-        Mirrors ``_on_packet_arrival`` per slot (counter, span
-        bookkeeping, DeliveryInfo) and recycles the slot.  Runs at
-        PRIORITY_HIGH like the reference ejection-link delivery.
+        Per slot: count the packet, close the message's flight span
+        with its last packet, build the DeliveryInfo, and recycle the
+        slot.  Runs at PRIORITY_HIGH like any serializing-link arrival,
+        so arrivals at T are visible to normal-priority work at T.
         """
         slots = self._del_due.pop(when)
         pkts = self._fp_pkt
@@ -476,75 +428,6 @@ class PacketFabric(BaseFabric):
         self._scored_paths[(src, dst)] = entry
         return entry
 
-    def select_path(self, src: int, dst: int, mode: RoutingMode) -> PathChoice:
-        """Load-aware path choice, scored from cached channel handles.
-
-        Semantically identical to the BaseFabric version (same UGAL
-        scoring, same rng stream, same near-best tie-break, same
-        fault-window candidate filtering) — only the per-packet
-        port/dict traversal is hoisted into a one-time cache.
-        """
-        entry = self._scored_paths.get((src, dst))
-        if entry is None:
-            entry = self._build_scorers(src, dst)
-        static_path, cands, scorers, allowed = entry
-        if mode is RoutingMode.STATIC:
-            return PathChoice(list(static_path), 0)
-        now = self.sim.now
-        remap = None
-        use_cands = cands
-        use_scorers = scorers
-        if len(allowed) != len(cands):
-            remap = allowed
-            use_cands = [cands[i] for i in allowed]
-            use_scorers = [scorers[i] for i in allowed]
-        scores = []
-        for chans, base in use_scorers:
-            for free_at, pid in chans:
-                t = free_at[pid]
-                if t > now:
-                    base += t - now
-            scores.append(base)
-        ch = choose_path(
-            use_cands,
-            mode,
-            rng_pick=lambda n: self.sim.rng.choice(f"{self.name}.route", n),
-            scores=scores,
-        )
-        if remap is not None:
-            return PathChoice(ch.path, remap[ch.index])
-        return ch
-
     def injection_busy_until(self, node: int) -> float:
         ep = self.endpoints[node]
         return ep.inj_port.link.busy_until(ep.inj_port)
-
-    def _path_backlog(self, path_switches: list[int], src: int, dst: int) -> float:
-        """Queue-depth score from the *real* serializing links, so
-        adaptive selection in packet mode is genuinely load-aware
-        (UGAL-style), not merely randomized."""
-        now = self.sim.now
-        backlog = 0.0
-        ep = self.endpoints[src]
-        backlog += max(0.0, ep.inj_port.link.busy_until(ep.inj_port) - now)
-        for u, v in zip(path_switches, path_switches[1:]):
-            port = self.switches[u].to_switch[v]
-            backlog += max(0.0, port.link.busy_until(port) - now)
-        return backlog + len(path_switches) * self.config.hop_latency
-
-    def _on_packet_arrival(self, node_id: int, env: RoutedPacket) -> None:
-        self.packets_delivered += 1
-        msg = env.packet.message
-        entry = self._msg_spans.get(id(msg))
-        if entry is not None:
-            entry[1] -= 1
-            if entry[1] <= 0:
-                self.sim.spans.end(entry[0])
-                del self._msg_spans[id(msg)]
-        info = DeliveryInfo(
-            send_time=msg.send_time,
-            arrival_time=self.sim.now,
-            hops=len(env.route),
-            path_index=env.path_index,
-        )
-        self._deliver(node_id, Delivery(msg, info, packet=env.packet))

@@ -26,7 +26,6 @@ from .generator import generate, generate_many, regenerate
 from .runner import (
     FailureFingerprint,
     ScenarioOutcome,
-    engine_mode,
     run_scenario,
     scrub_report,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "ShrinkError",
     "ShrinkResult",
     "WORKLOAD_KINDS",
-    "engine_mode",
     "generate",
     "generate_many",
     "list_entries",

@@ -8,7 +8,7 @@ Four subcommands::
     fuzz corpus [--dir corpus/] [--add failing.json --note "..."]
 
 ``run`` samples scenarios from consecutive master seeds and executes
-each under its pinned engine mode; failures are written (and optionally
+each one; failures are written (and optionally
 auto-shrunk) into ``--fail-dir`` as replayable scenario documents, and
 the campaign's merged observability RunReport lands at ``--report-out``.
 

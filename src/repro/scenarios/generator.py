@@ -2,7 +2,7 @@
 
 Samples the cross-product the ROADMAP asks for — **topology × routing ×
 fault/chaos schedule × workload (motif or KV load or differential
-channel matrix) × backend × engine mode** — from the repo's named RNG
+channel matrix) × backend** — from the repo's named RNG
 streams (:class:`repro.sim.rng.RngRegistry`), so the same master seed
 always yields the byte-identical scenario document.  Every nested seed
 (cluster/simulator seed, workload scripts, fault windows) is *recorded*
@@ -148,6 +148,8 @@ def generate(seed: int, known_bad: bool = False) -> Scenario:
         # Deterministically failing shape: a motif that must cross the
         # fabric, under hard loss, with the transport disarmed.
         kind = MOTIF_KINDS[rng.choice("gen.badkind", len(MOTIF_KINDS))]
+    # The engine draw no longer selects anything (the runner ignores
+    # the field) but stays in the stream so every seed keeps its id.
     engine = "fast" if rng.choice("gen.engine", 2) == 0 else "plain"
     cluster_seed = 1 + rng.randint("gen.cluster_seed", 0, 1_000_000)
 

@@ -22,17 +22,17 @@ bearing: the auto-shrinker must be able to shrink a scenario without
 the fingerprint drifting, so fingerprints never include payload bytes,
 node ids or timestamps.
 
-Replay determinism: the runner pins the engine mode per scenario and
-scrubs wall-clock fields from the attached RunReport, so replaying the
-same document twice produces **byte-identical** report JSON.
+Replay determinism: the simulator is deterministic per seed and the
+runner scrubs wall-clock fields from the attached RunReport, so
+replaying the same document twice produces **byte-identical** report
+JSON.  The document's ``engine`` field is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..cluster.builder import Cluster
 from ..core.api import RvmaApi
@@ -108,19 +108,6 @@ class ScenarioOutcome:
     def describe(self) -> str:
         verdict = "FAILED" if self.failed else "ok"
         return f"{self.scenario.describe()} -> {verdict} [{self.fingerprint.describe()}]"
-
-
-@contextmanager
-def engine_mode(mode: str) -> Iterator[None]:
-    """Pin the simulator engine mode (fast/plain) for one scenario."""
-    import repro.sim.engine as engine
-
-    saved = engine.DEFAULT_FAST
-    engine.DEFAULT_FAST = mode == "fast"
-    try:
-        yield
-    finally:
-        engine.DEFAULT_FAST = saved
 
 
 def scrub_report(doc: dict) -> dict:
@@ -727,13 +714,16 @@ def _run_trace(scenario: Scenario, trace: bool) -> ScenarioOutcome:
 
 
 def run_scenario(scenario: Scenario, trace: bool = False) -> ScenarioOutcome:
-    """Execute *scenario* under its pinned engine mode and oracles."""
+    """Execute *scenario* under its oracles.
+
+    The schema's ``engine`` field is validated but ignored: the
+    simulator has a single engine mode.
+    """
     scenario.validate()
-    with engine_mode(scenario.engine):
-        if scenario.workload_kind == "kv":
-            return _run_kv(scenario, trace)
-        if scenario.workload_kind == "differential":
-            return _run_differential(scenario, trace)
-        if scenario.workload_kind == "trace":
-            return _run_trace(scenario, trace)
-        return _run_motif(scenario, trace)
+    if scenario.workload_kind == "kv":
+        return _run_kv(scenario, trace)
+    if scenario.workload_kind == "differential":
+        return _run_differential(scenario, trace)
+    if scenario.workload_kind == "trace":
+        return _run_trace(scenario, trace)
+    return _run_motif(scenario, trace)

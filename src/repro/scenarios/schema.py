@@ -1,7 +1,7 @@
 """Self-describing scenario documents: the fuzzer's unit of replay.
 
 A :class:`Scenario` pins *everything* a run needs — topology, routing
-mode, engine mode, protocol backend(s), the full fault plan as explicit
+mode, protocol backend(s), the full fault plan as explicit
 events (not a seed that regenerates them), the workload shape, and
 every nested seed — into one schema-versioned JSON document.  Two
 properties follow:
@@ -90,7 +90,7 @@ class Scenario:
     topology: str                  # dragonfly | fattree | hyperx | torus3d | star
     n_nodes: int
     routing: str = "adaptive"      # static | adaptive
-    engine: str = "fast"           # fast | plain
+    engine: str = "fast"           # fast | plain; validated, ignored by the runner
     backend: str = "rvma"          # protocol under test (motif/kv scenarios)
     compare: tuple = ()            # backends the differential oracle compares
     reliability: bool = True       # ARQ transport armed (False = known-bad)

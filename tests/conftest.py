@@ -10,25 +10,28 @@ from repro.network.routing import RoutingMode
 from repro.sim import Simulator
 
 
-
-
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=1234)
 
 
 @pytest.fixture(params=["fast", "plain"])
-def engine_mode(request, monkeypatch) -> str:
-    """Run the test under both engine modes.
+def fabric_impl(request, monkeypatch) -> str:
+    """Run the test against both packet-fabric implementations.
 
-    ``fast`` is the default pooled/bucketed scheduler; ``plain`` is the
-    straight-heap mode.  The fixture flips the module-level default so
-    every Simulator the test builds (including via Cluster.build)
-    inherits the mode — semantics must be identical in both.
+    ``fast`` builds the production vectorized :class:`PacketFabric`;
+    ``plain`` makes every ``Cluster.build`` the test performs use the
+    per-packet :class:`tests.helpers.ReferencePacketFabric` oracle, so
+    results must agree across the two legs.  Tests on flow-fidelity
+    clusters never build a packet fabric: both legs run the same code
+    and the pair only keeps the long-standing test ids.
     """
-    import repro.sim.engine as engine
+    if request.param == "plain":
+        import repro.cluster.builder as builder
 
-    monkeypatch.setattr(engine, "DEFAULT_FAST", request.param == "fast")
+        from tests.helpers import ReferencePacketFabric
+
+        monkeypatch.setattr(builder, "PacketFabric", ReferencePacketFabric)
     return request.param
 
 

@@ -10,10 +10,9 @@ from repro.sim import spawn
 
 
 @pytest.fixture(autouse=True)
-def _both_engine_modes(engine_mode):
-    """Every collective/MPI test runs under both the fast and plain
-    engines — tree fan-in/fan-out and fence ordering exercise batch
-    scheduling, so identical results across modes is a real check."""
+def _both_fabric_impls(fabric_impl):
+    """Every collective/MPI test takes both ``fabric_impl`` legs; these
+    clusters are flow fidelity, so the legs run the same code."""
 
 
 def _drive(cluster, rank_fn, n=None):

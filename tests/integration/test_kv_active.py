@@ -84,7 +84,7 @@ def _run_kv(active: bool):
     return out["replies"], stores, reg.counters
 
 
-def test_active_replies_byte_identical_to_host_dispatch(engine_mode):
+def test_active_replies_byte_identical_to_host_dispatch(fabric_impl):
     """The conformance oracle: active-on == active-off, reply for reply."""
     replies_off, stores_off, counters_off = _run_kv(active=False)
     replies_on, stores_on, counters_on = _run_kv(active=True)

@@ -39,7 +39,7 @@ def _service_cluster(n_server=1, n_client=1, shards_per_node=2):
     return cluster, shard_map, servers
 
 
-def test_kv_ops_end_to_end(engine_mode):
+def test_kv_ops_end_to_end(fabric_impl):
     """PUT/GET/DELETE/SCAN against a live server, both engine modes."""
     cluster, shard_map, servers = _service_cluster()
     client = KvClient(RvmaApi(cluster.nodes[1]), shard_map, index=0)

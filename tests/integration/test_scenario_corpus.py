@@ -8,6 +8,8 @@ fuzzer once caught has resurfaced (or a pinned pass broke).
 
 from __future__ import annotations
 
+import json
+
 from repro.scenarios import (
     CORPUS_DIR,
     FailureFingerprint,
@@ -15,6 +17,7 @@ from repro.scenarios import (
     list_entries,
     load_entry,
     replay_corpus,
+    run_scenario,
     save_entry,
 )
 from repro.scenarios.cli import fuzz_main
@@ -39,6 +42,23 @@ def test_corpus_entries_are_plain_replayable_scenarios():
 
     for entry in list_entries():
         assert Scenario.load(str(entry.path)) == entry.scenario
+
+
+def test_engine_field_is_accepted_and_ignored():
+    """Documents pinned to ``"engine": "plain"`` still replay: the runner
+    ignores the field, so the same document under ``"fast"`` yields the
+    same fingerprint and a byte-identical scrubbed RunReport, apart from
+    the scenario id the report quotes (a digest of the document)."""
+    entry = load_entry(CORPUS_DIR / "e43ee3cc90b5.json")
+    assert entry.scenario.engine == "plain"
+    as_fast = entry.scenario.with_changes(engine="fast")
+    plain = run_scenario(entry.scenario)
+    fast = run_scenario(as_fast)
+    assert plain.fingerprint == fast.fingerprint == entry.expected
+    plain_doc, fast_doc = plain.report_dict(), fast.report_dict()
+    assert plain_doc["meta"].pop("scenario_id") == entry.scenario.scenario_id
+    assert fast_doc["meta"].pop("scenario_id") == as_fast.scenario_id
+    assert json.dumps(plain_doc, sort_keys=True) == json.dumps(fast_doc, sort_keys=True)
 
 
 def test_save_and_load_entry_round_trip(tmp_path):

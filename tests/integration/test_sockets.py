@@ -10,10 +10,11 @@ from repro.sim import spawn
 
 
 @pytest.fixture(autouse=True)
-def _both_engine_modes(engine_mode):
-    """Every sockets test runs under both the fast and plain engines —
-    the receiver-managed stream protocol is sensitive to event order,
-    so it doubles as a scheduler-equivalence check."""
+def _both_fabric_impls(fabric_impl):
+    """Every sockets test runs on both the vectorized packet fabric and
+    the per-packet reference fabric — the receiver-managed stream
+    protocol is sensitive to event order, so it doubles as a fabric
+    equivalence check."""
 
 
 def _cluster(n=2):

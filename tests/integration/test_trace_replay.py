@@ -126,7 +126,7 @@ def test_cli_info_and_replay(capsys):
     rc = trace_main(["info", "steady-mix"])
     assert rc == 0
     assert "steady-mix" in capsys.readouterr().out or True
-    rc = trace_main(["replay", "steady-mix", "--seed", "2", "--engine", "plain"])
+    rc = trace_main(["replay", "steady-mix", "--seed", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "invariants: ok" in out

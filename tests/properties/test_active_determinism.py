@@ -13,10 +13,9 @@ Three invariants that must hold for *any* drawn workload:
   the scanner with each backend's characteristic chunk sizes must yield
   the same answered-frame multiset (served sets may legally differ —
   straddling frames always fall through to the host);
-* **engine/chaos invariance** — a live KV run with handlers armed
-  returns byte-identical replies under the fast and plain engines, and
-  identical to the active-off host-dispatch run, with or without
-  ChaosSchedule link flaps.
+* **chaos invariance** — a live KV run with handlers armed returns
+  byte-identical replies to the active-off host-dispatch run, with or
+  without ChaosSchedule link flaps.
 """
 
 from __future__ import annotations
@@ -227,53 +226,46 @@ def test_answered_multiset_invariant_across_backends(frames, hot_value):
 # ------------------------------------------------------------------ live KV
 
 
-def _live_run(fast: bool, active: bool, seed: int, script, drop_prob: float):
+def _live_run(active: bool, seed: int, script, drop_prob: float):
     """One live client/server run; returns (replies, store, served)."""
-    import repro.sim.engine as engine
+    cluster = Cluster.build(
+        n_nodes=2, topology="star", nic_type="rvma", fidelity="flow",
+        seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
+    )
+    if drop_prob > 0.0:
+        ChaosSchedule.generate(
+            cluster, horizon_ns=200_000.0, n_events=2, max_window_ns=20_000.0,
+            drop_prob=drop_prob, kinds=("link_flap",),
+        ).apply(FaultInjector(cluster))
+    shard_map = ShardMap([0], shards_per_node=2)
+    cfg = KvServerConfig(hot_keys=HOT if active else ())
+    server = KvServer(cluster.nodes[0], shard_map, config=cfg).start()
+    client = KvClient(RvmaApi(cluster.nodes[1]), shard_map, index=0)
+    out = {}
 
-    prev = engine.DEFAULT_FAST
-    engine.DEFAULT_FAST = fast
-    try:
-        cluster = Cluster.build(
-            n_nodes=2, topology="star", nic_type="rvma", fidelity="flow",
-            seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
-        )
-        if drop_prob > 0.0:
-            ChaosSchedule.generate(
-                cluster, horizon_ns=200_000.0, n_events=2, max_window_ns=20_000.0,
-                drop_prob=drop_prob, kinds=("link_flap",),
-            ).apply(FaultInjector(cluster))
-        shard_map = ShardMap([0], shards_per_node=2)
-        cfg = KvServerConfig(hot_keys=HOT if active else ())
-        server = KvServer(cluster.nodes[0], shard_map, config=cfg).start()
-        client = KvClient(RvmaApi(cluster.nodes[1]), shard_map, index=0)
-        out = {}
+    def driver():
+        yield from client.open()
+        replies = []
+        for kind, key_i, fill in script:
+            key = KEYS[key_i % len(KEYS)]
+            if kind == "put":
+                status = yield from client.put(key, bytes([fill]) * (1 + fill % 20))
+                replies.append((kind, status, b""))
+            elif kind == "delete":
+                status = yield from client.delete(key)
+                replies.append((kind, status, b""))
+            else:
+                status, value = yield from client.get(key)
+                replies.append((kind, status, value))
+        out["replies"] = replies
+        server.stop()
 
-        def driver():
-            yield from client.open()
-            replies = []
-            for kind, key_i, fill in script:
-                key = KEYS[key_i % len(KEYS)]
-                if kind == "put":
-                    status = yield from client.put(key, bytes([fill]) * (1 + fill % 20))
-                    replies.append((kind, status, b""))
-                elif kind == "delete":
-                    status = yield from client.delete(key)
-                    replies.append((kind, status, b""))
-                else:
-                    status, value = yield from client.get(key)
-                    replies.append((kind, status, value))
-            out["replies"] = replies
-            server.stop()
-
-        proc = spawn(cluster.sim, driver(), "driver")
-        cluster.sim.run(until=DEADLINE_NS)
-        assert proc.finished, "driver stalled"
-        served = cluster.nodes[0].nic.stat("active.served").value
-        store = {k: dict(v) for k, v in server.stores.items()}
-        return out["replies"], store, served
-    finally:
-        engine.DEFAULT_FAST = prev
+    proc = spawn(cluster.sim, driver(), "driver")
+    cluster.sim.run(until=DEADLINE_NS)
+    assert proc.finished, "driver stalled"
+    served = cluster.nodes[0].nic.stat("active.served").value
+    store = {k: dict(v) for k, v in server.stores.items()}
+    return out["replies"], store, served
 
 
 @given(
@@ -289,14 +281,11 @@ def _live_run(fast: bool, active: bool, seed: int, script, drop_prob: float):
     drop_prob=st.sampled_from([0.0, 0.05]),
 )
 @settings(max_examples=8, deadline=None)
-def test_handler_serves_identically_across_engines_and_chaos(seed, script, drop_prob):
-    """active(fast) == active(plain) == host-dispatch oracle, replies
-    and final stores byte-for-byte, chaos or not."""
-    on_fast = _live_run(True, True, seed, script, drop_prob)
-    on_plain = _live_run(False, True, seed, script, drop_prob)
-    off_fast = _live_run(True, False, seed, script, drop_prob)
-    assert on_fast[0] == on_plain[0], "fast vs plain replies diverged"
-    assert on_fast[1] == on_plain[1], "fast vs plain stores diverged"
-    assert on_fast[0] == off_fast[0], "active vs host-dispatch replies diverged"
-    assert on_fast[1] == off_fast[1], "active vs host-dispatch stores diverged"
-    assert off_fast[2] == 0  # the oracle run never fires a handler
+def test_handler_serves_identically_under_chaos(seed, script, drop_prob):
+    """active == host-dispatch oracle, replies and final stores
+    byte-for-byte, chaos or not."""
+    on = _live_run(True, seed, script, drop_prob)
+    off = _live_run(False, seed, script, drop_prob)
+    assert on[0] == off[0], "active vs host-dispatch replies diverged"
+    assert on[1] == off[1], "active vs host-dispatch stores diverged"
+    assert off[2] == 0  # the oracle run never fires a handler

@@ -3,7 +3,8 @@
 The optimized scheduler (pooling, tuple payloads, buckets, compaction,
 GC pausing) must be *invisible*: a fixed seed yields the identical
 event order, timestamps and metrics every run, whether the heap is
-drained by ``run()`` or single-stepped, and in both engine modes.
+drained by ``run()``, in bounded windows, or single-stepped, and on
+both the vectorized and the reference packet fabric.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from repro.cluster import Cluster
 from repro.motifs import Incast, RvmaProtocol
 from repro.sim import Simulator
+from tests.helpers import ReferencePacketFabric
 
 SEED = 0xD15EA5E
 
@@ -58,27 +60,37 @@ def _run_storm(step: bool = False) -> tuple:
     return log, sim.now, sim.events_executed, sim.pending_events
 
 
-def test_same_seed_same_event_order(engine_mode):
+def test_same_seed_same_event_order(fabric_impl):
     a = _run_storm()
     b = _run_storm()
     assert a == b
 
 
-def test_run_vs_step_identical(engine_mode):
+def test_run_vs_step_identical(fabric_impl):
     drained = _run_storm(step=False)
     stepped = _run_storm(step=True)
     assert drained == stepped
 
 
-def test_fast_vs_plain_identical():
+def test_bounded_runs_match_full_drain():
+    """``run(until=...)`` windows and ``run(max_events=...)`` slices go
+    through the same loop as the full drain and stop inside buckets;
+    stitched together they must reproduce the full drain exactly."""
     results = []
-    for fast in (True, False):
-        sim = Simulator(seed=SEED, fast=fast)
+    for bound in ("drain", "until", "max_events"):
+        sim = Simulator(seed=SEED)
         log: list = []
         _storm(sim, log)
-        sim.run()
+        if bound == "drain":
+            sim.run()
+        elif bound == "until":
+            while sim.pending_events:
+                sim.run(until=sim.now + 1.5)
+        else:
+            while sim.pending_events:
+                sim.run(max_events=7)
         results.append((log, sim.now, sim.events_executed, sim.pending_events))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def _run_incast() -> tuple:
@@ -89,34 +101,30 @@ def _run_incast() -> tuple:
     return res.messages, res.bytes_moved, res.elapsed, cl.sim.events_executed, cl.sim.now
 
 
-def test_motif_metrics_deterministic(engine_mode):
+def test_motif_metrics_deterministic(fabric_impl):
     assert _run_incast() == _run_incast()
 
 
-def test_motif_identical_across_engine_modes():
-    """Fast mode must match plain on every *observable*: messages,
-    bytes, elapsed time and final simulated clock.  Event counts are
-    exempt — the vectorized packet fabric intentionally schedules one
-    event per link-timestep instead of two per packet-hop, so fast mode
-    executes fewer events for the same physics (the fabric conformance
-    suite pins the full delivery/metric/span equivalence)."""
-    import repro.sim.engine as engine
+def test_motif_identical_on_reference_fabric(monkeypatch):
+    """The vectorized packet fabric must match the per-packet reference
+    fabric on every *observable*: messages, bytes, elapsed time and
+    final simulated clock.  Event counts are exempt — the vectorized
+    fabric intentionally schedules one event per link-timestep instead
+    of two per packet-hop, so it executes fewer events for the same
+    physics (the fabric conformance suite pins the full
+    delivery/metric/span equivalence)."""
+    import repro.cluster.builder as builder
 
-    saved = engine.DEFAULT_FAST
-    try:
-        engine.DEFAULT_FAST = True
-        fast = _run_incast()
-        engine.DEFAULT_FAST = False
-        plain = _run_incast()
-    finally:
-        engine.DEFAULT_FAST = saved
+    fast = _run_incast()
+    monkeypatch.setattr(builder, "PacketFabric", ReferencePacketFabric)
+    ref = _run_incast()
     f_msgs, f_bytes, f_elapsed, f_events, f_now = fast
-    p_msgs, p_bytes, p_elapsed, p_events, p_now = plain
-    assert (f_msgs, f_bytes, f_elapsed, f_now) == (p_msgs, p_bytes, p_elapsed, p_now)
-    assert f_events <= p_events
+    r_msgs, r_bytes, r_elapsed, r_events, r_now = ref
+    assert (f_msgs, f_bytes, f_elapsed, f_now) == (r_msgs, r_bytes, r_elapsed, r_now)
+    assert f_events <= r_events
 
 
-def test_trace_stream_deterministic(engine_mode):
+def test_trace_stream_deterministic(fabric_impl):
     """With tracing on, the recorded trace stream is identical per seed."""
 
     def traced() -> list:

@@ -1,10 +1,11 @@
-"""Fast-vs-plain conformance for the vectorized packet fabric.
+"""Conformance of the vectorized packet fabric to the per-packet oracle.
 
-``Simulator(fast=False)`` drives the reference oracle — every packet a
-:class:`RoutedPacket` hopping through real ``Switch`` components, two
-engine events per hop.  ``fast=True`` runs the batched struct-of-arrays
-path: one engine event per link-timestep.  The contract (see
-``network/switch.py``) is that the two are indistinguishable on every
+:class:`tests.helpers.ReferencePacketFabric` is the reference — every
+packet a ``RoutedPacket`` hopping through real ``Switch`` ports, two
+engine events per hop.  :class:`PacketFabric` runs the batched
+struct-of-arrays path: one engine event per link-timestep.  The
+contract (see ``network/switch.py``) is that the two are
+indistinguishable on every
 observable: byte-identical delivery streams (order, payload, per-packet
 timing), identical ``fabric.*`` metrics and per-switch counters, and
 identical span streams — across routing modes, topologies and fault
@@ -24,6 +25,7 @@ from repro.network.routing import RoutingMode
 from repro.network.switch import PacketFabric
 from repro.network.topology import make_topology
 from repro.sim import Simulator
+from tests.helpers import ReferencePacketFabric
 
 SEED = 0xFAB51C
 WAVES = 8
@@ -65,11 +67,13 @@ def _apply_faults(sim: Simulator, fabric: PacketFabric, topo, kind: str) -> None
         raise ValueError(kind)
 
 
-def _run(fast: bool, topology: str, n_nodes: int, mode: RoutingMode, faults: str) -> tuple:
-    sim = Simulator(seed=SEED, fast=fast)
+def _run(
+    fabric_cls: type, topology: str, n_nodes: int, mode: RoutingMode, faults: str
+) -> tuple:
+    sim = Simulator(seed=SEED)
     sim.spans.enable("fabric")
     topo = make_topology(topology, n_nodes)
-    fabric = PacketFabric(sim, topo)
+    fabric = fabric_cls(sim, topo)
 
     deliveries: list = []
 
@@ -144,8 +148,8 @@ CASES = [
     ids=[f"{t}-{m.name.lower()}-{f}" for t, _n, m, f in CASES],
 )
 def test_fast_matches_plain_oracle(topology, n_nodes, mode, faults):
-    fast = _run(True, topology, n_nodes, mode, faults)
-    plain = _run(False, topology, n_nodes, mode, faults)
+    fast = _run(PacketFabric, topology, n_nodes, mode, faults)
+    plain = _run(ReferencePacketFabric, topology, n_nodes, mode, faults)
     # Compare piecewise for readable failures; the final clause pins
     # everything at once so new fields can't silently drift.
     assert fast[0] == plain[0], "delivery stream diverged"
@@ -156,17 +160,19 @@ def test_fast_matches_plain_oracle(topology, n_nodes, mode, faults):
     assert fast == plain
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "plain"])
-def test_each_mode_self_deterministic(fast):
-    """Each execution path is also run-to-run deterministic per seed."""
+@pytest.mark.parametrize(
+    "fabric_cls", [PacketFabric, ReferencePacketFabric], ids=["fast", "plain"]
+)
+def test_each_mode_self_deterministic(fabric_cls):
+    """Each fabric is also run-to-run deterministic per seed."""
     case = ("dragonfly", 16, RoutingMode.ADAPTIVE, "flaps")
-    assert _run(fast, *case) == _run(fast, *case)
+    assert _run(fabric_cls, *case) == _run(fabric_cls, *case)
 
 
 def test_fast_mode_sends_deliver_everything_under_chaos():
     """Sanity floor under faults: every packet is either delivered or
     attributed to a drop — the batch slot arrays must drain fully."""
-    result = _run(True, "dragonfly", 16, RoutingMode.ADAPTIVE, "flaps")
+    result = _run(PacketFabric, "dragonfly", 16, RoutingMode.ADAPTIVE, "flaps")
     metrics = result[2]
     assert metrics["fabric.messages_sent"] == WAVES * SENDS_PER_WAVE
     delivered = len(result[0])

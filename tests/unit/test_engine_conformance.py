@@ -1,10 +1,13 @@
 """Scheduler conformance: the optimized engine vs the reference heap.
 
-Identical programs run on three implementations — the fast engine, the
-plain (pool/bucket-free) engine, and :class:`tests.helpers.ReferenceSimulator`
-(the pre-optimization engine kept verbatim as an oracle) — and must
-produce identical execution logs, timestamps, tie-breaking, counters
-and error behaviour.
+Identical programs run on :class:`repro.sim.Simulator` and on
+:class:`tests.helpers.ReferenceSimulator` (the pre-optimization engine
+kept verbatim as an oracle) and must produce identical execution logs,
+timestamps, tie-breaking, counters and error behaviour — whether the
+heap is drained by ``run()``, in bounded windows, or stepped.  The
+reference has no fire-and-forget or batch APIs; programs reach them
+through :func:`_post` / :func:`_post_batch`, which fall back to the
+equivalent ``schedule()`` calls there.
 """
 
 from __future__ import annotations
@@ -21,20 +24,44 @@ SEED = 0xFACADE
 
 def _implementations():
     return [
-        ("fast", lambda: Simulator(seed=SEED, fast=True)),
-        ("plain", lambda: Simulator(seed=SEED, fast=False)),
+        ("engine", lambda: Simulator(seed=SEED)),
         ("reference", lambda: ReferenceSimulator(seed=SEED)),
     ]
 
 
-def _conform(program, **run_kwargs):
-    """Run *program(sim, log)* on all implementations; logs must agree."""
+def _post(sim, delay, fn, *args):
+    if isinstance(sim, ReferenceSimulator):
+        sim.schedule(delay, fn, *args)
+    else:
+        sim.post(delay, fn, *args)
+
+
+def _post_batch(sim, delay, calls):
+    if isinstance(sim, ReferenceSimulator):
+        for fn, args in calls:
+            sim.schedule(delay, fn, *args)
+    else:
+        sim.post_batch(delay, calls)
+
+
+def _schedule_batch(sim, delay, calls):
+    if isinstance(sim, ReferenceSimulator):
+        return [sim.schedule(delay, fn, *args) for fn, args in calls]
+    return sim.schedule_batch(delay, calls)
+
+
+def _conform(program, drive=None, **run_kwargs):
+    """Run *program(sim, log)* on all implementations; logs must agree.
+
+    ``drive(sim, log)`` replaces the single ``sim.run(**run_kwargs)``
+    call and returns whatever should be compared (e.g. run ends).
+    """
     outcomes = {}
     for name, factory in _implementations():
         sim = factory()
         log: list = []
         program(sim, log)
-        end = sim.run(**run_kwargs)
+        end = drive(sim, log) if drive is not None else sim.run(**run_kwargs)
         outcomes[name] = (log, end, sim.now, sim.events_executed, sim.pending_events)
     ref = outcomes.pop("reference")
     for name, got in outcomes.items():
@@ -204,81 +231,120 @@ def test_seeded_random_program_conforms():
     _conform(program)
 
 
-# --- fast-path APIs: post/post_batch vs their schedule() equivalents -------
+# --- fire-and-forget and batch APIs vs their schedule() equivalents --------
 
 
 def test_post_matches_schedule_semantics():
-    """post() on both engine modes orders exactly like schedule()."""
+    """post() orders exactly like schedule()."""
 
-    def with_post(fast):
-        sim = Simulator(seed=SEED, fast=fast)
-        log: list = []
-        sim.post(2.0, log.append, "a")
-        sim.post(1.0, log.append, "b")
-        sim.post(2.0, log.append, "c")
-        sim.run()
-        return log, sim.now, sim.events_executed, sim.pending_events
+    def program(sim, log):
+        _post(sim, 2.0, log.append, "a")
+        _post(sim, 1.0, log.append, "b")
+        _post(sim, 2.0, log.append, "c")
 
-    ref = ReferenceSimulator(seed=SEED)
-    log: list = []
-    ref.schedule(2.0, log.append, "a")
-    ref.schedule(1.0, log.append, "b")
-    ref.schedule(2.0, log.append, "c")
-    ref.run()
-    expected = (log, ref.now, ref.events_executed, ref.pending_events)
-    assert with_post(True) == expected
-    assert with_post(False) == expected
+    (log, *_rest) = _conform(program)
+    assert log == ["b", "a", "c"]
 
 
 def test_post_batch_matches_individual_schedules():
-    def with_batches(fast):
-        sim = Simulator(seed=SEED, fast=fast)
-        log: list = []
-        sim.post_batch(3.0, [(log.append, ("b0",)), (log.append, ("b1",)), (log.append, ("b2",))])
-        sim.post(3.0, log.append, "single")  # later seq: runs after the batch
-        sim.post(1.0, log.append, "early")
-        sim.run()
-        return log, sim.now, sim.events_executed, sim.pending_events
+    def program(sim, log):
+        _post_batch(sim, 3.0, [(log.append, ("b0",)), (log.append, ("b1",)), (log.append, ("b2",))])
+        _post(sim, 3.0, log.append, "single")  # later seq: runs after the batch
+        _post(sim, 1.0, log.append, "early")
 
-    ref = ReferenceSimulator(seed=SEED)
-    log: list = []
-    for tag in ("b0", "b1", "b2"):
-        ref.schedule(3.0, log.append, tag)
-    ref.schedule(3.0, log.append, "single")
-    ref.schedule(1.0, log.append, "early")
-    ref.run()
-    expected = (log, ref.now, ref.events_executed, ref.pending_events)
-    assert with_batches(True) == expected
-    assert with_batches(False) == expected
+    (log, *_rest) = _conform(program)
+    assert log == ["early", "b0", "b1", "b2", "single"]
+
+
+def _batch_with_injection(sim, log):
+    """A bucket whose first member posts a delay-0 event at its own time."""
+
+    def first():
+        log.append("first")
+        _post(sim, 0.0, log.append, "injected")
+
+    _post_batch(sim, 5.0, [(first, ()), (log.append, ("second",)), (log.append, ("third",))])
 
 
 def test_bucket_members_yield_to_interleaved_delay_zero_posts():
     """A batch member that posts a delay-0 event at the same timestamp
     must NOT let later batch members jump ahead of it (seq order)."""
-
-    def scenario(fast):
-        sim = Simulator(seed=SEED, fast=fast)
-        log: list = []
-
-        def first():
-            log.append("first")
-            sim.post(0.0, log.append, "injected")
-
-        sim.post_batch(5.0, [(first, ()), (log.append, ("second",)), (log.append, ("third",))])
-        sim.run()
-        return log
-
-    assert scenario(True) == scenario(False) == ["first", "second", "third", "injected"]
+    (log, *_rest) = _conform(_batch_with_injection)
+    assert log == ["first", "second", "third", "injected"]
 
 
 def test_schedule_batch_cancellation_per_member():
-    def scenario(fast):
-        sim = Simulator(seed=SEED, fast=fast)
-        log: list = []
-        evs = sim.schedule_batch(4.0, [(log.append, (i,)) for i in range(5)])
+    def program(sim, log):
+        evs = _schedule_batch(sim, 4.0, [(log.append, (i,)) for i in range(5)])
         evs[1].cancel()
         evs[3].cancel()
-        sim.run()
-        return log, sim.pending_events
 
-    assert scenario(True) == scenario(False) == ([0, 2, 4], 0)
+    (log, _end, _now, _executed, pending) = _conform(program)
+    assert log == [0, 2, 4]
+    assert pending == 0
+
+
+# --- bounded runs and step() share the drain loop --------------------------
+
+
+def test_max_events_stops_inside_a_bucket_then_run_resumes():
+    def program(sim, log):
+        _batch_with_injection(sim, log)
+        _post_batch(sim, 5.0, [(log.append, ("b0",)), (log.append, ("b1",))])
+        _post(sim, 1.0, log.append, "early")
+
+    def drive(sim, log):
+        ends = []
+        for budget in (2, 0, 1):
+            ends.append((sim.run(max_events=budget), list(log)))
+        ends.append(sim.run())
+        return ends
+
+    (log, ends, now, executed, pending) = _conform(program, drive=drive)
+    assert log == ["early", "first", "second", "third", "b0", "b1", "injected"]
+    assert ends == [
+        (5.0, ["early", "first"]),
+        (5.0, ["early", "first"]),
+        (5.0, ["early", "first", "second"]),
+        5.0,
+    ]
+    assert (now, executed, pending) == (5.0, 7, 0)
+
+
+def test_until_with_only_cancelled_events_beyond_leaves_now():
+    def program(sim, log):
+        _post(sim, 1.0, log.append, "live")
+        sim.schedule(8.0, log.append, "dead").cancel()
+        for ev in _schedule_batch(sim, 9.0, [(log.append, ("x",)), (log.append, ("y",))]):
+            ev.cancel()
+
+    (log, end, now, executed, pending) = _conform(program, until=5.0)
+    assert log == ["live"]
+    assert end == now == 1.0
+    assert (executed, pending) == (1, 0)
+
+
+def test_until_equal_to_an_event_time_runs_that_event():
+    def program(sim, log):
+        _post(sim, 2.0, log.append, "a")
+        _post_batch(sim, 5.0, [(log.append, ("b0",)), (log.append, ("b1",))])
+        sim.schedule(5.0, log.append, "c")
+        _post(sim, 6.0, log.append, "late")
+
+    (log, end, now, executed, pending) = _conform(program, until=5.0)
+    assert log == ["a", "b0", "b1", "c"]
+    assert end == now == 5.0
+    assert (executed, pending) == (4, 1)
+
+
+def test_step_across_a_bucket_with_a_delay_zero_post():
+    def drive(sim, _log):
+        steps = []
+        while sim.step():
+            steps.append((sim.now, sim.events_executed, sim.pending_events))
+        steps.append(sim.step())
+        return steps
+
+    (log, steps, *_rest) = _conform(_batch_with_injection, drive=drive)
+    assert log == ["first", "second", "third", "injected"]
+    assert steps == [(5.0, 1, 3), (5.0, 2, 2), (5.0, 3, 1), (5.0, 4, 0), False]

