@@ -73,6 +73,9 @@ class PutOp:
     nacked: Optional[NackReason] = None
     #: retry state: (data, offset, mode, retries_left)
     retry: Optional[tuple] = None
+    #: abandoned for good; later NACKs for its other packets are not
+    #: new losses.
+    lost: bool = False
 
 
 @dataclass
@@ -877,6 +880,9 @@ class RvmaNic(BaseNic):
                 op.dst, op.size, resend, data, mode, after=self.cfg.put_retry_timeout
             )
             return
+        if op.lost:
+            return
+        op.lost = True
         if (
             hdr.reason in (NackReason.NO_BUFFER, NackReason.NO_MAILBOX)
             and self.cfg.retry_no_buffer

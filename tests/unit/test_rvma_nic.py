@@ -7,7 +7,8 @@ from repro.memory.buffer import HostBuffer
 from repro.nic.headers import NackReason
 from repro.nic.lut import BufferMode, EpochType, RetiredBuffer
 from repro.nic.rvma import RvmaNicConfig
-from repro.network import NetworkConfig, RoutingMode
+from repro.motifs import Incast, RvmaProtocol
+from repro.network import LINK_RATES, NetworkConfig, RoutingMode
 
 from tests.helpers import run_gen, run_gens
 
@@ -129,6 +130,30 @@ def test_put_to_unknown_mailbox_retries_then_fails(rvma_pair):
     assert cl.sim.stats.counter("rvma1.nacks_no_mailbox").value == retries + 1
     assert cl.sim.stats.counter("rvma0.put_retries").value == retries
     assert cl.sim.stats.counter("rvma0.puts_lost").value == 1
+
+
+def test_puts_lost_counts_each_abandoned_put_once():
+    """Regression: a multi-packet put draws one NACK per packet, and
+    every NACK that arrived after the retry budget was spent used to
+    count as another lost put — NICs reported more losses than puts.
+    Loss, give-up and quota-loss accounting is once per put."""
+    cl = Cluster.build(
+        n_nodes=33, topology="dragonfly", nic_type="rvma", fidelity="packet", seed=3,
+        net_config=NetworkConfig(link_bw=LINK_RATES["400Gbps"], routing=RoutingMode.ADAPTIVE),
+        nic_config=RvmaNicConfig(put_retries=4),
+    )
+    with pytest.raises(RuntimeError, match="puts_lost"):
+        Incast(cl, RvmaProtocol(), msgs_per_client=8, msg_bytes=8 * 1024).run()
+    counters = cl.sim.stats.counters()
+    total_lost = 0
+    for node in range(1, cl.n_nodes):
+        stat = lambda name: counters.get(f"rvma{node}.{name}", 0)
+        puts = stat("tx_messages") - stat("put_retries")
+        assert puts == 8
+        assert stat("puts_lost") <= puts
+        assert stat("put_giveups") == stat("puts_lost")
+        total_lost += stat("puts_lost")
+    assert total_lost > 0, "the incast must exhaust some retry budgets"
 
 
 def test_put_to_closed_window_nacks(rvma_pair):
