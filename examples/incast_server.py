@@ -12,7 +12,7 @@ the time and the resource footprint.
 
 import argparse
 
-from repro import Cluster, Incast, RdmaProtocol, RvmaProtocol
+from repro import Cluster, Incast, MetricsRegistry, RdmaProtocol, RvmaProtocol
 from repro.motifs.incast import BUCKET_DEPTH
 from repro.units import fmt_time
 
@@ -24,9 +24,7 @@ def run(nic: str, n_clients: int, msgs: int):
     protocol = RvmaProtocol() if nic == "rvma" else RdmaProtocol()
     motif = Incast(cluster, protocol, msgs_per_client=msgs, msg_bytes=4096)
     result = motif.run()
-    retries = sum(
-        v for k, v in cluster.sim.stats.counters().items() if "put_retries" in k
-    )
+    retries = MetricsRegistry.collect(cluster).counters.get("nic.rvma.put_retries", 0)
     return result, retries
 
 

@@ -308,12 +308,13 @@ class RvmaApi:
     # ------------------------------------------------------------------ observability
 
     def metrics(self, prefix: str = ""):
-        """Federated hierarchical metrics for this node's simulation.
+        """Hierarchical metrics for this node's simulation.
 
-        Returns a :class:`repro.observability.MetricsRegistry` snapshot
-        aggregating every component's flat counters/summaries/histograms
-        under canonical names (``nic.rvma.bytes_placed``,
-        ``transport.retransmits``, …).  Filter with *prefix*
+        Returns a :class:`repro.observability.MetricsRegistry` snapshot:
+        every counter/summary/histogram under the catalog name it was
+        registered with (``nic.rvma.bytes_placed``,
+        ``transport.retransmits``, …), summed over the components that
+        registered it.  Filter with *prefix*
         (e.g. ``api.metrics("transport").flat()``) — the registry itself
         always holds everything; *prefix* applies to :meth:`flat`-style
         reads, so it is accepted here for convenience and forwarded.

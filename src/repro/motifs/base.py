@@ -143,18 +143,13 @@ class Motif(ABC):
     strict_nacks = True
 
     def _check_integrity(self) -> None:
-        counters = self.sim.stats.counters()
         fatal_keys = ("puts_lost", "writes_rejected", "recv_too_small", "rx_unknown_header")
-        fatal = {
-            k: v for k, v in counters.items() if v and any(f in k for f in fatal_keys)
-        }
         if self.strict_nacks:
-            fatal.update(
-                {
-                    k: v
-                    for k, v in counters.items()
-                    if v and ("nacks_" in k or "puts_discarded" in k)
-                }
-            )
+            fatal_keys += ("nacks_", "puts_discarded")
+        fatal = {
+            f"{name}[{instance}]": c.value
+            for (name, instance), c in self.sim.stats.counter_items()
+            if c.value and any(f in name for f in fatal_keys)
+        }
         if fatal:
             raise RuntimeError(f"{self.name}: data-loss indicators nonzero: {fatal}")

@@ -68,12 +68,12 @@ class BaseFabric(Component):
         #: is avoided while its count is positive.
         self._down_switches: dict[int, int] = {}
         self._down_links: dict[frozenset, int] = {}
-        self.messages_sent = 0
-        self.bytes_sent = 0
+        self.messages_sent = self.stat("fabric.messages_sent")
+        self.bytes_sent = self.stat("fabric.bytes_sent")
         #: Optional fault hook: called with each Delivery just before it
         #: reaches the destination handler; returning True drops it.
         self.fault_filter = None
-        self.deliveries_dropped = 0
+        self.deliveries_dropped = self.stat("fabric.deliveries_dropped")
         #: canonical latency summary, shared across fabrics in one sim.
         self._lat_summary = sim.stats.summary("fabric.msg_latency_ns")
         #: adaptive-routing stream, resolved once (same draws as going
@@ -82,14 +82,6 @@ class BaseFabric(Component):
         self._route_rng = sim.rng.stream(f"{self.name}.route")
         #: reciprocal so the serialization divide becomes a multiply.
         self._inv_link_bw = 1.0 / self.config.link_bw
-
-    def observable_metrics(self) -> dict[str, int]:
-        """Attribute counters exposed to the observability collector."""
-        return {
-            "fabric.messages_sent": self.messages_sent,
-            "fabric.bytes_sent": self.bytes_sent,
-            "fabric.deliveries_dropped": self.deliveries_dropped,
-        }
 
     # --- endpoints ---------------------------------------------------------------
 
@@ -102,7 +94,7 @@ class BaseFabric(Component):
 
     def _deliver(self, node_id: int, delivery: Delivery) -> None:
         if self.fault_filter is not None and self.fault_filter(delivery):
-            self.deliveries_dropped += 1
+            self.deliveries_dropped.value += 1
             return
         info = delivery.info
         self._lat_summary.add(info.arrival_time - info.send_time)
@@ -303,8 +295,8 @@ class BaseFabric(Component):
         self.topology.check_node(dst)
         msg = Message(src=src, dst=dst, size=size, header=header, data=data)
         msg.send_time = self.sim.now
-        self.messages_sent += 1
-        self.bytes_sent += size
+        self.messages_sent.value += 1
+        self.bytes_sent.value += size
         return msg
 
 

@@ -14,7 +14,7 @@ into *one* engine event per link-timestep (``_advance_batch``) instead
 of two events per hop per packet.  The :class:`Switch` components and
 ``SerializingLink`` cables hold the state that arithmetic reads and
 writes — the links' ``_free_at`` horizons and byte counters, and each
-switch's ``packets_forwarded`` counter — but no packet ever hops
+switch's ``fabric.packets_forwarded`` counter — but no packet ever hops
 through their ports.  The per-packet event chain this replaced (every
 packet a routed envelope hopping through real ports, one engine event
 per wire arrival and one per crossbar traversal) lives on as
@@ -59,11 +59,7 @@ class Switch(Component):
         self.config = config
         self.to_switch: dict[int, Any] = {}  # neighbor switch id -> Port
         self.to_node: dict[int, Any] = {}  # node id -> Port
-        self.packets_forwarded = 0
-
-    def observable_metrics(self) -> dict[str, int]:
-        """Attribute counters exposed to the observability collector."""
-        return {"fabric.packets_forwarded": self.packets_forwarded}
+        self.packets_forwarded = self.stat("fabric.packets_forwarded")
 
     def make_switch_port(self, neighbor: int):
         """Create the output port cabled towards *neighbor* switch."""
@@ -119,7 +115,7 @@ class PacketFabric(BaseFabric):
             sp = sw.make_node_port(node)
             SerializingLink(sim, ep.inj_port, sp, cfg.injection_latency, cfg.link_bw)
             self.endpoints.append(ep)
-        self.packets_delivered = 0
+        self.packets_delivered = self.stat("fabric.packets_delivered")
         #: open per-message flight spans: id(msg) -> [span, packets_left]
         self._msg_spans: dict[int, list] = {}
         #: (src, dst) -> (static_path, cands, scorers, allowed); scorers
@@ -130,9 +126,9 @@ class PacketFabric(BaseFabric):
         # --- in-flight packet state (struct-of-arrays) ---
         # One slot per in-flight packet; slots are recycled through
         # ``_fp_free``.  A *step* is one transmission performed by the
-        # switch at route[i]: ``(switch, link_free_at_dict, port_key,
-        # inv_bw, latency, link)`` — everything ``_advance_batch`` needs
-        # without touching a Port or Component.
+        # switch at route[i]: ``(forwarded_counter, link_free_at_dict,
+        # port_key, inv_bw, latency, link)`` — everything
+        # ``_advance_batch`` needs without touching a Port or Component.
         self._fp_pkt: list = []            # Packet per slot
         self._fp_steps: list = []          # per-slot step tuple (len == hops)
         self._fp_hop: list = []            # index of the next step to run
@@ -155,11 +151,6 @@ class PacketFabric(BaseFabric):
             self._inj_fast.append(
                 (link._free_at, id(ep.inj_port), link._inv_bw, link.latency, link)
             )
-
-    def observable_metrics(self) -> dict[str, int]:
-        metrics = super().observable_metrics()
-        metrics["fabric.packets_delivered"] = self.packets_delivered
-        return metrics
 
     def _invalidate_route_caches(self) -> None:
         """Fault transition: also drop the per-packet scorer and the
@@ -318,7 +309,9 @@ class PacketFabric(BaseFabric):
             sw = self.switches[u]
             port = sw.to_switch[path[i + 1]] if i < last else sw.to_node[dst]
             link = port.link
-            steps.append((sw, link._free_at, id(port), link._inv_bw, link.latency, link))
+            steps.append(
+                (sw.packets_forwarded, link._free_at, id(port), link._inv_bw, link.latency, link)
+            )
         return tuple(steps)
 
     def _advance_batch(self, when: float) -> None:
@@ -343,8 +336,8 @@ class PacketFabric(BaseFabric):
         for slot in slots:
             steps = steps_arr[slot]
             hop = hops_arr[slot]
-            sw, free, key, inv_bw, lat, link = steps[hop]
-            sw.packets_forwarded += 1
+            forwarded, free, key, inv_bw, lat, link = steps[hop]
+            forwarded.value += 1
             w = wire_arr[slot]
             start = free[key]
             if when > start:
@@ -390,7 +383,7 @@ class PacketFabric(BaseFabric):
         for slot in slots:
             pkt = pkts[slot]
             msg = pkt.message
-            self.packets_delivered += 1
+            self.packets_delivered.value += 1
             entry = msg_spans.get(id(msg))
             if entry is not None:
                 entry[1] -= 1

@@ -240,7 +240,7 @@ class ActiveRegistry:
             binding.kv_state = _KvScanState()
         else:
             raise LutError(f"unknown handler type {type(handler).__name__}")
-        self.nic.stat("active.attached").add()
+        self.nic.stat("nic.rvma.active.attached").add()
         return binding
 
     def restore(self, mailbox: int, handler, window_log) -> None:
@@ -283,12 +283,12 @@ class ActiveRegistry:
         flt = binding.filter
         if frag_off != 0 or nbytes != hdr.total_size:
             # Fragment: predicate not evaluable on a partial payload.
-            self.nic.stat("active.filter_bypass").add()
+            self.nic.stat("nic.rvma.active.filter_bypass").add()
             return 0.0
         if flt.matches(bytes(data)):
-            self.nic.stat("active.filter_passed").add()
+            self.nic.stat("nic.rvma.active.filter_passed").add()
             return self.costs.filter_ns
-        self.nic.stat("active.filtered_puts").add()
+        self.nic.stat("nic.rvma.active.filtered_puts").add()
         spans = self.nic.sim.spans
         if spans.active and spans.wants("active"):
             spans.end(
@@ -315,7 +315,7 @@ class ActiveRegistry:
         buf = entry.active
         epoch = entry.epoch
         chunk_len = buf.bytes_received
-        nic.stat("active.invocations").add()
+        nic.stat("nic.rvma.active.invocations").add()
         cost = self.costs.invoke_ns
 
         journal = nic.op_journal
@@ -335,7 +335,7 @@ class ActiveRegistry:
                 # replayed chunks were host-consumed pre-crash and their
                 # syncs will never come; kv_sync floors at zero instead.
                 self._scan_and_serve(binding, buf, chunk_len, [], cost, serve=False)
-            nic.stat("active.replayed").add()
+            nic.stat("nic.rvma.active.replayed").add()
             return cost
 
         spans = nic.sim.spans
@@ -346,9 +346,9 @@ class ActiveRegistry:
         effect = ActiveEffect()
         if binding.word_handler is not None:
             binding.word, applied = apply_word_op(binding.word, binding.word_handler, chunk_len)
-            nic.stat("active.word_ops").add()
+            nic.stat("nic.rvma.active.word_ops").add()
             if not applied:
-                nic.stat("active.cas_failures").add()
+                nic.stat("nic.rvma.active.cas_failures").add()
             cost += self.costs.word_op_ns
             effect.word = binding.word
         served: list[int] = []
@@ -439,8 +439,8 @@ class ActiveRegistry:
                     cost += serve_cost
                     buf.buffer.write(pos, bytes((OP_SERVED,)))
                     served.append(pos)
-                    nic.stat("active.served").add()
-                    nic.stat("active.served_bytes").add(len(reply))
+                    nic.stat("nic.rvma.active.served").add()
+                    nic.stat("nic.rvma.active.served_bytes").add(len(reply))
                     # client_id = (node << 8) | index — the KV service's
                     # registry-free reply-routing convention.
                     nic.inject(
@@ -456,9 +456,9 @@ class ActiveRegistry:
                         after=base_cost + cost,
                     )
                 elif st.pending.get(key):
-                    nic.stat("active.passed_dirty").add()
+                    nic.stat("nic.rvma.active.passed_dirty").add()
                 else:
-                    nic.stat("active.passed_cold").add()
+                    nic.stat("nic.rvma.active.passed_cold").add()
             else:
                 self._classify(st, hot, op, key)
             pos += total
@@ -501,5 +501,5 @@ class ActiveRegistry:
                 st.view.pop(key, None)
             elif value is not None:
                 st.view[key] = bytes(value)
-        self.nic.stat("active.kv_syncs").add()
+        self.nic.stat("nic.rvma.active.kv_syncs").add()
         return True

@@ -53,6 +53,10 @@ class NicConfig:
 class BaseNic(Component):
     """A NIC attached to one node's memory and to the fabric."""
 
+    #: Catalog group of the counters every NIC model shares
+    #: (``tx_messages``, ``rx_dropped_failed`` …): ``nic.rvma``/``nic.rdma``.
+    metric_group: str
+
     def __init__(
         self,
         sim: Simulator,
@@ -102,7 +106,7 @@ class BaseNic(Component):
     def fail(self) -> None:
         """Simulate node death: all subsequent traffic is dropped."""
         self.failed = True
-        self.stat("failed").add()
+        self.stat("recovery.failed").add()
 
     def crash(self) -> None:
         """Crash-stop: drop traffic *and* atomically destroy the NIC's
@@ -116,7 +120,7 @@ class BaseNic(Component):
         """
         self.failed = True
         self.incarnation += 1
-        self.stat("crashes").add()
+        self.stat("recovery.crashes").add()
         self._destroy_volatile_state()
         if self.transport is not None:
             # The old flows died with the NIC: silence their timers so
@@ -135,14 +139,14 @@ class BaseNic(Component):
         if not self.failed:
             return
         self.failed = False
-        self.stat("restarts").add()
+        self.stat("recovery.restarts").add()
 
     def _destroy_volatile_state(self) -> None:
         """Subclass hook: wipe NIC-resident state lost in a crash."""
 
     def _on_delivery(self, delivery: Delivery) -> None:
         if self.failed:
-            self.stat("rx_dropped_failed").add()
+            self.stat(f"{self.metric_group}.rx_dropped_failed").add()
             return
         # NIC pipeline processes each arrival (packet or whole message).
         self.sim.post(self.config.nic_proc, self._handle, delivery)
@@ -150,7 +154,7 @@ class BaseNic(Component):
     def _handle(self, delivery: Delivery) -> None:
         fn = self._dispatch.get(type(delivery.message.header))
         if fn is None:
-            self.stat("rx_unknown_header").add()
+            self.stat(f"{self.metric_group}.rx_unknown_header").add()
             return
         fn(delivery)
 
@@ -189,7 +193,7 @@ class BaseNic(Component):
         Subclasses fail outstanding operations targeting the peer so
         software blocks on a completion, not forever.
         """
-        self.stat("peer_failures_seen").add()
+        self.stat("detector.peer_failures_seen").add()
 
     # --- transmit path -------------------------------------------------------------
 
@@ -206,7 +210,7 @@ class BaseNic(Component):
         self.sim.post(after, self._inject_now, dst, size, header, data, mode)
 
     def _inject_now(self, dst: int, size: int, header: Any, data: bytes, mode) -> Message:
-        self.stat("tx_messages").add()
+        self.stat(f"{self.metric_group}.tx_messages").add()
         if (
             self.transport is not None
             and dst != self.node_id
@@ -217,7 +221,7 @@ class BaseNic(Component):
 
     def send_control(self, dst: int, header: Any, mode: Optional[RoutingMode] = None) -> None:
         """Emit a small control message (ack/NACK/read request)."""
-        self.stat("tx_control").add()
+        self.stat(f"{self.metric_group}.tx_control").add()
         if (
             self.transport is not None
             and dst != self.node_id

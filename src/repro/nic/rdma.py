@@ -75,6 +75,8 @@ class RdmaError(RuntimeError):
 class RdmaNic(BaseNic):
     """RDMA-capable NIC bound to one node."""
 
+    metric_group = "nic.rdma"
+
     def __init__(
         self,
         sim: Simulator,
@@ -122,7 +124,7 @@ class RdmaNic(BaseNic):
                 node_id=self.node_id,
             )
             self.mr_table[mr.rkey] = mr
-            self.stat("mrs_registered").add()
+            self.stat("nic.rdma.mrs_registered").add()
             fut.resolve(mr)
 
         self.sim.post(self.cfg.issue_latency(), do)
@@ -242,7 +244,7 @@ class RdmaNic(BaseNic):
             op = self._pending.pop(op_id)
             self._op_bytes.pop(op_id, None)
             self._read_dest.pop(op_id, None)
-            self.stat("ops_failed_peer_death").add()
+            self.stat("nic.rdma.ops_failed_peer_death").add()
             entry = CqEntry(
                 CqKind.ERROR, op.op_id, size=op.size, wr_id=op.wr_id,
                 time=self.sim.now, ok=False,
@@ -270,7 +272,7 @@ class RdmaNic(BaseNic):
             data = delivery.packet.data
         mr = self._mr_for(hdr.rkey, hdr.raddr, hdr.total_size)
         if mr is None:
-            self.stat("writes_rejected").add()
+            self.stat("nic.rdma.writes_rejected").add()
             self.send_control(msg.src, AckHeader(op_id=hdr.op_id, ok=False))
             return
         self.sim.post(
@@ -282,7 +284,7 @@ class RdmaNic(BaseNic):
     ) -> None:
         if data:
             self.memory.write(hdr.raddr + frag_off, data)
-        self.stat("bytes_placed").add(nbytes)
+        self.stat("nic.rdma.bytes_placed").add(nbytes)
         got = self._op_bytes.get(hdr.op_id, 0) + nbytes
         if got < hdr.total_size:
             self._op_bytes[hdr.op_id] = got
@@ -328,7 +330,7 @@ class RdmaNic(BaseNic):
         if claim is None:
             # Receiver-not-ready: the flood-vulnerability RVMA's receiver
             # management addresses; NAK back, the initiator RNR-retries.
-            self.stat("rnr_drops").add()
+            self.stat("nic.rdma.rnr_drops").add()
             self.send_control(msg.src, AckHeader(op_id=hdr.op_id, ok=False))
             return
         buffer, wr_id = claim
@@ -339,7 +341,7 @@ class RdmaNic(BaseNic):
             nbytes = delivery.packet.size
             data = delivery.packet.data
         if hdr.total_size > buffer.size:
-            self.stat("recv_too_small").add()
+            self.stat("nic.rdma.recv_too_small").add()
             self._recv_claims.pop(hdr.op_id, None)
             self.send_control(msg.src, AckHeader(op_id=hdr.op_id, ok=False))
             return
@@ -388,7 +390,7 @@ class RdmaNic(BaseNic):
         hdr: RdmaReadHeader = msg.header
         mr = self._mr_for(hdr.rkey, hdr.raddr, hdr.length)
         if mr is None:
-            self.stat("reads_rejected").add()
+            self.stat("nic.rdma.reads_rejected").add()
             self.send_control(msg.src, RdmaReadReply(op_id=hdr.op_id, ok=False))
             return
 
@@ -445,7 +447,7 @@ class RdmaNic(BaseNic):
             # RNR NAK: back off and resend the same op (IB RC behaviour).
             data, tag, mode, left = op.retry
             op.retry = (data, tag, mode, left - 1)
-            self.stat("rnr_retries").add()
+            self.stat("nic.rdma.rnr_retries").add()
             resend = RdmaSendHeader(total_size=op.size, tag=tag, op_id=op.op_id)
             self.inject(op.dst, op.size, resend, data, mode, after=self.cfg.rnr_timeout)
             return

@@ -92,6 +92,8 @@ class GetOp:
 class RvmaNic(BaseNic):
     """RVMA-capable NIC bound to one node."""
 
+    metric_group = "nic.rvma"
+
     def __init__(
         self,
         sim: Simulator,
@@ -255,7 +257,7 @@ class RvmaNic(BaseNic):
             self.lut.post(entry, pb)
             if self.op_journal is not None:
                 self.op_journal.note_post(entry.mailbox, pb)
-            self.stat("buffers_posted").add()
+            self.stat("nic.rvma.buffers_posted").add()
             if self.transport is not None:
                 self.transport.on_buffer_posted(entry.mailbox)
             fut.resolve(pb)
@@ -457,7 +459,7 @@ class RvmaNic(BaseNic):
                 # The op can no longer be matched to a late NACK: its
                 # retry state is gone.  Silent before; now accounted so
                 # the chaos audit can flag undersized put windows.
-                self.stat("put_window_evictions").add()
+                self.stat("nic.rvma.put_window_evictions").add()
 
         def issue() -> None:
             self._inject_now(dst, size, hdr, data, mode)
@@ -503,7 +505,7 @@ class RvmaNic(BaseNic):
         for op_id in [i for i, g in self._gets.items() if g.dst == peer]:
             op = self._gets.pop(op_id)
             self._op_bytes.pop(-op_id, None)
-            self.stat("gets_failed_peer_death").add()
+            self.stat("nic.rvma.gets_failed_peer_death").add()
             op.done.resolve(False)
         for op in self._puts.values():
             if op.dst == peer and op.retry is not None:
@@ -519,7 +521,7 @@ class RvmaNic(BaseNic):
         entry = self.lut.lookup(hdr.mailbox)
         if entry is None:
             if self.lut.catch_all is not None and self.lut.catch_all.active is not None:
-                self.stat("catch_all_hits").add()
+                self.stat("nic.rvma.catch_all_hits").add()
                 return self.lut.catch_all, self.lut.catch_all.active
             self._nack(src, hdr, NackReason.NO_MAILBOX)
             return None, None
@@ -529,7 +531,7 @@ class RvmaNic(BaseNic):
         buf = entry.active
         if buf is None:
             if self.lut.catch_all is not None and self.lut.catch_all.active is not None:
-                self.stat("catch_all_hits").add()
+                self.stat("nic.rvma.catch_all_hits").add()
                 return self.lut.catch_all, self.lut.catch_all.active
             self._nack(src, hdr, NackReason.NO_BUFFER)
             return None, None
@@ -578,15 +580,15 @@ class RvmaNic(BaseNic):
             # The NIC crashed in the pipeline gap between arrival and
             # DMA placement: the data dies with it (the reliability
             # layer will retransmit into the next incarnation).
-            self.stat("rx_dropped_failed").add()
+            self.stat("nic.rvma.rx_dropped_failed").add()
             return
         quota = self.placement_quota
         if quota is not None and not quota.admit(src, mailbox, nbytes, self.sim.now):
             # Tenant over its placement quota: reject the whole put
             # before any bytes land (a partial append rejected mid-put
             # would duplicate its prefix on a client retry).
-            self.stat("quota_rejects").add()
-            self.stat("puts_discarded").add()
+            self.stat("nic.rvma.quota_rejects").add()
+            self.stat("nic.rvma.puts_discarded").add()
             self._nack(src, hdr, NackReason.QUOTA)
             return
         if self.active is not None:
@@ -595,7 +597,7 @@ class RvmaNic(BaseNic):
             # predicate-evaluation cost before placement.
             verdict = self.active.filter_put(hdr, src, frag_off, nbytes, data)
             if verdict is None:
-                self.stat("puts_discarded").add()
+                self.stat("nic.rvma.puts_discarded").add()
                 return
             if verdict > 0.0:
                 self._inflight_admits += 1
@@ -609,7 +611,7 @@ class RvmaNic(BaseNic):
         """Placement after a passing predicate evaluation (filter cost)."""
         self._inflight_admits -= 1
         if self.failed:
-            self.stat("rx_dropped_failed").add()
+            self.stat("nic.rvma.rx_dropped_failed").add()
             return
         self._place_admitted(hdr, src, frag_off, nbytes, data)
 
@@ -618,7 +620,7 @@ class RvmaNic(BaseNic):
     ) -> None:
         entry, buf = self._resolve_target(hdr, src)
         if entry is None:
-            self.stat("puts_discarded").add()
+            self.stat("nic.rvma.puts_discarded").add()
             return
         if entry.mode is BufferMode.MANAGED:
             # Stream append (paper §IV-B): bytes flow across chunk
@@ -628,7 +630,7 @@ class RvmaNic(BaseNic):
         place_off = hdr.offset + frag_off
         if place_off + nbytes > buf.buffer.size:
             self._nack(src, hdr, NackReason.OUT_OF_BOUNDS)
-            self.stat("puts_discarded").add()
+            self.stat("nic.rvma.puts_discarded").add()
             return
         self._place(entry, buf, hdr, place_off, nbytes, data)
 
@@ -644,7 +646,7 @@ class RvmaNic(BaseNic):
         if data:
             buf.buffer.write(place_off, data)
         buf.bytes_received = max(buf.bytes_received, place_off + nbytes)
-        self.stat("bytes_placed").add(nbytes)
+        self.stat("nic.rvma.bytes_placed").add(nbytes)
         spans = self.sim.spans
         if spans.active and getattr(buf, "_obs_span", None) is None and spans.wants("nic"):
             buf._obs_span = spans.begin(
@@ -679,7 +681,7 @@ class RvmaNic(BaseNic):
             # operation (same doorbell semantics as steered windows).
             buf = entry.active
             if buf is None:
-                self.stat("puts_discarded").add()
+                self.stat("nic.rvma.puts_discarded").add()
                 self._nack(src, hdr, NackReason.NO_BUFFER)
                 return
             if entry.threshold_type is EpochType.EPOCH_OPS and hdr.total_size == 0:
@@ -692,7 +694,7 @@ class RvmaNic(BaseNic):
             buf = entry.active
             if buf is None:
                 # Stream overran the posted bucket: remainder is lost.
-                self.stat("puts_discarded").add()
+                self.stat("nic.rvma.puts_discarded").add()
                 self._nack(src, hdr, NackReason.NO_BUFFER)
                 return
             room = buf.buffer.size - buf.bytes_received
@@ -711,7 +713,7 @@ class RvmaNic(BaseNic):
                 if data:
                     buf.buffer.write(append_at, data[consumed : consumed + take])
                 buf.bytes_received += take
-                self.stat("bytes_placed").add(take)
+                self.stat("nic.rvma.bytes_placed").add(take)
                 spans = self.sim.spans
                 if (
                     spans.active
@@ -758,7 +760,7 @@ class RvmaNic(BaseNic):
             handler_cost = self.active.on_epoch_complete(entry)
         spill_penalty = self.pcie.round_trip() if entry.counter_spilled else 0.0
         record = self.lut.retire_active(entry)
-        self.stat("epochs_completed").add()
+        self.stat("nic.rvma.epochs_completed").add()
         if self.op_journal is not None:
             self.op_journal.note_retire(
                 entry.mailbox, record.epoch, record.buffer.counter, record.length
@@ -767,7 +769,7 @@ class RvmaNic(BaseNic):
         if aud is not None:
             aud.on_epoch_complete(self, entry, record)
         if entry.counter_spilled:
-            self.stat("spilled_completions").add()
+            self.stat("nic.rvma.spilled_completions").add()
         pb = record.buffer
         self._epoch_hist.add(record.length)
         sp = getattr(pb, "_obs_span", None)
@@ -852,14 +854,14 @@ class RvmaNic(BaseNic):
     # --- NACKs -----------------------------------------------------------------------
 
     def _nack(self, src: int, hdr, reason: NackReason) -> None:
-        self.stat(f"nacks_{reason.value}").add()
+        self.stat(f"nic.rvma.nacks_{reason.value}").add()
         if self.cfg.send_nacks and src != self.node_id:
             self.send_control(src, RvmaNackHeader(op_id=hdr.op_id, mailbox=hdr.mailbox, reason=reason))
 
     def _on_nack(self, delivery: Delivery) -> None:
         hdr: RvmaNackHeader = delivery.message.header
         self.nacks_received.append(hdr)
-        self.stat("nacks_received").add()
+        self.stat("nic.rvma.nacks_received").add()
         op = self._puts.get(hdr.op_id)
         if op is None:
             return
@@ -872,7 +874,7 @@ class RvmaNic(BaseNic):
         ):
             data, offset, mode, left = op.retry
             op.retry = (data, offset, mode, left - 1)
-            self.stat("put_retries").add()
+            self.stat("nic.rvma.put_retries").add()
             resend = RvmaPutHeader(
                 mailbox=op.mailbox, offset=offset, total_size=op.size, op_id=op.op_id
             )
@@ -890,10 +892,10 @@ class RvmaNic(BaseNic):
         ):
             # Retryable reason, but the retry budget is spent: a give-up,
             # distinct from non-retryable losses (CLOSED/OUT_OF_BOUNDS).
-            self.stat("put_giveups").add()
+            self.stat("nic.rvma.put_giveups").add()
         if hdr.reason is NackReason.QUOTA:
             # Shed by the receiver's tenant quota — an accounted QoS
             # outcome, not silent loss; oracles subtract this from
             # puts_lost when judging integrity under QoS scenarios.
-            self.stat("puts_lost_quota").add()
-        self.stat("puts_lost").add()
+            self.stat("nic.rvma.puts_lost_quota").add()
+        self.stat("nic.rvma.puts_lost").add()

@@ -2,10 +2,10 @@
 
 Three pieces, one instrumentation surface:
 
-- :class:`MetricsRegistry` federates the flat per-component
-  :mod:`repro.sim.stats` primitives under canonical hierarchical names
-  (``nic.rvma.bytes_placed``, ``transport.retransmits``,
-  ``recovery.replayed_msgs``), every one documented in
+- :class:`MetricsRegistry` sums the :mod:`repro.sim.stats` primitives
+  over the instances that registered them under their hierarchical
+  names (``nic.rvma.bytes_placed``, ``transport.retransmits``,
+  ``recovery.replayed_msgs``), every one declared in
   :data:`~repro.observability.metrics.CATALOG`.
 - :class:`SpanTracer` records sim-time/wall-time intervals with parent
   links and per-category enable flags, layered over the flat
@@ -16,7 +16,7 @@ Three pieces, one instrumentation surface:
   its wall-clock fields so replayed reports compare byte for byte.
 """
 
-from repro.observability.metrics import CATALOG, MetricSpec, MetricsRegistry, canonical_name, lookup
+from repro.observability.metrics import CATALOG, MetricSpec, MetricsRegistry, lookup
 from repro.observability.report import RunReport, scrub_report
 from repro.observability.spans import Span, SpanTracer
 
@@ -27,7 +27,6 @@ __all__ = [
     "RunReport",
     "Span",
     "SpanTracer",
-    "canonical_name",
     "lookup",
     "scrub_report",
 ]

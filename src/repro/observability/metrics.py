@@ -1,17 +1,17 @@
-"""Hierarchical metrics federation over :mod:`repro.sim.stats`.
+"""The metric catalog and the hierarchical view over one run's stats.
 
-Components keep updating the flat per-component counters they always
-have (``rvma0.bytes_placed``, ``rdma1.rnr_drops``, ``ep0.rel_tx`` …).
-This module is the read side: :class:`MetricsRegistry` sweeps a
-simulator's :class:`~repro.sim.stats.StatsRegistry`, maps every flat
-name onto one *canonical hierarchical* name (``nic.rvma.bytes_placed``,
-``transport.retransmits``, ``recovery.replayed_msgs``), and aggregates
-across components — counters sum, summaries merge via Chan's combine,
+Every metric is named once, where it is registered: components call
+``sim.stats.counter("nic.rvma.bytes_placed", self.name)`` (or
+``Component.stat``, which supplies the instance label), and
+:class:`~repro.sim.stats.StatsRegistry` refuses a name that
+:data:`CATALOG` does not declare, or declares as another kind.
+:class:`MetricsRegistry` is the read side: it sums every metric over
+its instances — counters add, summaries merge via Chan's combine,
 histograms merge bin-wise.
 
-Every canonical name is declared in :data:`CATALOG` with a unit and a
-one-line meaning; ``docs/OBSERVABILITY.md`` is generated from and
-checked against it, so a metric cannot appear in a report undocumented.
+Every name is declared in :data:`CATALOG` with a unit and a one-line
+meaning; ``docs/OBSERVABILITY.md`` is generated from and checked
+against it, so a metric cannot appear in a report undocumented.
 
 Imports only :mod:`repro.sim.stats` — never nic/network/cluster — to
 stay cycle-free (the engine imports this package's sibling ``spans``).
@@ -106,11 +106,6 @@ CATALOG: dict[str, MetricSpec] = {
         _c("nic.rdma.tx_control", "msgs", "Control messages injected by RDMA NICs."),
         _c("nic.rdma.rx_dropped_failed", "msgs", "Inbound messages dropped because the RDMA NIC was failed/crashed."),
         _c("nic.rdma.rx_unknown_header", "msgs", "Inbound messages with an unrecognized header type."),
-        # --- nic.base: plain BaseNic instances (tests, bring-up) ----------
-        _c("nic.base.tx_messages", "msgs", "Data messages injected by plain base NICs."),
-        _c("nic.base.tx_control", "msgs", "Control messages injected by plain base NICs."),
-        _c("nic.base.rx_dropped_failed", "msgs", "Inbound messages dropped by failed plain base NICs."),
-        _c("nic.base.rx_unknown_header", "msgs", "Inbound messages with an unrecognized header type (base NICs)."),
         # --- transport: the ARQ reliability layer -------------------------
         _c("transport.tx", "msgs", "Messages handed to the reliable transport for first transmission."),
         _c("transport.retransmits", "msgs", "Retransmissions triggered by ack timeout or SACK holes."),
@@ -191,83 +186,6 @@ CATALOG: dict[str, MetricSpec] = {
     ]
 }
 
-# Suffixes owned by a cross-cutting subsystem regardless of which NIC the
-# flat counter was registered on.
-_DETECTOR_SUFFIXES = {"peers_suspected", "peers_reinstated", "peer_failures_seen"}
-_RECOVERY_SUFFIXES = {
-    "rejoins_initiated",
-    "mailboxes_restored",
-    "rejoin_hellos_serviced",
-    "checkpoints_taken",
-    "checkpoints_deferred",
-    "audit_violations",
-    "crashes",
-    "restarts",
-    "failed",
-}
-# Component-name families (trailing digits stripped) → canonical group.
-_COMPONENT_GROUPS = {
-    "rvma": "nic.rvma",
-    "rdma": "nic.rdma",
-    "nic": "nic.base",
-    "switch": "fabric",
-    "fabric": "fabric",
-    "pktfabric": "fabric",
-    "ep": "fabric",
-    "link": "fabric",
-}
-
-
-def _family(component: str) -> str:
-    """Component name with its trailing instance digits stripped."""
-    return component.rstrip("0123456789")
-
-
-def canonical_name(flat_name: str, kind: str = "counter") -> Optional[str]:
-    """Map a flat stats name onto its canonical hierarchical name.
-
-    Returns ``None`` for names that must be *skipped*: the transport,
-    detector and auditor all double-register a flat cluster-wide
-    counter (``reliability.*`` / ``recovery.audit_violations``) next to
-    their per-NIC one — counting both would double every value.  The
-    skip applies to counters only, so canonical summaries/histograms
-    registered directly under those prefixes pass through untouched.
-    """
-    component, _, suffix = flat_name.partition(".")
-    if kind == "counter" and component in ("reliability", "recovery"):
-        # Checked before the CATALOG passthrough: the auditor's flat
-        # recovery.audit_violations is itself a catalog name, and
-        # passing it through would double-count the per-NIC copy.
-        return None
-    if flat_name in CATALOG:
-        return flat_name
-    if not suffix:
-        return f"host.{flat_name}"
-    if component == "faults":
-        return flat_name
-    if component == "workload":
-        # Trace recorder/replayer stats register flat under their
-        # canonical workload.trace.* names.
-        return flat_name
-    if component == "service":
-        # Service metrics are registered flat under their canonical
-        # names; the per-tenant families (service.kv.tenant.*.t<id>)
-        # match CATALOG prefix patterns rather than literal entries.
-        return flat_name
-    if suffix == "rel_replays":
-        return "recovery.replayed_msgs"
-    if suffix.startswith("rel_"):
-        return f"transport.{suffix[4:]}"
-    if suffix in _DETECTOR_SUFFIXES:
-        return f"detector.{suffix}"
-    if suffix in _RECOVERY_SUFFIXES:
-        return f"recovery.{suffix}"
-    group = _COMPONENT_GROUPS.get(_family(component))
-    if group is not None:
-        return f"{group}.{suffix}"
-    return f"host.{component}.{suffix}"
-
-
 def lookup(name: str) -> Optional[MetricSpec]:
     """Catalog spec for *name*, honoring ``prefix*`` pattern entries."""
     spec = CATALOG.get(name)
@@ -280,13 +198,13 @@ def lookup(name: str) -> Optional[MetricSpec]:
 
 
 class MetricsRegistry:
-    """A federated, hierarchical view over one run's statistics.
+    """A hierarchical view over one run's statistics.
 
     Build one with :meth:`collect` after (or during) a run; it holds
-    aggregated counters, merged summaries and merged histograms keyed
-    by canonical name, plus whatever ``observable_metrics()`` hooks the
-    registered components expose (fabric/switch attribute counters that
-    predate the stats registry).
+    counters, merged summaries and merged histograms keyed by catalog
+    name, each summed over the instances that registered it.  Per-
+    instance values stay in the simulator's
+    :class:`~repro.sim.stats.StatsRegistry` (``sim.stats.instances``).
     """
 
     def __init__(self) -> None:
@@ -298,45 +216,22 @@ class MetricsRegistry:
 
     @classmethod
     def collect(cls, target: Any) -> "MetricsRegistry":
-        """Sweep *target* (a Simulator, or anything with ``.sim``).
-
-        Flat stats fold in under canonical names; components exposing
-        an ``observable_metrics() -> dict[str, int]`` hook contribute
-        those values as counters (summed when several components emit
-        the same name).
-        """
+        """Sum *target*'s stats over instances (a Simulator, or anything with ``.sim``)."""
         sim = getattr(target, "sim", target)
         reg = cls()
         stats = sim.stats
-        for flat, counter in stats.counter_items():
-            name = canonical_name(flat, "counter")
-            if name is None:
-                continue
+        for (name, _), counter in stats.counter_items():
             reg.counters[name] = reg.counters.get(name, 0) + counter.value
-        for flat, summ in stats.summary_items():
-            name = canonical_name(flat, "summary")
-            if name is None:
-                continue
+        for (name, _), summ in stats.summary_items():
             agg = reg.summaries.get(name)
             if agg is None:
                 agg = reg.summaries[name] = Summary(name)
             agg.merge(summ)
-        for flat, hist in stats.histogram_items():
-            name = canonical_name(flat, "histogram")
-            if name is None:
-                continue
+        for (name, _), hist in stats.histogram_items():
             agg = reg.histograms.get(name)
             if agg is None:
-                agg = reg.histograms[name] = Histogram(
-                    name, hist.lo, hist.hi, hist.nbins
-                )
+                agg = reg.histograms[name] = Histogram(name, hist.lo, hist.hi, hist.nbins)
             agg.merge(hist)
-        for comp in getattr(sim, "_components", []):
-            hook = getattr(comp, "observable_metrics", None)
-            if hook is None:
-                continue
-            for name, value in hook().items():
-                reg.counters[name] = reg.counters.get(name, 0) + int(value)
         return reg
 
     # -- queries ----------------------------------------------------------

@@ -131,8 +131,7 @@ class InvariantAuditor:
             time=nic.sim.now, detail=detail,
         )
         self.violations.append(v)
-        nic.stat("audit_violations").add()
-        nic.sim.stats.counter("recovery.audit_violations").add()
+        nic.stat("recovery.audit_violations").add()
         if self.fail_fast:
             raise AuditError(v)
 

@@ -144,8 +144,7 @@ class FailureDetector:
         self._watches.pop(peer, None)
         self._smoothed.pop(peer, None)
         self._last_heard[peer] = self.sim.now
-        self.nic.stat("peers_reinstated").add()
-        self.sim.stats.counter("reliability.peers_reinstated").add()
+        self.nic.stat("detector.peers_reinstated").add()
         self.sim.spans.end(self._susp_spans.pop(peer, None), outcome="reinstated")
         self.nic.trace("peer_reinstated", peer=peer)
 
@@ -174,8 +173,7 @@ class FailureDetector:
             return
         record = PeerFailed(peer=peer, time=self.sim.now, reason=reason)
         self.suspected[peer] = record
-        self.nic.stat("peers_suspected").add()
-        self.sim.stats.counter("reliability.peers_suspected").add()
+        self.nic.stat("detector.peers_suspected").add()
         spans = self.sim.spans
         if spans.active and spans.wants("detector"):
             self._susp_spans[peer] = spans.begin(

@@ -170,10 +170,6 @@ class ReliableTransport:
         """
         return not isinstance(header, (SeqHeader, ReliAckHeader, HeartbeatHeader))
 
-    def _stat(self, suffix: str, n: int = 1) -> None:
-        self.nic.stat(suffix).add(n)
-        self.sim.stats.counter(f"reliability.{suffix}").add(n)
-
     # ------------------------------------------------------------------ sender
 
     def send(self, dst: int, size: int, header, data: bytes, mode) -> Message:
@@ -196,7 +192,7 @@ class ReliableTransport:
         fl.pending[seq] = rec
         if self.journal is not None:
             self.journal.note_send(dst, flow, seq, size, header, data, mode)
-        self._stat("rel_tx")
+        self.nic.stat("transport.tx").add()
         spans = self.sim.spans
         if spans.active and spans.wants("transport"):
             rec.span = spans.begin(
@@ -256,7 +252,7 @@ class ReliableTransport:
         rec.attempts += 1
         if rec.attempts > self.cfg.max_retries:
             fl.pending.pop(seq, None)
-            self._stat("rel_gave_up")
+            self.nic.stat("transport.gave_up").add()
             self.sim.spans.end(rec.span, outcome="gave_up", attempts=rec.attempts)
             self.nic.trace("rel_give_up", dst=dst, flow=flow, seq=seq)
             if self.on_give_up is not None:
@@ -266,14 +262,14 @@ class ReliableTransport:
         rec.env = SeqHeader(flow=flow, seq=seq, inner=rec.env.inner, attempt=rec.attempts)
         key = (dst, flow)
         self.flow_retransmits[key] = self.flow_retransmits.get(key, 0) + 1
-        self._stat("rel_retransmits")
+        self.nic.stat("transport.retransmits").add()
         self._transmit(rec)
 
     def _on_ack(self, delivery: Delivery) -> None:
         hdr: ReliAckHeader = delivery.message.header
         peer = delivery.message.src
         self._heard(peer)
-        self._stat("rel_acks_rx")
+        self.nic.stat("transport.acks_rx").add()
         fl = self._tx.get((peer, hdr.flow))
         if fl is None:
             return
@@ -308,7 +304,7 @@ class ReliableTransport:
             # Whole-message duplicate (a retransmit raced the ACK, or the
             # ACK was lost): suppress before placement, re-ack so the
             # sender's timer dies.
-            self._stat("rel_dups_suppressed")
+            self.nic.stat("transport.dups_suppressed").add()
             self._send_ack(peer, env.flow, rx)
             return
         part = rx.partial.get(env.seq)
@@ -327,7 +323,7 @@ class ReliableTransport:
             pkt = delivery.packet
             frag_key, got = pkt.offset, pkt.size
             if frag_key in part.offsets:
-                self._stat("rel_dups_suppressed")
+                self.nic.stat("transport.dups_suppressed").add()
                 return  # duplicate fragment of a still-incomplete message
             inner_pkt = Packet(
                 message=part.inner_msg,
@@ -356,7 +352,7 @@ class ReliableTransport:
                 self._flush_ordered(peer, env.flow, rx)
             else:
                 self._note_dispatched(peer, env.flow, env.seq)
-            self._stat("rel_delivered")
+            self.nic.stat("transport.delivered").add()
             self._send_ack(peer, env.flow, rx)
 
     def _flush_ordered(self, peer: int, flow: int, rx: _RxFlow) -> None:
@@ -375,7 +371,7 @@ class ReliableTransport:
                     # by a NACKed retry would duplicate the placed
                     # prefix mid-stream.  Keep it held — the NIC pokes
                     # us again when the application posts a buffer.
-                    self._stat("rel_rx_paced")
+                    self.nic.stat("transport.rx_paced").add()
                     break
                 room -= need
             for _off, item in sorted(rx.held.pop(seq), key=lambda p: p[0]):
@@ -399,7 +395,7 @@ class ReliableTransport:
         if self.nic.failed:
             return
         sacks = tuple(sorted(rx.complete)[:MAX_SACKS])
-        self._stat("rel_acks_tx")
+        self.nic.stat("transport.acks_tx").add()
         self.nic.fabric.send(
             self.nic.node_id,
             peer,
@@ -414,7 +410,7 @@ class ReliableTransport:
         if self.nic.failed:
             return
         self._hb_seq += 1
-        self._stat("rel_pings_tx")
+        self.nic.stat("transport.pings_tx").add()
         self.nic.fabric.send(
             self.nic.node_id,
             peer,
@@ -532,7 +528,7 @@ class ReliableTransport:
                     fl.pending[e.seq] = rec
                 elif rec.timer is not None:
                     rec.timer.cancel()
-                self._stat("rel_replays")
+                self.nic.stat("recovery.replayed_msgs").add()
                 replay_recs.append(rec)
             self._transmit_batch(replay_recs)
             fl.next_seq = max(fl.next_seq, journal.next_seq_hint(dst, flow))

@@ -68,8 +68,8 @@ class Component:
         self.sim = sim
         self.name = name
         self.ports: dict[str, Port] = {}
-        #: suffix -> Counter; avoids the f-string + registry lookup on
-        #: every stat() call (NIC fast paths bump several per packet).
+        #: metric name -> Counter; skips the registry lookup on every
+        #: stat() call (NIC fast paths bump several per packet).
         self._stat_cache: dict[str, Any] = {}
         sim.register_component(self)
 
@@ -85,12 +85,11 @@ class Component:
     def port(self, name: str) -> Port:
         return self.ports[name]
 
-    def stat(self, suffix: str):
-        """Component-scoped counter, e.g. ``nic0.packets_rx``."""
-        c = self._stat_cache.get(suffix)
+    def stat(self, name: str):
+        """This component's instance of the catalog counter *name*."""
+        c = self._stat_cache.get(name)
         if c is None:
-            c = self.sim.stats.counter(f"{self.name}.{suffix}")
-            self._stat_cache[suffix] = c
+            c = self._stat_cache[name] = self.sim.stats.counter(name, self.name)
         return c
 
     def trace(self, message: str, **fields: Any) -> None:

@@ -165,54 +165,68 @@ class Histogram:
         return self
 
 
+def _declared(name: str, kind: str) -> None:
+    """Raise unless the metric catalog declares *name* as a *kind*."""
+    # Deferred: the catalog module imports this one for Summary/Histogram.
+    from repro.observability.metrics import lookup
+
+    spec = lookup(name)
+    if spec is None:
+        raise KeyError(f"metric {name!r} is not declared in the CATALOG")
+    if spec.kind != kind:
+        raise TypeError(f"metric {name!r} is a {spec.kind}, not a {kind}")
+
+
 class StatsRegistry:
-    """Flat namespace of statistics owned by a simulator instance."""
+    """Every statistic of one simulator, keyed by (catalog name, instance).
+
+    *name* is the metric's :data:`~repro.observability.metrics.CATALOG`
+    name (``nic.rvma.bytes_placed``); *instance* is the registering
+    component's name (``rvma3``), or ``""`` for a cluster-wide metric.
+    Registering a name the catalog does not declare, or as the wrong
+    kind, raises.
+    """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._summaries: dict[str, Summary] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self._counters: dict[tuple[str, str], Counter] = {}
+        self._summaries: dict[tuple[str, str], Summary] = {}
+        self._histograms: dict[tuple[str, str], Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
+    def counter(self, name: str, instance: str = "") -> Counter:
+        key = (name, instance)
+        c = self._counters.get(key)
         if c is None:
-            c = self._counters[name] = Counter(name)
+            _declared(name, "counter")
+            c = self._counters[key] = Counter(name)
         return c
 
-    def summary(self, name: str) -> Summary:
-        s = self._summaries.get(name)
+    def summary(self, name: str, instance: str = "") -> Summary:
+        key = (name, instance)
+        s = self._summaries.get(key)
         if s is None:
-            s = self._summaries[name] = Summary(name)
+            _declared(name, "summary")
+            s = self._summaries[key] = Summary(name)
         return s
 
-    def histogram(self, name: str, lo: float = 0.0, hi: float = 1e6, nbins: int = 32) -> Histogram:
-        h = self._histograms.get(name)
+    def histogram(
+        self, name: str, lo: float = 0.0, hi: float = 1e6, nbins: int = 32, instance: str = ""
+    ) -> Histogram:
+        key = (name, instance)
+        h = self._histograms.get(key)
         if h is None:
-            h = self._histograms[name] = Histogram(name, lo, hi, nbins)
+            _declared(name, "histogram")
+            h = self._histograms[key] = Histogram(name, lo, hi, nbins)
         return h
 
-    def counters(self, prefix: str = "") -> dict[str, int]:
-        return {k: c.value for k, c in self._counters.items() if k.startswith(prefix)}
+    def instances(self, name: str) -> dict[str, int]:
+        """Per-instance values of counter *name*: ``{"rvma0": 3, ...}``."""
+        return {inst: c.value for (n, inst), c in self._counters.items() if n == name}
 
-    def counter_items(self) -> list[tuple[str, Counter]]:
+    def counter_items(self) -> list[tuple[tuple[str, str], Counter]]:
         return list(self._counters.items())
 
-    def summary_items(self) -> list[tuple[str, Summary]]:
+    def summary_items(self) -> list[tuple[tuple[str, str], Summary]]:
         return list(self._summaries.items())
 
-    def histogram_items(self) -> list[tuple[str, Histogram]]:
+    def histogram_items(self) -> list[tuple[tuple[str, str], Histogram]]:
         return list(self._histograms.items())
-
-    def report(self, prefix: str = "") -> str:
-        """Plain-text dump of all stats under *prefix* (for experiment logs)."""
-        lines = []
-        for k in sorted(self._counters):
-            if k.startswith(prefix):
-                lines.append(f"{k}: {self._counters[k].value}")
-        for k in sorted(self._summaries):
-            if k.startswith(prefix):
-                s = self._summaries[k]
-                lines.append(
-                    f"{k}: n={s.n} mean={s.mean:.3f} min={s.min:.3f} max={s.max:.3f} sd={s.stddev:.3f}"
-                )
-        return "\n".join(lines)

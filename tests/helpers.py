@@ -139,7 +139,7 @@ def _switch_on_packet(sw: Switch, env: RoutedPacket) -> None:
 
 
 def _switch_forward(sw: Switch, env: RoutedPacket) -> None:
-    sw.packets_forwarded += 1
+    sw.packets_forwarded.value += 1
     env.hop += 1
     if env.hop < len(env.route):
         nxt = env.route[env.hop]
@@ -234,7 +234,7 @@ class ReferencePacketFabric(PacketFabric):
         return ch
 
     def _on_packet_arrival(self, node_id: int, env: RoutedPacket) -> None:
-        self.packets_delivered += 1
+        self.packets_delivered.value += 1
         msg = env.packet.message
         entry = self._msg_spans.get(id(msg))
         if entry is not None:

@@ -17,6 +17,7 @@ from repro.core import RvmaApi, recover_on_failure
 from repro.experiments.chaos import CHAOS_RELIABILITY, run_chaos, run_motif_under_chaos
 from repro.faults import FaultInjector
 from repro.nic.rvma import RvmaNicConfig
+from repro.observability import MetricsRegistry
 from repro.reliability import ReliabilityConfig
 
 from tests.helpers import run_gens
@@ -114,7 +115,7 @@ def test_failure_detector_triggers_automatic_rewind():
     assert recovery.rewound is not None
     assert recovery.rewound.data == _payload(1, size)
     assert recovery.recovery_ns >= 0.0
-    assert cl.sim.stats.counter("reliability.peers_suspected").value == 1
+    assert MetricsRegistry.collect(cl).counters["detector.peers_suspected"] == 1
 
 
 def test_chaos_reliability_budget_covers_generated_windows():

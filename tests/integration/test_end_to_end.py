@@ -41,7 +41,7 @@ def test_rvma_multi_packet_put_reassembles_out_of_order():
     assert info.length == size
     assert info.read_data() == payload
     # The network genuinely reordered (adaptive fat-tree, many packets).
-    assert cl.fabric.packets_delivered == 8
+    assert cl.fabric.packets_delivered.value == 8
 
 
 def test_rvma_epoch_pipeline_multiple_buffers():

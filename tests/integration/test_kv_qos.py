@@ -79,7 +79,7 @@ def test_admission_sheds_storm_with_rc_overload(fabric_impl):
     assert statuses.count(STATUS_OK) > 0          # the burst allowance
     assert statuses.count(STATUS_OVERLOAD) > 0    # the excess, shed
     assert len(statuses) == 24                    # every op resolved
-    counters = cluster.sim.stats.counters()
+    counters = MetricsRegistry.collect(cluster).counters
     assert counters["service.kv.overload_replies"] == statuses.count(STATUS_OVERLOAD)
     assert counters["service.kv.tenant.shed.t1"] == statuses.count(STATUS_OVERLOAD)
     assert MetricsRegistry.collect(cluster.sim).undocumented() == []
@@ -112,7 +112,7 @@ def test_deadline_resolves_against_a_drowning_server(fabric_impl):
     cluster.sim.run(until=4_000_000.0)
     assert proc.finished, "deadline-armed client must never stall"
     assert statuses == [STATUS_DEADLINE_EXCEEDED] * 3
-    counters = cluster.sim.stats.counters()
+    counters = MetricsRegistry.collect(cluster).counters
     assert counters["service.kv.client.timeouts"] > 0
     assert counters["service.kv.client.retries"] > 0
     assert counters["service.kv.tenant.deadline_misses.t1"] == 3
@@ -191,7 +191,7 @@ def test_open_loop_backlog_cap_sheds_and_counts(fabric_impl):
     stats = out["stats"]
     assert stats.ops_dropped > 0
     assert stats.all_resolved()
-    counters = cluster.sim.stats.counters()
+    counters = MetricsRegistry.collect(cluster).counters
     assert counters["service.kv.client.backlog_dropped"] == stats.ops_dropped
 
 

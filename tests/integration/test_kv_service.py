@@ -68,7 +68,7 @@ def test_kv_ops_end_to_end(fabric_impl):
     assert seen["scan"] == sorted(
         (b"user%02d" % i, b"v%d" % i) for i in range(8) if i != 3
     )
-    # Flat service metrics registered under their canonical names only.
+    # Service metrics are registered cluster-wide under their catalog names.
     reg = MetricsRegistry.collect(cluster.sim)
     assert reg.undocumented() == []
     assert reg.counters["service.kv.requests"] == reg.counters["service.kv.replies"]

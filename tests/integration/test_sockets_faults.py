@@ -14,6 +14,7 @@ from repro.core import RvmaApi
 from repro.faults import FaultInjector
 from repro.network import NetworkConfig, RoutingMode
 from repro.nic.rvma import RvmaNicConfig
+from repro.observability import MetricsRegistry
 from repro.recovery import InvariantAuditor, RecoveryConfig, RecoveryManager
 from repro.reliability import ReliabilityConfig
 from repro.sim import spawn
@@ -73,8 +74,9 @@ def test_stream_exact_under_sustained_drops():
 
     data, _ = _drive(cl, server(), client())
     assert data == payload
-    assert cl.sim.stats.counter("reliability.rel_retransmits").value > 0
-    assert cl.sim.stats.counter("reliability.rel_gave_up").value == 0
+    counters = MetricsRegistry.collect(cl).counters
+    assert counters["transport.retransmits"] > 0
+    assert counters.get("transport.gave_up", 0) == 0
 
 
 def test_stream_survives_server_crash_restart():
@@ -120,4 +122,4 @@ def test_stream_survives_server_crash_restart():
     assert rep.replay_holes == []
     report = aud.report()
     assert report["ok"], report["violations"]
-    assert cl.sim.stats.counter("reliability.rel_gave_up").value == 0
+    assert MetricsRegistry.collect(cl).counters.get("transport.gave_up", 0) == 0

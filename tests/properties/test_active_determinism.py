@@ -263,7 +263,7 @@ def _live_run(active: bool, seed: int, script, drop_prob: float):
     proc = spawn(cluster.sim, driver(), "driver")
     cluster.sim.run(until=DEADLINE_NS)
     assert proc.finished, "driver stalled"
-    served = cluster.nodes[0].nic.stat("active.served").value
+    served = cluster.nodes[0].nic.stat("nic.rvma.active.served").value
     store = {k: dict(v) for k, v in server.stores.items()}
     return out["replies"], store, served
 

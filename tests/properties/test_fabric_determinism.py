@@ -24,6 +24,7 @@ from repro.faults import FaultInjector
 from repro.network.routing import RoutingMode
 from repro.network.switch import PacketFabric
 from repro.network.topology import make_topology
+from repro.observability import MetricsRegistry
 from repro.sim import Simulator
 from tests.helpers import ReferencePacketFabric
 
@@ -126,8 +127,8 @@ def _run(
     return (
         tuple(deliveries),
         tuple(sorted(latency_histogram.items())),
-        fabric.observable_metrics(),
-        tuple(sw.packets_forwarded for sw in fabric.switches),
+        MetricsRegistry.collect(sim).counters,
+        sim.stats.instances("fabric.packets_forwarded"),
         spans,
         sim.now,
     )

@@ -23,6 +23,7 @@ from repro.experiments.chaos import CHAOS_RELIABILITY
 from repro.faults.chaos import ChaosSchedule
 from repro.faults.injectors import FaultInjector
 from repro.nic.rvma import RvmaNicConfig
+from repro.observability import MetricsRegistry
 from repro.services import KvClient, KvServer, ShardMap
 from repro.services.wire import STATUS_NOT_FOUND, STATUS_OK
 from repro.sim import spawn
@@ -117,7 +118,8 @@ def test_kv_gets_are_linearizable_per_key(seed, schedules, drop_prob):
     cluster.sim.run(until=DEADLINE_NS)
     assert all(p.finished for p in procs + [stop]), "workload stalled under chaos"
     assert not failures, failures
-    counters = cluster.sim.stats.counters()
+    counters = MetricsRegistry.collect(cluster).counters
+    assert counters["transport.tx"] > 0
     assert counters.get("transport.gave_up", 0) == 0
     assert counters.get("nic.rvma.puts_lost", 0) == 0
 
@@ -161,5 +163,6 @@ def test_request_stream_integrity_under_flaps(seed, chunk_size, n_chunks, cuts, 
     assert sp.finished and cp.finished, "stream stalled under chaos"
     assert b"".join(received) == stream
     assert all(len(c) == chunk_size for c in received)
-    counters = cluster.sim.stats.counters()
+    counters = MetricsRegistry.collect(cluster).counters
+    assert counters["transport.tx"] > 0
     assert counters.get("transport.gave_up", 0) == 0

@@ -14,6 +14,7 @@ from repro.cluster import Cluster
 from repro.core import RvmaApi
 from repro.nic.headers import SeqHeader
 from repro.nic.rvma import RvmaNicConfig
+from repro.observability import MetricsRegistry
 from repro.reliability import ReliabilityConfig
 from repro.sim import spawn
 
@@ -74,12 +75,12 @@ def _run(drops_per_seq, seed, faulty):
     pp = spawn(cl.sim, producer(), "producer")
     cl.sim.run()
     assert cp.finished and pp.finished, "run deadlocked under drop schedule"
-    stats = cl.sim.stats
-    assert stats.counter("reliability.rel_gave_up").value == 0
-    assert stats.counter("rvma1.puts_lost").value == 0
+    counters = MetricsRegistry.collect(cl).counters
+    assert counters.get("transport.gave_up", 0) == 0
+    assert cl.node(1).nic.stat("nic.rvma.puts_lost").value == 0
     if faulty:
         assert (
-            stats.counter("reliability.rel_retransmits").value
+            counters.get("transport.retransmits", 0)
             >= sum(drops_per_seq)
         )
     return placed["data"]

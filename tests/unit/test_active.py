@@ -142,7 +142,7 @@ def test_cas_word_fires_once_then_fails(rvma_pair):
 
     word, _ = run_gens(cl.sim, consumer(), producer())
     assert word == 7  # first epoch swapped; second CAS saw 7 != 0
-    assert cl.node(1).nic.stat("active.cas_failures").value == 1
+    assert cl.node(1).nic.stat("nic.rvma.active.cas_failures").value == 1
 
 
 def test_attach_validation(rvma_pair):
@@ -213,12 +213,12 @@ def test_filter_placement_matches_host_oracle(rvma_pair):
         expect = data if flt.matches(data) else b"\x00" * slot
         assert contents[i * slot : (i + 1) * slot] == expect, f"slot {i}"
     nic1 = cl.node(1).nic
-    assert nic1.stat("active.filter_passed").value == len(passing)
-    assert nic1.stat("active.filtered_puts").value == len(payloads) - len(passing)
+    assert nic1.stat("nic.rvma.active.filter_passed").value == len(passing)
+    assert nic1.stat("nic.rvma.active.filtered_puts").value == len(payloads) - len(passing)
     reg = MetricsRegistry.collect(cl.sim)
     assert reg.counters["nic.rvma.nacks_filtered"] == len(payloads) - len(passing)
     # A FILTERED NACK is terminal for the initiator (no blind retry).
-    assert cl.node(0).nic.stat("put_retries").value == 0
+    assert cl.node(0).nic.stat("nic.rvma.put_retries").value == 0
     assert reg.undocumented() == []
 
 
@@ -323,8 +323,8 @@ def test_scanner_serves_hot_get_byte_identical_to_oracle():
     expect = _host_oracle([chunk], view)
     assert [d for (_dst, _mb, d, _t) in nic.injected] == expect
     assert all(dst == 3 and mb == BASE + client_id for (dst, mb, _d, _t) in nic.injected)
-    assert nic.stat("active.served").value == 2
-    assert nic.stat("active.passed_cold").value == 0  # coldkey is not hot
+    assert nic.stat("nic.rvma.active.served").value == 2
+    assert nic.stat("nic.rvma.active.passed_cold").value == 0  # coldkey is not hot
 
 
 def test_scanner_pending_writes_gate_serving():
@@ -336,8 +336,8 @@ def test_scanner_pending_writes_gate_serving():
     put = encode_request(OP_PUT, 0x0101, 2, b"hotkey", b"v1")
     _scan_chunks(reg, binding, [get + put + get])
     # First GET served (clean); the one after the PUT passed to host.
-    assert nic.stat("active.served").value == 1
-    assert nic.stat("active.passed_dirty").value == 1
+    assert nic.stat("nic.rvma.active.served").value == 1
+    assert nic.stat("nic.rvma.active.passed_dirty").value == 1
     # Host executes the write and syncs: serving resumes with new bytes.
     assert reg.kv_sync(0x9, b"hotkey", value=b"v1")
     _scan_chunks(reg, binding, [encode_request(OP_GET, 0x0101, 3, b"hotkey")])
@@ -367,8 +367,8 @@ def test_scanner_straddling_frames_resume_and_never_serve(cut):
     # The straddling PUT was pending-counted exactly once, so the GET
     # behind it must pass to the host (dirty), not serve stale bytes.
     assert binding.kv_state.pending == {b"hotkey": 1}
-    assert nic.stat("active.served").value == 0
-    assert nic.stat("active.passed_dirty").value == 1
+    assert nic.stat("nic.rvma.active.served").value == 0
+    assert nic.stat("nic.rvma.active.passed_dirty").value == 1
     assert not binding.kv_state.carry and binding.kv_state.skip == 0
     # After the sync the stream position is clean again.
     reg.kv_sync(0x9, b"hotkey", value=b"new")
@@ -462,7 +462,7 @@ def test_replay_branch_reasserts_effects_without_reserving():
     assert binding.word == 42  # journaled value, not initial+1
     assert _Entry.active.raw[0] == OP_SERVED  # tombstone re-asserted
     assert nic.injected == []  # no duplicate reply
-    assert nic.stat("active.replayed").value == 1
+    assert nic.stat("nic.rvma.active.replayed").value == 1
     assert nic.op_journal.noted == []  # replay never re-journals
 
 
@@ -509,7 +509,7 @@ def test_word_handler_survives_crash_restart():
     assert word == epochs * size  # the fault-free oracle value
     nic1 = cl.node(1).nic
     assert nic1.incarnation == 1
-    assert nic1.stat("active.attached").value >= 2  # original + cold re-attach
-    assert nic1.stat("active.replayed").value >= 1
+    assert nic1.stat("nic.rvma.active.attached").value >= 2  # original + cold re-attach
+    assert nic1.stat("nic.rvma.active.replayed").value >= 1
     report = aud.report()
     assert report["ok"], report["violations"]

@@ -25,9 +25,10 @@ def test_component_registration_and_ports():
 def test_component_stats_are_namespaced():
     sim = Simulator()
     a, b = _Probe(sim, "a"), _Probe(sim, "b")
-    a.stat("events").add(2)
-    b.stat("events").add(5)
-    assert sim.stats.counters() == {"a.events": 2, "b.events": 5}
+    a.stat("nic.rvma.tx_messages").add(2)
+    b.stat("nic.rvma.tx_messages").add(5)
+    assert a.stat("nic.rvma.tx_messages") is sim.stats.counter("nic.rvma.tx_messages", "a")
+    assert sim.stats.instances("nic.rvma.tx_messages") == {"a": 2, "b": 5}
 
 
 def test_component_trace_respects_enablement():

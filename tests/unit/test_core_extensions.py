@@ -190,7 +190,7 @@ def test_fail_node_at_drops_subsequent_traffic():
     run_gen(cl.sim, sender())
     assert inj.node_is_dead(1)
     assert inj.log.node_failures == [(1, 1000.0)]
-    assert cl.sim.stats.counter("rvma1.rx_dropped_failed").value >= 1
+    assert cl.node(1).nic.stat("nic.rvma.rx_dropped_failed").value >= 1
 
 
 def test_drop_messages_probabilistically():

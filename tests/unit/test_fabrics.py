@@ -187,8 +187,8 @@ def test_packet_switch_forward_counts():
     fab.attach(1, lambda d: None)
     fab.send(0, 1, 100)
     sim.run()
-    assert fab.switches[0].packets_forwarded == 1
-    assert fab.packets_delivered == 1
+    assert fab.switches[0].packets_forwarded.value == 1
+    assert fab.packets_delivered.value == 1
 
 
 def test_fault_filter_drops_deliveries():
@@ -198,7 +198,7 @@ def test_fault_filter_drops_deliveries():
     fab.fault_filter = lambda d: True
     fab.send(0, 1, 100)
     sim.run()
-    assert got == [] and fab.deliveries_dropped == 1
+    assert got == [] and fab.deliveries_dropped.value == 1
 
 
 def test_network_config_validation():

@@ -1,72 +1,98 @@
-"""Unit tests for the observability layer: canonical-name federation,
+"""Unit tests for the observability layer: registration at the source,
 the span tracer, MetricsRegistry collection, and RunReport merge/render.
 """
 
 import json
 
-from repro.observability import (
-    CATALOG,
-    MetricsRegistry,
-    RunReport,
-    SpanTracer,
-    canonical_name,
-    lookup,
-)
-from repro.sim import Simulator
+import pytest
+
+from repro.cluster import Cluster
+from repro.core import RvmaApi
+from repro.nic.rvma import RvmaNicConfig
+from repro.observability import CATALOG, MetricsRegistry, RunReport, SpanTracer, lookup
+from repro.reliability import ReliabilityConfig
+from repro.sim import Component, Simulator
+from tests.helpers import run_gens
 
 
-# --- canonical_name mapping ---------------------------------------------
+# --- registration at the source ------------------------------------------
 
 
-def test_canonical_passthrough_for_catalog_names():
-    assert canonical_name("fabric.messages_sent") == "fabric.messages_sent"
-    assert canonical_name("transport.tx_attempts", "summary") == "transport.tx_attempts"
+def test_registering_an_undeclared_name_raises():
+    sim = Simulator()
+    with pytest.raises(KeyError, match="not declared"):
+        sim.stats.counter("mystery7.widgets")
+    with pytest.raises(KeyError, match="not declared"):
+        sim.stats.counter("rvma0.bytes_placed")  # a flat per-component name
+    with pytest.raises(KeyError, match="not declared"):
+        Component(sim, "rvma0").stat("bytes_placed")
 
 
-def test_canonical_component_family_rules():
-    assert canonical_name("rvma0.bytes_placed") == "nic.rvma.bytes_placed"
-    assert canonical_name("rvma17.bytes_placed") == "nic.rvma.bytes_placed"
-    assert canonical_name("rdma3.mrs_registered") == "nic.rdma.mrs_registered"
-    assert canonical_name("nic2.tx_messages") == "nic.base.tx_messages"
-    assert canonical_name("switch5.packets_forwarded") == "fabric.packets_forwarded"
+def test_registering_with_the_wrong_kind_raises():
+    sim = Simulator()
+    with pytest.raises(TypeError, match="is a counter"):
+        sim.stats.summary("nic.rvma.bytes_placed")
+    with pytest.raises(TypeError, match="is a summary"):
+        sim.stats.counter("transport.tx_attempts", "rvma0")
+    with pytest.raises(TypeError, match="is a counter"):
+        sim.stats.histogram("faults.drops_link_flap")
 
 
-def test_canonical_rel_prefix_maps_to_transport():
-    assert canonical_name("ep0.rel_tx") == "transport.tx"
-    assert canonical_name("rvma1.rel_retransmits") == "transport.retransmits"
-    # replays are recovery-owned, not transport-owned
-    assert canonical_name("rvma1.rel_replays") == "recovery.replayed_msgs"
+def test_registration_accepts_catalog_names_and_patterns():
+    sim = Simulator()
+    sim.stats.counter("faults.drops_link_flap").add()  # via faults.drops_*
+    sim.stats.counter("service.kv.tenant.shed.t3").add(2)
+    sim.stats.summary("transport.tx_attempts").add(1.0)
+    sim.stats.histogram("nic.rvma.epoch_bytes", instance="rvma0").add(8.0)
+    reg = MetricsRegistry.collect(sim)
+    assert reg.counters == {"faults.drops_link_flap": 1, "service.kv.tenant.shed.t3": 2}
+    assert reg.summaries["transport.tx_attempts"].n == 1
+    assert reg.histograms["nic.rvma.epoch_bytes"].count == 1
 
 
-def test_canonical_skips_flat_reliability_counter_duplicates():
-    # transport/detector/auditor double-register flat cluster-wide
-    # counters next to their per-NIC ones; counting both would double
-    # every value.
-    assert canonical_name("reliability.rel_tx") is None
-    assert canonical_name("recovery.audit_violations") is None
-    # ...but the skip applies to counters only: canonical summaries
-    # registered directly under those prefixes pass through.
-    assert (
-        canonical_name("recovery.checkpoint_age_ns", "summary")
-        == "recovery.checkpoint_age_ns"
+def test_instances_sum_under_one_name_and_stay_apart():
+    sim = Simulator()
+    Component(sim, "rvma0").stat("nic.rvma.bytes_placed").add(100)
+    Component(sim, "rvma1").stat("nic.rvma.bytes_placed").add(50)
+    assert MetricsRegistry.collect(sim).counters == {"nic.rvma.bytes_placed": 150}
+    assert sim.stats.instances("nic.rvma.bytes_placed") == {"rvma0": 100, "rvma1": 50}
+
+
+def test_nic_shared_counters_use_the_concrete_group():
+    for nic_type in ("rvma", "rdma"):
+        cl = Cluster.build(n_nodes=2, topology="star", nic_type=nic_type)
+        nic = cl.node(1).nic
+        nic.crash()
+        nic._on_delivery(None)  # dropped: the NIC is down
+        nic.restart()
+        stats = cl.sim.stats
+        assert stats.instances(f"nic.{nic_type}.rx_dropped_failed") == {nic.name: 1}
+        assert stats.instances("recovery.crashes") == {nic.name: 1}
+        assert stats.instances("recovery.restarts") == {nic.name: 1}
+
+
+def test_transport_reports_tx_once():
+    cl = Cluster.build(
+        n_nodes=2, topology="star", nic_type="rvma", seed=7,
+        nic_config=RvmaNicConfig(reliability=ReliabilityConfig()),
     )
+    api0, api1 = RvmaApi(cl.node(0)), RvmaApi(cl.node(1))
 
+    def rx():
+        win = yield from api1.init_window(0xAB, epoch_threshold=192)
+        yield from api1.post_buffer(win, size=192)
+        yield from api1.wait_completion(win)
 
-def test_canonical_faults_not_remapped_by_suffix_rules():
-    # faults.crashes must stay under faults, not hit the recovery
-    # suffix rule for "crashes".
-    assert canonical_name("faults.crashes") == "faults.crashes"
-    assert canonical_name("faults.drops_random") == "faults.drops_random"
+    def tx():
+        for _ in range(3):
+            op = yield from api0.put(1, 0xAB, data=b"x" * 64)
+            yield op.local_done
 
-
-def test_canonical_detector_and_recovery_suffixes():
-    assert canonical_name("rvma0.peers_suspected") == "detector.peers_suspected"
-    assert canonical_name("rvma0.rejoins_initiated") == "recovery.rejoins_initiated"
-
-
-def test_canonical_unknown_component_lands_under_host():
-    assert canonical_name("mystery7.widgets") == "host.mystery7.widgets"
-    assert canonical_name("bare") == "host.bare"
+    run_gens(cl.sim, rx(), tx())
+    stats = cl.sim.stats
+    assert stats.instances("transport.tx") == {"rvma0": 3}
+    assert MetricsRegistry.collect(cl).counters["transport.tx"] == 3
+    assert [n for (n, _), _ in stats.counter_items() if n.startswith("reliability.")] == []
 
 
 def test_lookup_honors_patterns():
@@ -175,24 +201,17 @@ def test_span_chrome_trace_shapes():
 
 def test_collect_federates_and_dedups():
     sim = Simulator()
-    # two RVMA NICs' worth of flat counters
-    sim.stats.counter("rvma0.bytes_placed").add(100)
-    sim.stats.counter("rvma1.bytes_placed").add(50)
-    # per-NIC transport counters + their flat cluster-wide duplicates
-    sim.stats.counter("rvma0.rel_tx").add(7)
-    sim.stats.counter("reliability.rel_tx").add(7)
-    # canonical summary registered directly
+    # two RVMA NICs' worth of per-instance counters
+    sim.stats.counter("nic.rvma.bytes_placed", "rvma0").add(100)
+    sim.stats.counter("nic.rvma.bytes_placed", "rvma1").add(50)
+    sim.stats.counter("transport.tx", "rvma0").add(7)
+    sim.stats.counter("fabric.messages_sent", "fabric").add(3)
+    # cluster-wide summary
     sim.stats.summary("fabric.msg_latency_ns").add(10.0)
     sim.stats.summary("fabric.msg_latency_ns").add(30.0)
-
-    class FakeFabric:
-        def observable_metrics(self):
-            return {"fabric.messages_sent": 3}
-
-    sim.register_component(FakeFabric())
     reg = MetricsRegistry.collect(sim)
     assert reg.counters["nic.rvma.bytes_placed"] == 150
-    assert reg.counters["transport.tx"] == 7  # not 14: flat dup skipped
+    assert reg.counters["transport.tx"] == 7
     assert reg.counters["fabric.messages_sent"] == 3
     assert reg.summaries["fabric.msg_latency_ns"].n == 2
     assert reg.groups() == ["fabric", "nic", "transport"]
@@ -204,8 +223,8 @@ def test_collect_federates_and_dedups():
 
 def test_collect_merges_histograms_across_components():
     sim = Simulator()
-    sim.stats.histogram("rvma0.epoch_bytes", 0.0, 100.0, 10).add(5.0)
-    sim.stats.histogram("rvma1.epoch_bytes", 0.0, 100.0, 10).add(15.0)
+    sim.stats.histogram("nic.rvma.epoch_bytes", 0.0, 100.0, 10, instance="rvma0").add(5.0)
+    sim.stats.histogram("nic.rvma.epoch_bytes", 0.0, 100.0, 10, instance="rvma1").add(15.0)
     reg = MetricsRegistry.collect(sim)
     h = reg.histograms["nic.rvma.epoch_bytes"]
     assert h.count == 2 and h.bins[0] == 1 and h.bins[1] == 1
@@ -213,7 +232,7 @@ def test_collect_merges_histograms_across_components():
 
 def test_collect_accepts_cluster_like_target():
     sim = Simulator()
-    sim.stats.counter("rvma0.tx_messages").add(2)
+    sim.stats.counter("nic.rvma.tx_messages", "rvma0").add(2)
 
     class ClusterLike:
         pass
@@ -233,7 +252,7 @@ def _report_from(sim, meta=None):
 
 def test_run_report_round_trip(tmp_path):
     sim = Simulator()
-    sim.stats.counter("rvma0.bytes_placed").add(64)
+    sim.stats.counter("nic.rvma.bytes_placed", "rvma0").add(64)
     sim.spans.enable()
     sp = sim.spans.begin("run", "unit")
     sim.schedule(10.0, sim.spans.end, sp)
@@ -254,7 +273,7 @@ def test_run_report_merge_combines_counters_and_summaries():
     reports = []
     for placed, lat in ((100, 10.0), (50, 30.0)):
         sim = Simulator()
-        sim.stats.counter("rvma0.bytes_placed").add(placed)
+        sim.stats.counter("nic.rvma.bytes_placed", "rvma0").add(placed)
         sim.stats.summary("fabric.msg_latency_ns").add(lat)
         reports.append(_report_from(sim))
     merged = RunReport.merge(reports, meta={"harness": "test"})
@@ -269,6 +288,6 @@ def test_run_report_merge_combines_counters_and_summaries():
 
 def test_run_report_merge_single_passthrough():
     sim = Simulator()
-    sim.stats.counter("rvma0.bytes_placed").add(5)
+    sim.stats.counter("nic.rvma.bytes_placed", "rvma0").add(5)
     merged = RunReport.merge([_report_from(sim)])
     assert merged.metrics["nic"]["nic.rvma.bytes_placed"] == 5

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.services.qos import (
     AdmissionController,
     ClientRobustnessConfig,
@@ -172,7 +173,7 @@ def test_placement_quota_meters_only_the_request_mailbox_slice():
     assert quota.admit(src=3, mailbox=99, nbytes=10**9, now=0.0)
     assert quota.admit(src=3, mailbox=100, nbytes=1000, now=0.0)
     assert not quota.admit(src=3, mailbox=100, nbytes=1, now=0.0)
-    assert sim.stats.counters()["service.kv.tenant.quota_rejects.t1"] == 1
+    assert MetricsRegistry.collect(sim).counters["service.kv.tenant.quota_rejects.t1"] == 1
     # Unassigned source nodes fall to the (unmetered) default tenant.
     assert quota.admit(src=4, mailbox=100, nbytes=10**9, now=0.0)
 
@@ -206,7 +207,7 @@ def test_admission_unmetered_tenant_always_admits():
     sim, ctrl = _admission()
     assert all(ctrl.admit(DEFAULT_TENANT, 10**6) for _ in range(100))
     assert "service.kv.overload_replies" not in {
-        k: v for k, v in sim.stats.counters().items() if v
+        k: v for k, v in MetricsRegistry.collect(sim).counters.items() if v
     }
 
 
@@ -214,7 +215,7 @@ def test_admission_sheds_over_rate_tenant_into_counters():
     sim, ctrl = _admission(admit_rate_bytes_per_us=1.0, admit_burst_bytes=100.0)
     assert ctrl.admit(1, 100)
     assert not ctrl.admit(1, 100)
-    counters = sim.stats.counters()
+    counters = MetricsRegistry.collect(sim).counters
     assert counters["service.kv.tenant.admitted.t1"] == 1
     assert counters["service.kv.tenant.shed.t1"] == 1
     assert counters["service.kv.overload_replies"] == 1
@@ -238,5 +239,5 @@ def test_admission_overload_flag_multiplies_cost():
     assert ctrl.admit(1, 100)  # charged 100 * 10 under overload
     assert ctrl.overloaded
     assert not ctrl.admit(1, 1)  # 10 effective > ~0 remaining
-    counters = sim.stats.counters()
+    counters = MetricsRegistry.collect(sim).counters
     assert counters["service.kv.tenant.shed.t1"] == 1

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import RvmaApi, negotiate_consistent_epoch
 from repro.nic.rvma import RvmaNicConfig
+from repro.observability import MetricsRegistry
 from repro.recovery import (
     AuditError,
     CheckpointDaemon,
@@ -120,7 +121,7 @@ def test_checkpoint_defers_while_pipeline_not_quiescent():
     daemon = CheckpointDaemon(cl.node(1), interval_ns=1_000.0, horizon_ns=10_000.0)
     nic._inflight_admits = 1  # data admitted but DMA not landed
     assert daemon.take() is None
-    assert nic.stat("checkpoints_deferred").value == 1
+    assert nic.stat("recovery.checkpoints_deferred").value == 1
     nic._inflight_admits = 0
     assert daemon.take() is not None
     # A crashed NIC has nothing to read either.
@@ -188,7 +189,7 @@ def test_auditor_collect_mode_reports_without_raising():
     assert report["ok"] is False
     assert any("double-placement" in line for line in report["violations"])
     assert report["checked"]["placements"] == 2
-    assert cl.sim.stats.counter("recovery.audit_violations").value == 1
+    assert MetricsRegistry.collect(cl).counters["recovery.audit_violations"] == 1
 
 
 def test_auditor_sanctions_byte_identical_replay_only():
@@ -261,7 +262,7 @@ def test_put_window_eviction_is_counted():
         yield 1.0
 
     run_gens(cl.sim, producer(), consumer())
-    assert cl.node(0).nic.stat("put_window_evictions").value == 3
+    assert cl.node(0).nic.stat("nic.rvma.put_window_evictions").value == 3
 
 
 def test_put_retry_budget_exhaustion_counts_as_giveup():
@@ -277,9 +278,9 @@ def test_put_retry_budget_exhaustion_counts_as_giveup():
 
     run_gens(cl.sim, producer())
     nic0 = cl.node(0).nic
-    assert nic0.stat("put_retries").value == 2
-    assert nic0.stat("put_giveups").value == 1
-    assert nic0.stat("puts_lost").value == 1
+    assert nic0.stat("nic.rvma.put_retries").value == 2
+    assert nic0.stat("nic.rvma.put_giveups").value == 1
+    assert nic0.stat("nic.rvma.puts_lost").value == 1
 
 
 # ---------------------------------------------------------------------- detector / epochs
@@ -289,12 +290,12 @@ def test_detector_reinstate_clears_suspicion():
     cl = _cluster(reliability=True)
     det = cl.node(0).nic.detector
     det.reinstate(1)  # not suspected: no-op
-    assert cl.node(0).nic.stat("peers_reinstated").value == 0
+    assert cl.node(0).nic.stat("detector.peers_reinstated").value == 0
     det.force_suspect(1, "test")
     assert det.is_suspected(1)
     det.reinstate(1)
     assert not det.is_suspected(1)
-    assert cl.node(0).nic.stat("peers_reinstated").value == 1
+    assert cl.node(0).nic.stat("detector.peers_reinstated").value == 1
 
 
 def test_transport_shutdown_silences_pending_state():
@@ -317,7 +318,7 @@ def test_transport_shutdown_silences_pending_state():
     run_gens(cl.sim, producer(), killer())
     assert tr.unacked() == 0
     assert tr.journal is None
-    assert cl.sim.stats.counter("reliability.rel_gave_up").value == 0
+    assert MetricsRegistry.collect(cl).counters.get("transport.gave_up", 0) == 0
 
 
 def test_negotiate_consistent_epoch_is_min_of_views():

@@ -66,17 +66,18 @@ def test_rng_shuffled_is_permutation():
 
 def test_counter_and_registry():
     sim = Simulator()
-    sim.stats.counter("a.x").add(3)
-    sim.stats.counter("a.x").add()
-    sim.stats.counter("b.y").add(2)
-    assert sim.stats.counters("a") == {"a.x": 4}
-    assert "a.x: 4" in sim.stats.report()
+    sim.stats.counter("faults.crashes").add(3)
+    sim.stats.counter("faults.crashes").add()
+    sim.stats.counter("nic.rvma.bytes_placed", "rvma0").add(2)
+    assert sim.stats.counter("faults.crashes").value == 4
+    assert sim.stats.instances("faults.crashes") == {"": 4}
+    assert sim.stats.instances("nic.rvma.bytes_placed") == {"rvma0": 2}
 
 
 def test_summary_matches_numpy():
     sim = Simulator()
     data = [3.0, 1.5, 9.2, -4.0, 2.25, 8.0]
-    s = sim.stats.summary("lat")
+    s = sim.stats.summary("fabric.msg_latency_ns")
     for x in data:
         s.add(x)
     assert s.n == len(data)
@@ -88,13 +89,13 @@ def test_summary_matches_numpy():
 
 def test_summary_empty_is_safe():
     sim = Simulator()
-    s = sim.stats.summary("empty")
+    s = sim.stats.summary("transport.tx_attempts")
     assert s.mean == 0.0 and s.variance == 0.0
 
 
 def test_histogram_buckets():
     sim = Simulator()
-    h = sim.stats.histogram("h", lo=0.0, hi=10.0, nbins=10)
+    h = sim.stats.histogram("nic.rvma.epoch_bytes", lo=0.0, hi=10.0, nbins=10)
     for x in [0.5, 1.5, 1.6, 9.99, -1.0, 10.0, 25.0]:
         h.add(x)
     assert h.bins[0] == 1 and h.bins[1] == 2 and h.bins[9] == 1
@@ -106,7 +107,7 @@ def test_histogram_buckets():
 def test_histogram_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
-        sim.stats.histogram("bad", lo=5.0, hi=5.0)
+        sim.stats.histogram("nic.rvma.epoch_bytes", lo=5.0, hi=5.0)
 
 
 # --- trace ------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_switch_tracks_forwarded_packets_per_hop():
     fab.attach(15, lambda d: None)
     fab.send(0, 15, MTU * 2)  # 2 packets, 5-switch path
     sim.run()
-    total_forwards = sum(sw.packets_forwarded for sw in fab.switches)
+    total_forwards = sum(sw.packets_forwarded.value for sw in fab.switches)
     assert total_forwards == 2 * 5
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation drift gate (``make docs-check``).
 
-Seven checks, all fatal on failure:
+Five checks, all fatal on failure:
 
 1. **API coverage** — every public symbol exported from
    ``repro.__init__`` (its ``__all__``) and every public method of
@@ -11,23 +11,15 @@ Seven checks, all fatal on failure:
    :data:`repro.observability.metrics.CATALOG` must be documented by
    name in ``docs/OBSERVABILITY.md`` (and vice versa: names in the doc's
    catalog table that the code no longer declares are flagged).
-3. **Fabric metric rows** — the ``fabric.*`` rows of the
-   ``docs/OBSERVABILITY.md`` catalog table must carry the same
-   kind/unit the CATALOG declares (the fabric rows are the ones the
-   vectorized fast path must reproduce bit-for-bit, so their documented
-   shape is load-bearing for the conformance suite).
-4. **Active metric rows** — same contract for the ``nic.rvma.active.*``
-   rows: the active-mailbox conformance suites pin handler behaviour
-   against these counters, so kind/unit drift is fatal.
-5. **Workload metric rows** — same contract for the
-   ``workload.trace.*`` rows: the trace-replay oracles treat these
-   counters as the offered-load ground truth (rows replayed == trace
-   rows, drops == 0), so kind/unit drift is fatal.
-6. **Bench cell coverage** — every cell registered in
+3. **Metric catalog rows** — every ``CATALOG`` entry must have a row
+   in the ``docs/OBSERVABILITY.md`` catalog table carrying the same
+   kind/unit the CATALOG declares (oracles and conformance suites read
+   these metrics by name, so their documented shape is load-bearing).
+4. **Bench cell coverage** — every cell registered in
    :data:`repro.experiments.bench.SUITES` must appear in the
    ``docs/PERFORMANCE.md`` cell table, and every cell the table names
    must still exist in the registry.
-7. **Live report coverage** — one small chaos run with observability on
+5. **Live report coverage** — one small chaos run with observability on
    must produce a report whose metric groups include
    nic/transport/recovery/fabric, with >= 3 span categories, and with
    every reported metric declared in the CATALOG (hence documented, by
@@ -91,80 +83,16 @@ def check_metric_catalog() -> list[str]:
     return problems
 
 
-def check_fabric_metric_rows() -> list[str]:
+def check_metric_rows() -> list[str]:
     from repro.observability.metrics import CATALOG
 
     text = OBS_MD.read_text(encoding="utf-8") if OBS_MD.exists() else ""
     problems = []
     rows = {
         name: (kind, unit)
-        for name, kind, unit in re.findall(
-            r"\| `(fabric\.[a-z_.]+)` \| (\w+) \| (\w+) \|", text
-        )
+        for name, kind, unit in re.findall(r"\| `([a-z_*.]+)` \| (\w+) \| (\w+) \|", text)
     }
     for name, spec in sorted(CATALOG.items()):
-        if not name.startswith("fabric."):
-            continue
-        row = rows.get(name)
-        if row is None:
-            problems.append(
-                f"docs/OBSERVABILITY.md: no catalog-table row for `{name}`"
-            )
-        elif row != (spec.kind, spec.unit):
-            problems.append(
-                f"docs/OBSERVABILITY.md: `{name}` documented as "
-                f"{row[0]}/{row[1]}, CATALOG declares {spec.kind}/{spec.unit}"
-            )
-    return problems
-
-
-def check_active_metric_rows() -> list[str]:
-    """The ``nic.rvma.active.*`` rows mirror check 3: the active-mailbox
-    conformance suites pin handler behaviour against these counters, so
-    their documented kind/unit must match the CATALOG exactly."""
-    from repro.observability.metrics import CATALOG
-
-    text = OBS_MD.read_text(encoding="utf-8") if OBS_MD.exists() else ""
-    problems = []
-    rows = {
-        name: (kind, unit)
-        for name, kind, unit in re.findall(
-            r"\| `(nic\.rvma\.active\.[a-z_.]+)` \| (\w+) \| (\w+) \|", text
-        )
-    }
-    for name, spec in sorted(CATALOG.items()):
-        if not name.startswith("nic.rvma.active."):
-            continue
-        row = rows.get(name)
-        if row is None:
-            problems.append(
-                f"docs/OBSERVABILITY.md: no catalog-table row for `{name}`"
-            )
-        elif row != (spec.kind, spec.unit):
-            problems.append(
-                f"docs/OBSERVABILITY.md: `{name}` documented as "
-                f"{row[0]}/{row[1]}, CATALOG declares {spec.kind}/{spec.unit}"
-            )
-    return problems
-
-
-def check_workload_metric_rows() -> list[str]:
-    """The ``workload.trace.*`` rows mirror checks 3 and 4: the
-    trace-replay oracles read these counters as the offered-load ground
-    truth, so their documented kind/unit must match the CATALOG."""
-    from repro.observability.metrics import CATALOG
-
-    text = OBS_MD.read_text(encoding="utf-8") if OBS_MD.exists() else ""
-    problems = []
-    rows = {
-        name: (kind, unit)
-        for name, kind, unit in re.findall(
-            r"\| `(workload\.trace\.[a-z_.]+)` \| (\w+) \| (\w+) \|", text
-        )
-    }
-    for name, spec in sorted(CATALOG.items()):
-        if not name.startswith("workload.trace."):
-            continue
         row = rows.get(name)
         if row is None:
             problems.append(
@@ -225,9 +153,7 @@ def main() -> int:
     problems = []
     problems += check_api_coverage()
     problems += check_metric_catalog()
-    problems += check_fabric_metric_rows()
-    problems += check_active_metric_rows()
-    problems += check_workload_metric_rows()
+    problems += check_metric_rows()
     problems += check_bench_cells()
     problems += check_live_report()
     if problems:
