@@ -2,7 +2,12 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench figures docs docs-check examples validate clean
+.PHONY: install test bench ab figures docs docs-check examples validate clean
+
+# `make ab`: alternating bench/run.py pairs, REF against the working tree.
+REF ?= HEAD
+WORKLOAD ?= sweep3d-fig7
+PAIRS ?= 10
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -12,6 +17,9 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+ab:
+	$(PYTHON) tools/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 figures:
 	$(PYTHON) -m repro.experiments.cli all --nodes 64 --out results.md

@@ -392,7 +392,7 @@ def run_kv_cell(spec: KvCellSpec, before_run: Optional[Callable] = None) -> KvCe
         ]
 
         def master():
-            yield AllOf([p.done_future for p in scripts])
+            yield AllOf(scripts)
             yield from finish()
     elif len(spec.groups) == 1:
         def master():
@@ -404,7 +404,7 @@ def run_kv_cell(spec: KvCellSpec, before_run: Optional[Callable] = None) -> KvCe
                 spawn(sim, drive(g), f"kv-group{g}")
                 for g, group in enumerate(spec.groups) if group.planned_ops()
             ]
-            yield AllOf([p.done_future for p in procs])
+            yield AllOf(procs)
             yield from finish()
 
     proc = spawn(sim, master(), "kv-master")

@@ -166,7 +166,7 @@ class Halo3D(Motif):
                 self.count_send(size)
             for offset, recv_ep in st.recvs.items():
                 procs.append(spawn(self.sim, recv_ep.recv(), f"rx{offset}"))
-            yield AllOf([p.done_future for p in procs])
+            yield AllOf(procs)
             if self.compute_ns > 0:
                 yield self.compute_ns
 

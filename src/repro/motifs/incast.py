@@ -96,7 +96,7 @@ class Incast(Motif):
         procs = [
             spawn(self.sim, drain(ep), f"incast-drain{c}") for c, ep in recvs.items()
         ]
-        yield AllOf([p.done_future for p in procs])
+        yield AllOf(procs)
 
     def _rdma_client_run(self, rank: int, send_ep) -> Generator:
         for _ in range(self.msgs_per_client):

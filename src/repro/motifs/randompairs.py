@@ -119,7 +119,7 @@ class RandomPairs(Motif):
 
         tx = spawn(self.sim, send_all(), f"rp-tx{rank}")
         rx = spawn(self.sim, recv_all(), f"rp-rx{rank}")
-        yield AllOf([tx.done_future, rx.done_future])
+        yield AllOf([tx, rx])
 
     # --- RDMA: negotiated channel per communicating pair ----------------------------
 
@@ -161,7 +161,7 @@ class RandomPairs(Motif):
             spawn(self.sim, feed(dst, ep), f"rp-tx{rank}-{dst}")
             for dst, ep in sends.items()
         ]
-        yield AllOf([p.done_future for p in procs])
+        yield AllOf(procs)
 
     # --- plumbing -----------------------------------------------------------------------
 

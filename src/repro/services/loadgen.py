@@ -206,7 +206,7 @@ class LoadGenerator:
                     spawn(self.sim, self._closed_worker(client, quota), name=f"kv-load{i}")
                 )
         if procs:
-            yield AllOf([p.done_future for p in procs])
+            yield AllOf(procs)
 
     def _closed_worker(self, client: KvClient, quota: int) -> Generator:
         left = quota
@@ -244,7 +244,7 @@ class LoadGenerator:
                 continue
             backlog.append((self._sample_op(), self.sim.now))
         done[0] = True
-        yield AllOf([w.done_future for w in workers])
+        yield AllOf(workers)
 
     def _open_worker(self, client: KvClient, backlog: deque, done: list) -> Generator:
         while True:

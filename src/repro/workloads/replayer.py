@@ -189,7 +189,7 @@ class TraceReplayer:
             queued[0] += 1
         done[0] = True
         if workers:
-            yield AllOf([w.done_future for w in workers])
+            yield AllOf(workers)
         if sp is not None:
             spans.end(sp, replayed=self._replayed.value, dropped=self._dropped.value)
         return self.stats

@@ -19,6 +19,9 @@ from repro.rdma import (
     unpack_region,
 )
 from repro.memory.buffer import MemoryRegion
+from repro.memory.mwait import CQ_POLL
+from repro.nic.cq import CqEntry
+from repro.sim import spawn
 
 from tests.helpers import run_gen, run_gens
 
@@ -208,6 +211,120 @@ def test_dispatcher_keeps_unclaimed_entries(rdma_pair):
         return e5.wr_id, e6.wr_id
 
     assert run_gen(cl.sim, early_pusher_then_waiter()) == (5, 6)
+
+
+# --- CQ demultiplexing ---------------------------------------------------------------
+
+
+def _demux(cluster):
+    nic = cluster.node(0).nic
+    return cluster.sim, nic.cq, CqDispatcher(cluster.sim, nic.cq), CQ_POLL.delay_after_store()
+
+
+def _push_at(sim, cq, t, kind, op_id, wr_id):
+    sim.schedule_at(t, cq.push, CqEntry(kind, op_id=op_id, wr_id=wr_id))
+
+
+def _waiter(sim, at, wait, seen, label):
+    """A process that sleeps *at* ns, then records what ``wait()`` yields."""
+
+    def proc():
+        yield at
+        entry = yield wait()
+        seen.append((label, entry.op_id, sim.now))
+
+    spawn(sim, proc(), label)
+
+
+@pytest.mark.parametrize("first_kind", [None, CqKind.RECV])
+def test_demux_earliest_registered_waiter_wins(rdma_pair, first_kind):
+    sim, cq, disp, d = _demux(rdma_pair)
+    second_kind = CqKind.RECV if first_kind is None else None
+    seen = []
+    _waiter(sim, 1.0, lambda: disp.wait_wr(5, first_kind), seen, "first")
+    _waiter(sim, 2.0, lambda: disp.wait_wr(5, second_kind), seen, "second")
+    _push_at(sim, cq, 10.0, CqKind.RECV, 1, 5)
+    _push_at(sim, cq, 100.0, CqKind.RECV, 2, 5)
+    sim.run()
+    assert seen == [("first", 1, 10.0 + d), ("second", 2, 100.0 + d)]
+
+
+def test_demux_kind_filter_skips_to_a_later_waiter(rdma_pair):
+    sim, cq, disp, d = _demux(rdma_pair)
+    seen = []
+    _waiter(sim, 1.0, lambda: disp.wait_wr(5, CqKind.RECV), seen, "recv")
+    _waiter(sim, 2.0, lambda: disp.wait_wr(5), seen, "any")
+    _push_at(sim, cq, 10.0, CqKind.SEND_DONE, 1, 5)
+    _push_at(sim, cq, 100.0, CqKind.RECV, 2, 5)
+    sim.run()
+    assert seen == [("any", 1, 10.0 + d), ("recv", 2, 100.0 + d)]
+
+
+def test_demux_claims_kept_entries_in_arrival_order(rdma_pair):
+    sim, cq, disp, d = _demux(rdma_pair)
+    seen = []
+    # A waiter on wr 9 makes the demux pull the wr-4 entries and keep them.
+    _waiter(sim, 0.0, lambda: disp.wait_wr(9), seen, "w9")
+    for op_id, kind in enumerate([CqKind.SEND_DONE, CqKind.RECV, CqKind.RECV], start=1):
+        _push_at(sim, cq, 10.0 * op_id, kind, op_id, 4)
+    _push_at(sim, cq, 40.0, CqKind.RECV, 9, 9)
+    _waiter(sim, 200.0, lambda: disp.wait_wr(4, CqKind.RECV), seen, "recv")
+    _waiter(sim, 300.0, lambda: disp.wait_wr(4), seen, "any1")
+    _waiter(sim, 400.0, lambda: disp.wait_wr(4), seen, "any2")
+    sim.run()
+    # Pulled one poll cost apart: the wr-9 entry is the fourth taken.
+    assert seen == [
+        ("w9", 9, 10.0 + 4 * d),
+        ("recv", 2, 200.0 + d),
+        ("any1", 1, 300.0 + d),
+        ("any2", 3, 400.0 + d),
+    ]
+    assert disp.entries_dispatched == 4
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_demux_backlog_dispatches_one_poll_apart(rdma_pair, k):
+    sim, cq, disp, d = _demux(rdma_pair)
+    seen = []
+    for i in range(k):
+        _push_at(sim, cq, 10.0, CqKind.RECV, i, i)
+    for i in reversed(range(k)):
+        _waiter(sim, 50.0, lambda i=i: disp.wait_wr(i), seen, f"w{i}")
+    sim.run()
+    assert sorted(seen, key=lambda s: s[1]) == [(f"w{i}", i, 50.0 + (i + 1) * d) for i in range(k)]
+    assert disp.entries_dispatched == k
+
+
+def test_demux_goes_idle_and_restarts(rdma_pair):
+    sim, cq, disp, d = _demux(rdma_pair)
+    seen = []
+    _waiter(sim, 0.0, lambda: disp.wait_wr(1), seen, "a")
+    _push_at(sim, cq, 10.0, CqKind.RECV, 1, 1)
+    # Nobody waits now: the demux has stopped pulling, so this stays queued.
+    _push_at(sim, cq, 20.0, CqKind.RECV, 2, 2)
+    sim.run()
+    assert seen == [("a", 1, 10.0 + d)]
+    assert len(cq) == 1 and disp.entries_dispatched == 1
+    restart = sim.now
+    _waiter(sim, 0.0, lambda: disp.wait_wr(2), seen, "b")
+    sim.run()
+    assert seen[1] == ("b", 2, restart + d)
+    assert len(cq) == 0 and disp.entries_dispatched == 2
+
+
+def test_direct_cq_wait_and_demux_share_one_fifo(rdma_pair):
+    sim, cq, disp, d = _demux(rdma_pair)
+    seen = []
+    _waiter(sim, 1.0, lambda: disp.wait_wr(7), seen, "demux")
+    _waiter(sim, 2.0, cq.wait, seen, "direct")
+    _waiter(sim, 3.0, cq.wait, seen, "direct2")
+    # In order of asking: the demux takes the first entry, the direct
+    # waiters the next two; the demux routes after its poll cost.
+    _push_at(sim, cq, 10.0, CqKind.RECV, 1, 7)
+    _push_at(sim, cq, 11.0, CqKind.RECV, 2, 8)
+    _push_at(sim, cq, 12.0, CqKind.RECV, 3, 7)
+    sim.run()
+    assert seen == [("direct", 2, 11.0), ("direct2", 3, 12.0), ("demux", 1, 10.0 + d)]
 
 
 # --- UCX ----------------------------------------------------------------------------
