@@ -115,15 +115,8 @@ RUNNERS: dict[str, Callable] = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "bench":
-        # Delegate to the benchmark harness, which owns its own flags
-        # (`rvma-experiments bench --suite smoke` == `python -m
-        # repro.experiments.bench --suite smoke`).
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "services":
-        # Same delegation pattern: the KV service driver owns its flags
+        # Delegate to the KV service driver, which owns its own flags
         # (`rvma-experiments services --mode open --zipf 1.1 ...`).
         from .kv_churn import services_main
 

@@ -1,7 +1,7 @@
 """The committed exemplar traces under ``corpus/traces/``.
 
 Two pinned traces every replay consumer (CLI compare, CI trace-replay
-job, bench kv-trace cell, scenario-fuzzer ``trace`` workloads) shares:
+job, cost-ledger kv-trace cell, scenario-fuzzer ``trace`` workloads) shares:
 
 * ``steady-mix`` — a single-tenant open-loop get/put/delete mix with
   Zipf-skewed keys, recorded from the stock :class:`LoadGenerator`;

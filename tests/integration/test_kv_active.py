@@ -6,15 +6,14 @@ and every client-visible reply must be byte-identical — the active path
 is an optimization, never a semantic change (FIFO servers; see
 docs/QOS.md for the out-of-order caveat).  Plus the host-dispatch
 saving the handler exists to buy, the stale handler-served reply
-accounting fix, and the flash-crowd bench cell's report plumbing.
+accounting fix, and the flash-crowd contrast cell.
 """
 
 from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.core.api import RvmaApi
-from repro.experiments.active_flash import run_flash_chaos
-from repro.experiments.bench import bench_active_flash
+from repro.experiments.active_flash import run_flash_chaos, run_flash_crowd
 from repro.experiments.kv_cell import FlapPlan
 from repro.nic.rvma import RvmaNicConfig
 from repro.observability import MetricsRegistry
@@ -144,16 +143,12 @@ def test_stale_handler_served_reply_is_counted():
 
 
 def test_bench_active_flash_smoke():
-    rec = bench_active_flash(n_ops=120)
-    assert rec.name == "active-flash"
-    assert rec.extras["invariants_ok"] is True
-    assert rec.extras["contrast_ok"] is True
-    assert rec.extras["on_p99_ns"] < rec.extras["off_p99_ns"]
-    assert rec.metrics["nic.rvma.active.served"] > 0
-    assert (
-        rec.metrics["service.kv.client.handler_served"]
-        >= rec.metrics["nic.rvma.active.served"]
-    )
+    outcome = run_flash_crowd(n_ops=120)
+    assert outcome.invariants_ok is True
+    assert outcome.contrast_ok is True
+    assert outcome.on.p99_ns < outcome.off.p99_ns
+    assert outcome.on.served > 0
+    assert outcome.on.handler_served >= outcome.on.served
 
 
 def test_flash_chaos_flaps_land_during_traffic(monkeypatch):

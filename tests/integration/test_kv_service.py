@@ -2,14 +2,13 @@
 
 End-to-end correctness over real RVMA mailboxes, backpressure through
 the transport's flow_room hold path, the churn driver's invariants, and
-the kv-incast bench cell's report plumbing.
+the service metrics an observed run reports.
 """
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.core.api import RvmaApi
-from repro.experiments.bench import bench_kv_incast
 from repro.experiments.kv_churn import run_kv_churn, run_kv_service
 from repro.nic.rvma import RvmaNicConfig
 from repro.observability import MetricsRegistry
@@ -176,11 +175,13 @@ def test_kv_churn_experiment_result_shape():
 
 
 def test_bench_kv_incast_smoke():
-    rec = bench_kv_incast(n_client_nodes=2, clients_per_node=2, n_ops=48, batch=4)
-    assert rec.name == "kv-incast"
-    assert rec.metrics["service.kv.requests"] == 48
-    assert rec.metrics["service.kv.request_latency_ns.p50"] > 0
-    assert rec.metrics["service.kv.request_latency_ns.p99"] >= (
-        rec.metrics["service.kv.request_latency_ns.p50"]
+    cell = run_kv_service(
+        n_server_nodes=1, n_client_nodes=2,
+        workload=WorkloadConfig(n_ops=48, zipf_s=0.9, batch=4), observe=True,
     )
-    assert rec.extras["invariants_ok"] is True
+    service = cell.run_report.metrics["service"]
+    latency = service["service.kv.request_latency_ns"]
+    assert service["service.kv.requests"] == 48
+    assert latency["p50"] > 0
+    assert latency["p99"] >= latency["p50"]
+    assert cell.invariants_ok is True

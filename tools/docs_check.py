@@ -15,10 +15,10 @@ Five checks, all fatal on failure:
    in the ``docs/OBSERVABILITY.md`` catalog table carrying the same
    kind/unit the CATALOG declares (oracles and conformance suites read
    these metrics by name, so their documented shape is load-bearing).
-4. **Bench cell coverage** — every cell registered in
-   :data:`repro.experiments.bench.SUITES` must appear in the
-   ``docs/PERFORMANCE.md`` cell table, and every cell the table names
-   must still exist in the registry.
+4. **Ledger cell coverage** — every cell of the cost ledger
+   (``LEDGER`` in ``tests/properties/test_cost_ledger.py``) must appear
+   in the ``docs/PERFORMANCE.md`` ledger table, and every cell the table
+   names must still have a ledger row.
 5. **Live report coverage** — one small chaos run with observability on
    must produce a report whose metric groups include
    nic/transport/recovery/fabric, with >= 3 span categories, and with
@@ -32,6 +32,7 @@ Run from the repo root:
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -40,6 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 API_MD = ROOT / "docs" / "API.md"
 OBS_MD = ROOT / "docs" / "OBSERVABILITY.md"
 PERF_MD = ROOT / "docs" / "PERFORMANCE.md"
+LEDGER_PY = ROOT / "tests" / "properties" / "test_cost_ledger.py"
 
 
 def check_api_coverage() -> list[str]:
@@ -106,22 +108,29 @@ def check_metric_rows() -> list[str]:
     return problems
 
 
-def check_bench_cells() -> list[str]:
-    from repro.experiments.bench import SUITES
+def ledger_cells() -> set[str]:
+    """The cell names of the cost ledger, read without importing the test."""
+    tree = ast.parse(LEDGER_PY.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "LEDGER":
+            return set(ast.literal_eval(node.value))
+    raise LookupError(f"{LEDGER_PY}: no LEDGER assignment")
 
+
+def check_ledger_cells() -> list[str]:
     text = PERF_MD.read_text(encoding="utf-8") if PERF_MD.exists() else ""
     problems = []
     if not text:
         return ["docs/PERFORMANCE.md: file missing"]
-    registry = {name for cells in SUITES.values() for name, _ in cells}
+    ledger = ledger_cells()
     documented = set(re.findall(r"^\| `([a-z0-9-]+)` \|", text, flags=re.M))
-    for name in sorted(registry - documented):
+    for name in sorted(ledger - documented):
         problems.append(
-            f"docs/PERFORMANCE.md: bench cell `{name}` missing from the cell table"
+            f"docs/PERFORMANCE.md: ledger cell `{name}` missing from the ledger table"
         )
-    for name in sorted(documented - registry):
+    for name in sorted(documented - ledger):
         problems.append(
-            f"docs/PERFORMANCE.md: stale bench cell `{name}` (not in SUITES)"
+            f"docs/PERFORMANCE.md: stale ledger cell `{name}` (no LEDGER row)"
         )
     return problems
 
@@ -154,7 +163,7 @@ def main() -> int:
     problems += check_api_coverage()
     problems += check_metric_catalog()
     problems += check_metric_rows()
-    problems += check_bench_cells()
+    problems += check_ledger_cells()
     problems += check_live_report()
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
@@ -163,7 +172,7 @@ def main() -> int:
         return 1
     print(
         "docs-check: API.md, OBSERVABILITY.md and PERFORMANCE.md cover every "
-        "public symbol, metric and bench cell"
+        "public symbol, metric and ledger cell"
     )
     return 0
 
