@@ -388,12 +388,10 @@ class FlowFabric(BaseFabric):
         if spans.active and spans.wants("fabric"):
             sp = spans.begin("fabric", "msg_flight", src=src, dst=dst, size=size, hops=hops)
             if sp is not None:
-                # Delivery and span-end land at the same arrival time:
-                # one bucketed heap entry, delivery first.
-                sim.post_batch_at(
-                    t_deliver,
-                    ((self._deliver, (dst, Delivery(msg, info))), (spans.end, (sp,))),
-                )
+                # Delivery and span-end land at the same arrival time,
+                # delivery first.
+                sim.post_at(t_deliver, self._deliver, dst, Delivery(msg, info))
+                sim.post_at(t_deliver, spans.end, sp)
                 return msg
         sim.post_at(t_deliver, self._deliver, dst, Delivery(msg, info))
         return msg

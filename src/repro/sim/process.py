@@ -12,9 +12,9 @@ generator; the generator yields one of:
 
 A process is itself awaitable via its :attr:`done_future`.
 
-A resolved future schedules its waiter at ``(now, PRIORITY_NORMAL)``.
-A lone waiter goes through :meth:`Simulator.wake`, which runs it right
-after the resolving event when nothing else comes first.
+A resolved future schedules its waiters at ``(now, PRIORITY_NORMAL)``,
+in registration order, through :meth:`Simulator.wake`: the first may
+run right after the resolving event when nothing else comes first.
 """
 
 from __future__ import annotations
@@ -47,30 +47,14 @@ class Future:
         self.done = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        if len(waiters) == 1:
-            waiter = waiters[0]
+        for waiter in waiters:
             if waiter.__class__ is not _AllOfWait:
                 self.sim.wake(waiter, value)
             else:
+                # An AllOf still counting down has nothing to run.
                 values = waiter.arrive()
                 if values is not None:
                     self.sim.wake(waiter.advance, values)
-        elif waiters:
-            self._wake_all(waiters, value)
-
-    def _wake_all(self, waiters: list, value: Any) -> None:
-        # Simultaneous wakeups (barrier releases, threshold completions)
-        # share one bucketed heap entry.  An AllOf still counting down
-        # has nothing to run, so it adds no bucket member.
-        calls = []
-        for waiter in waiters:
-            if waiter.__class__ is not _AllOfWait:
-                calls.append((waiter, (value,)))
-            else:
-                values = waiter.arrive()
-                if values is not None:
-                    calls.append((waiter.advance, (values,)))
-        self.sim.post_batch(0.0, calls)
 
     def add_callback(self, cb) -> None:
         """Invoke ``cb(value)`` once resolved (immediately if already done)."""

@@ -44,11 +44,10 @@ class ReferenceSimulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-        **kwargs: Any,
     ) -> Event:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, fn, *args, priority=priority, **kwargs)
+        return self.schedule_at(self.now + delay, fn, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -56,12 +55,11 @@ class ReferenceSimulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-        **kwargs: Any,
     ) -> Event:
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         self._seq += 1
-        ev = Event(time, priority, self._seq, fn, args, kwargs)
+        ev = Event(time, priority, self._seq, fn, args)
         heapq.heappush(self._heap, (time, priority, self._seq, ev))
         return ev
 
@@ -81,7 +79,7 @@ class ReferenceSimulator:
                 continue
             self.now = time
             self.events_executed += 1
-            ev.fn(*ev.args, **(ev.kwargs or {}))
+            ev.fn(*ev.args)
             return True
         return False
 
@@ -99,7 +97,7 @@ class ReferenceSimulator:
                         continue
                     self.now = time
                     self.events_executed += 1
-                    ev.fn(*ev.args, **(ev.kwargs or {}))
+                    ev.fn(*ev.args)
                 return self.now
             executed = 0
             while True:

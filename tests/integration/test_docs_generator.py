@@ -1,20 +1,21 @@
 """The API-docs generator must run clean and cover the public surface."""
 
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_gen_api_docs_runs_and_covers_packages(tmp_path):
-    out = ROOT / "docs" / "API.md"
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    text = out.read_text()
+def _generator():
+    path = ROOT / "tools" / "gen_api_docs.py"
+    spec = importlib.util.spec_from_file_location("gen_api_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gen_api_docs_runs_and_covers_packages():
+    text = _generator().render()
     for anchor in (
         "## `repro.sim.engine`",
         "## `repro.nic.rvma`",
@@ -26,6 +27,8 @@ def test_gen_api_docs_runs_and_covers_packages(tmp_path):
         assert anchor in text, f"missing {anchor}"
     # The generated reference is substantial, not a stub.
     assert text.count("####") > 100
+    # The committed reference is current: regenerate it with `make docs`.
+    assert (ROOT / "docs" / "API.md").read_text(encoding="utf-8") == text
 
 
 def test_render_figures_tool_fast_subset(tmp_path, monkeypatch):

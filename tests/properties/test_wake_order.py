@@ -6,7 +6,8 @@ Each leg below runs twice, recording every callback the simulator
 runs: once as shipped, and once with every wake posted to the heap as
 ``post(0.0, fn, arg)``, the order the slot must reproduce.  The two
 call sequences must be identical.  The legs are small Sweep3D and
-Halo3D runs on both NICs and one KV cell.  The Sweep3D legs also pin
+Halo3D runs on both NICs, one KV cell, and one observed trace replay,
+whose resolves wake several waiters at once.  The Sweep3D legs also pin
 exact simulated time and event counts, so a relay hop put back on the
 completion path fails here.
 """
@@ -20,11 +21,11 @@ import pytest
 import repro.cluster.builder as builder
 from repro.cluster import Cluster
 from repro.experiments.kv_churn import run_kv_service
+from repro.experiments.trace_replay import record_trace, replay_trace
 from repro.motifs import Halo3D, RdmaProtocol, RvmaProtocol, Sweep3D
 from repro.network import NetworkConfig, RoutingMode
 from repro.services import WorkloadConfig
-from repro.sim import Simulator
-from repro.sim.event import PRIORITY_NORMAL
+from repro.sim import Future, Simulator
 from repro.units import gbps
 
 
@@ -56,16 +57,8 @@ class TracingSimulator(Simulator):
     def post_at(self, time, fn, *args, **kwargs) -> None:
         super().post_at(time, self._traced(fn), *args, **kwargs)
 
-    def post_batch_at(self, time, calls, priority=PRIORITY_NORMAL) -> None:
-        super().post_batch_at(time, [(self._traced(fn), a) for fn, a in calls], priority)
-
     def schedule_at(self, time, fn, *args, **kwargs):
         return super().schedule_at(time, self._traced(fn), *args, **kwargs)
-
-    def schedule_batch(self, delay, calls, priority=PRIORITY_NORMAL):
-        return super().schedule_batch(
-            delay, [(self._traced(fn), a) for fn, a in calls], priority
-        )
 
 
 class PostingSimulator(TracingSimulator):
@@ -123,7 +116,9 @@ def test_halo3d_legs_keep_wake_order(nic):
     _both(Halo3D, nic, "hyperx", 27, RoutingMode.STATIC, iterations=2, msg_bytes=4096)
 
 
-def test_kv_cell_keeps_wake_order(monkeypatch):
+def _cell_leg(monkeypatch, run_cell) -> None:
+    """Run a KV cell on both simulators; results and call order must agree."""
+
     def run(sim_cls):
         sims = []
 
@@ -132,14 +127,45 @@ def test_kv_cell_keeps_wake_order(monkeypatch):
             return sims[-1]
 
         monkeypatch.setattr(builder, "Simulator", make)
-        cell = run_kv_service(seed=1, workload=WorkloadConfig(n_ops=40, batch=2))
+        cell = run_cell()
         assert cell.invariants_ok and len(sims) == 1
         return cell, sims[0]
 
     cell, slot = run(TracingSimulator)
     ref_cell, ref = run(PostingSimulator)
-    # Equal but for the event count and the cluster object itself.
-    assert replace(cell, events_executed=0, cluster=None) == replace(
-        ref_cell, events_executed=0, cluster=None
+    # Equal but for the event count and the cluster object itself; a
+    # run report compares by its scrubbed dict.
+    assert cell.report == ref_cell.report
+    assert replace(cell, events_executed=0, cluster=None, run_report=None) == replace(
+        ref_cell, events_executed=0, cluster=None, run_report=None
     )
     _assert_same_order(slot, ref)
+
+
+def test_kv_cell_keeps_wake_order(monkeypatch):
+    _cell_leg(
+        monkeypatch,
+        lambda: run_kv_service(seed=1, workload=WorkloadConfig(n_ops=40, batch=2)),
+    )
+
+
+def test_observed_trace_replay_keeps_wake_order(monkeypatch):
+    """Spans on: the one leg whose resolves wake several waiters at once."""
+    trace, _stats = record_trace(
+        seed=3,
+        workload=WorkloadConfig(
+            n_ops=24, n_keys=16, value_bytes=32, zipf_s=0.9, mode="open",
+            mean_interarrival_ns=3000.0, rng_stream="kv-trace-prop",
+        ),
+        client_tenants=(0, 0),
+    )
+    multi = []
+    resolve = Future.resolve
+
+    def counting(fut, value=None):
+        multi.append(len(fut._waiters) > 1)
+        resolve(fut, value)
+
+    monkeypatch.setattr(Future, "resolve", counting)
+    _cell_leg(monkeypatch, lambda: replay_trace(trace, seed=3, observe=True))
+    assert sum(multi) > 0

@@ -315,17 +315,22 @@ def test_wake_outside_the_event_loop_is_queued():
     assert log == [("resumed", 1)] and sim.pending_events == 0
 
 
-def test_bucket_members_wake_after_the_whole_bucket():
+def test_one_resolve_wakes_every_waiter_in_registration_order():
     sim = Simulator()
-    futs, log = [Future(sim), Future(sim)], []
-    for f in futs:
-        _resume_log(sim, f, log)
+    fut, log = Future(sim), []
+
+    def proc(tag):
+        value = yield fut
+        log.append((tag, value))
+
+    for tag in "abc":
+        spawn(sim, proc(tag))
     sim.run()
-    sim.post_batch(1.0, [(f.resolve, (i,)) for i, f in enumerate(futs)])
+    sim.schedule(1.0, fut.resolve, 7)
     sim.run()
-    assert log == [("resumed", 0), ("resumed", 1)]
-    # Two starts, two members; the first resume ran from the slot.
-    assert sim.events_executed == 2 + 2 + 1
+    assert log == [("a", 7), ("b", 7), ("c", 7)]
+    # Three starts, the resolve and two wakes; "a" ran from the slot.
+    assert sim.events_executed == 3 + 1 + 2
 
 
 def test_step_counts_slot_work_within_the_waking_event():
