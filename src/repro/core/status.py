@@ -6,6 +6,8 @@ from enum import Enum
 
 
 class RvmaStatus(Enum):
+    """Outcome of an RVMA call (the paper's ``RVMA_Status``)."""
+
     SUCCESS = "success"
     ERR_NO_WINDOW = "no_window"  # mailbox was never initialised
     ERR_CLOSED = "closed"  # window closed; op discarded

@@ -18,6 +18,8 @@ from ..sim.process import Future
 
 
 class CqKind(Enum):
+    """What a completion-queue entry reports."""
+
     WRITE_DONE = "write_done"  # initiator: RDMA write acked
     SEND_DONE = "send_done"  # initiator: send acked
     RECV = "recv"  # target: send landed in a posted recv

@@ -53,6 +53,8 @@ class RvmaGetReply:
 
 
 class NackReason(Enum):
+    """Why a target NIC refused an RVMA put."""
+
     CLOSED = "closed"  # window closed (RVMA_Close_Win)
     NO_MAILBOX = "no_mailbox"  # mailbox never initialised
     NO_BUFFER = "no_buffer"  # bucket empty and no catch-all

@@ -69,7 +69,7 @@ class RdmaOp:
 
 
 class RdmaError(RuntimeError):
-    pass
+    """Raised for a failed or invalid RDMA verb."""
 
 
 class RdmaNic(BaseNic):

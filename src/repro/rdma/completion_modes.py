@@ -24,6 +24,8 @@ from ..network.routing import RoutingMode
 
 
 class CompletionMode(Enum):
+    """How an RDMA target detects that a transfer has landed."""
+
     LAST_BYTE_POLL = "last_byte_poll"
     SEND_RECV = "send_recv"
     WRITE_IMM = "write_imm"

@@ -65,7 +65,7 @@ def _ack_mailbox(conn_id: int) -> int:
 
 
 class SocketError(RuntimeError):
-    pass
+    """Raised for an operation on a closed connection."""
 
 
 @dataclass
