@@ -76,9 +76,9 @@ class BaseFabric(Component):
         self.deliveries_dropped = self.stat("fabric.deliveries_dropped")
         #: canonical latency summary, shared across fabrics in one sim.
         self._lat_summary = sim.stats.summary("fabric.msg_latency_ns")
-        #: adaptive-routing stream, resolved once (same draws as going
-        #: through rng.choice each send — stream creation is keyed by
-        #: name, and choice(n==1) never draws).
+        #: adaptive-routing stream, resolved once: the same draws as
+        #: rng.choice(name, n) each send, since a stream is keyed by its
+        #: name alone and a single candidate never reaches it.
         self._route_rng = sim.rng.stream(f"{self.name}.route")
         #: reciprocal so the serialization divide becomes a multiply.
         self._inv_link_bw = 1.0 / self.config.link_bw
@@ -356,7 +356,7 @@ class FlowFabric(BaseFabric):
             if len(near) == 1:
                 idx = near[0]
             else:
-                idx = near[int(self._route_rng.integers(0, len(near)))]
+                idx = near[self._route_rng.integers(0, len(near))]
             chans, _pen, hops = use[idx]
             if remap is not None:
                 idx = remap[idx]

@@ -247,7 +247,7 @@ class PacketFabric(BaseFabric):
                 if len(near) == 1:
                     pidx = near[0]
                 else:
-                    pidx = near[int(route_rng.integers(0, len(near)))]
+                    pidx = near[route_rng.integers(0, len(near))]
                 if remap is not None:
                     pidx = remap[pidx]
                 steps = cand_steps[pidx]
