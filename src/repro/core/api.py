@@ -119,6 +119,12 @@ class RvmaApi:
         Pass either *size* (a fresh buffer is allocated) or an existing
         *buffer*.  Returns the :class:`PostedRecord`, whose
         ``notification_addr`` is the paper's ``notification_ptr``.
+
+        A buffer keeps the notification line of its first posting.  A
+        re-post after every earlier posting of the buffer was consumed
+        by :meth:`wait_completion` reuses that line with both words
+        zeroed; a re-post while one is still unconsumed gets a fresh
+        line.
         """
         if (size is None) == (buffer is None):
             raise RvmaApiError(RvmaStatus.ERR_INVALID, "pass exactly one of size/buffer")
@@ -131,17 +137,38 @@ class RvmaApi:
                 f"byte threshold {thr} exceeds buffer size {buffer.size}",
             )
         yield from self._overhead()
-        notify, length_addr = alloc_notification_slot(self.node.memory)
+        notify = self._notification_line(buffer)
+        length_addr = notify + 8
+        buffer.unconsumed += 1
         res = yield self.nic.hw_post_buffer(
             win.virtual_addr, buffer, thr, notify, length_addr
         )
         if isinstance(res, LutError):
+            buffer.unconsumed -= 1
             raise RvmaApiError(RvmaStatus.ERR_NO_WINDOW, str(res))
         record = PostedRecord(
             buffer=buffer, posted=res, notification_addr=notify, length_addr=length_addr
         )
         win.posted.append(record)
         return record
+
+    def _notification_line(self, buffer: HostBuffer) -> int:
+        """Zeroed notification line for a new posting of *buffer*.
+
+        Once a posting is consumed the NIC never writes its line again,
+        so the buffer's line is free whenever none of its postings is
+        unconsumed.  Not so on a NIC that journals posts for crash
+        recovery: a restore re-completes every epoch since the last
+        checkpoint, consumed or not, so each posting keeps its own line.
+        """
+        line = buffer.line
+        if line is None or buffer.unconsumed or self.nic.op_journal is not None:
+            line = alloc_notification_slot(self.node.memory)[0]
+            if buffer.line is None:
+                buffer.line = line
+        else:
+            self.node.memory.write(line, bytes(16))
+        return line
 
     def close_win(self, win: Window) -> Generator:
         """Close the window; further remote ops are discarded (and may NACK)."""
@@ -166,7 +193,10 @@ class RvmaApi:
         """Harvest up to *count* completed-buffer head pointers.
 
         Pure host-memory reads (no simulated delay): exactly the cheap
-        polling loop the paper intends.  Returns valid pointers only.
+        polling loop the paper intends.  Returns valid pointers only,
+        oldest first, of completed buffers :meth:`wait_completion` has
+        not consumed yet: a consumed buffer may already be re-posted
+        and refilling.
         """
         out: list[int] = []
         for record in win.posted:
@@ -247,7 +277,9 @@ class RvmaApi:
         head = yield self.node.waiter.wait_for_nonzero_u64(record.notification_addr, wakeup)
         yield from self._overhead()  # library wrapper around the check
         length = self.node.memory.read_u64(record.length_addr)
+        del win.posted[0]
         win.consumed += 1
+        record.buffer.unconsumed -= 1
         if sp is not None:
             spans.end(sp, length=int(length))
         return CompletionInfo(head_addr=int(head), length=int(length), record=record)

@@ -12,8 +12,10 @@ in order (use static routing, as sockets-over-fabric deployments do).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Generator, Optional
 
+from ..memory.buffer import HostBuffer
 from ..memory.mwait import MWAIT, WakeupModel
 from ..nic.lut import BufferMode, EpochType
 from ..network.routing import RoutingMode
@@ -23,7 +25,12 @@ from .window import Window
 
 
 class StreamServer:
-    """Receiving end of a receiver-managed byte stream."""
+    """Receiving end of a receiver-managed byte stream.
+
+    Holds at most ``n_chunks + retain_epochs`` chunk buffers, where
+    ``retain_epochs`` is the depth of the NIC's rewind ring: a consumed
+    chunk is re-posted once it has left that ring (see :meth:`recv`).
+    """
 
     def __init__(self, api: RvmaApi, mailbox: int, chunk_size: int, n_chunks: int = 4) -> None:
         if chunk_size <= 0 or n_chunks <= 0:
@@ -33,6 +40,8 @@ class StreamServer:
         self.chunk_size = chunk_size
         self.n_chunks = n_chunks
         self.win: Optional[Window] = None
+        #: Consumed chunks, oldest first, that the rewind ring may still hold.
+        self._spent: deque[HostBuffer] = deque()
 
     def open(self) -> Generator:
         """Create the managed-mode window and arm its chunk buffers."""
@@ -50,11 +59,22 @@ class StreamServer:
         """Block until the next chunk completes; returns its bytes.
 
         Re-arms a replacement buffer so the stream never starves —
-        receiver-side resource management in action.
+        receiver-side resource management in action.  The replacement
+        is the chunk consumed ``retain_epochs`` completions ago: the
+        NIC's rewind ring holds the last ``retain_epochs`` completed
+        epochs, and that chunk is no longer one of them.  Until then,
+        and on a NIC that journals posts for crash recovery (whose
+        restore re-fills consumed epochs), a fresh chunk.
         """
         info = yield from self.api.wait_completion(self.win, wakeup)
         data = info.read_data()
-        yield from self.api.post_buffer(self.win, size=self.chunk_size)
+        spent = self._spent
+        if self.api.nic.op_journal is None:
+            spent.append(info.record.buffer)
+        if len(spent) > self.api.nic.lut.retain_epochs:
+            yield from self.api.post_buffer(self.win, buffer=spent.popleft())
+        else:
+            yield from self.api.post_buffer(self.win, size=self.chunk_size)
         return data
 
     def flush(self) -> Generator:

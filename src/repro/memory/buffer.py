@@ -15,11 +15,16 @@ class HostBuffer:
     bounds-checked against the buffer, not just the allocation.
     """
 
-    __slots__ = ("memory", "alloc",)
+    __slots__ = ("memory", "alloc", "line", "unconsumed")
 
     def __init__(self, memory: NodeMemory, alloc: Allocation) -> None:
         self.memory = memory
         self.alloc = alloc
+        #: Completion notification line of this buffer's first RVMA
+        #: posting, reused by later postings (see ``RvmaApi.post_buffer``).
+        self.line: Optional[int] = None
+        #: RVMA postings of this buffer not yet consumed by ``wait_completion``.
+        self.unconsumed = 0
 
     @classmethod
     def allocate(cls, memory: NodeMemory, size: int, label: str = "buf") -> "HostBuffer":

@@ -94,6 +94,11 @@ class NodeMemory:
         self._allocs.append(alloc)
         return alloc
 
+    @property
+    def allocation_count(self) -> int:
+        """Allocations made so far; none is freed (addresses are never reused)."""
+        return len(self._allocs)
+
     def find(self, addr: int, length: int = 1) -> Allocation:
         """Allocation containing [addr, addr+length), else MemoryFault."""
         a = self._last_hit

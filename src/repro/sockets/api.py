@@ -150,11 +150,9 @@ class Connection:
     def flush_peer_tail(self) -> Generator:
         """Surface a partially-filled incoming chunk now (push semantics)."""
         yield from self.rx.flush()
-        info = yield from self.rx.api.wait_completion(self.rx.win)
-        data = info.read_data()
+        data = yield from self.rx.recv()
         if data:
             self._pending.append(data)
-        yield from self.rx.api.post_buffer(self.rx.win, size=self.rx.chunk_size)
         return len(data)
 
     def close(self) -> Generator:

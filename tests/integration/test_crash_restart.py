@@ -132,6 +132,42 @@ def test_crash_restart_rejoin_cycle_end_to_end():
     assert report["checked"]["placements"] >= epochs
 
 
+def test_reposting_consumer_survives_crash_restart():
+    """A consumer that re-posts every buffer it consumes keeps exact
+    bytes across a crash.  The restore re-completes epochs the consumer
+    already took, so those completions must not land in the line of a
+    later posting of the same buffer: under a journaling NIC every
+    posting keeps its own notification line."""
+    size = 2_048
+    epochs = 8
+    cl, aud, mgr, inj = _recovering_pair()
+    inj.crash_restart(1, 20_000.0, 50_000.0)
+    api0, api1 = RvmaApi(cl.node(0)), RvmaApi(cl.node(1))
+
+    def producer():
+        yield 2_000.0
+        for step in range(epochs):
+            op = yield from api0.put(1, 0x9, data=_payload(step, size))
+            yield op.local_done
+            yield 7_000.0
+
+    def consumer():
+        win = yield from api1.init_window(0x9, epoch_threshold=size)
+        for _ in range(2):
+            yield from api1.post_buffer(win, size=size)
+        datas = []
+        for _step in range(epochs):
+            info = yield from api1.wait_completion(win)
+            datas.append(info.read_data())
+            yield from api1.post_buffer(win, buffer=info.record.buffer)
+        return datas
+
+    _, datas = run_gens(cl.sim, producer(), consumer())
+    assert [d == _payload(s, size) for s, d in enumerate(datas)] == [True] * epochs
+    assert len(mgr.report.rejoins) == 1
+    assert aud.report()["ok"]
+
+
 def test_checkpoint_deferred_stat_stays_quiescent_consistent():
     # Deferred checkpoints (non-quiescent pipeline at tick time) are
     # legal; what is not legal is finishing the run without any usable

@@ -268,3 +268,86 @@ def test_put_negative_args_rejected(rvma_pair):
     api0, _ = _apis(rvma_pair)
     with pytest.raises(RvmaApiError):
         next(api0.put(1, 0x1, size=-5))
+
+
+# --- retention: consumed postings and notification lines -----------------------
+
+
+def _line(api, record):
+    mem = api.node.memory
+    return mem.read_u64(record.notification_addr), mem.read_u64(record.length_addr)
+
+
+def test_win_get_buf_ptrs_skips_consumed_buffers(rvma_pair):
+    cl = rvma_pair
+    api0, api1 = _apis(cl)
+
+    def receiver():
+        win = yield from api1.init_window(0x110, epoch_threshold=8)
+        first = yield from api1.post_buffer(win, size=8)
+        second = yield from api1.post_buffer(win, size=8)
+        yield from api1.wait_completion(win)
+        # Re-arm the consumed buffer; a harvest must not hand it out
+        # while the NIC may refill it.
+        yield from api1.post_buffer(win, buffer=first.buffer)
+        yield 25000.0  # the second put completes the second buffer
+        return win, first, second
+
+    def sender():
+        yield 2000.0
+        for _ in range(2):
+            op = yield from api0.put(1, 0x110, size=8)
+            yield op.local_done
+            yield 3000.0
+
+    (win, first, second), _ = run_gens(cl.sim, receiver(), sender())
+    assert api1.win_get_buf_ptrs(win, count=10) == [second.buffer.addr]
+    assert win.consumed == 1 and win.buffers_outstanding == 2
+    assert [r.buffer for r in win.posted] == [second.buffer, first.buffer]
+
+
+def test_reposting_consumed_buffer_reuses_zeroed_line(rvma_pair):
+    cl = rvma_pair
+    api0, api1 = _apis(cl)
+    seen = {}
+
+    def receiver():
+        win = yield from api1.init_window(0x111, epoch_threshold=8)
+        first = yield from api1.post_buffer(win, size=8)
+        yield from api1.wait_completion(win)
+        seen["completed"] = _line(api1, first)
+        again = yield from api1.post_buffer(win, buffer=first.buffer)
+        seen["reposted"] = _line(api1, again)
+        info = yield from api1.wait_completion(win)
+        return first, again, info
+
+    def sender():
+        yield 2000.0
+        for _ in range(2):
+            op = yield from api0.put(1, 0x111, data=b"8 bytes!")
+            yield op.local_done
+            yield 20000.0
+
+    (first, again, info), _ = run_gens(cl.sim, receiver(), sender())
+    assert again.notification_addr == first.notification_addr
+    assert again.length_addr == first.length_addr
+    assert seen["completed"] == (first.buffer.addr, 8)
+    assert seen["reposted"] == (0, 0)
+    assert (info.head_addr, info.length) == (first.buffer.addr, 8)
+    assert info.read_data() == b"8 bytes!"
+
+
+def test_buffer_posted_twice_unconsumed_gets_two_lines(rvma_pair):
+    _, api1 = _apis(rvma_pair)
+
+    def proc():
+        win = yield from api1.init_window(0x112, epoch_threshold=8)
+        buf = HostBuffer.allocate(api1.node.memory, 8)
+        one = yield from api1.post_buffer(win, buffer=buf)
+        two = yield from api1.post_buffer(win, buffer=buf)
+        return one, two
+
+    one, two = run_gen(rvma_pair.sim, proc())
+    assert one.buffer is two.buffer
+    assert one.notification_addr != two.notification_addr
+    assert _line(api1, one) == _line(api1, two) == (0, 0)
