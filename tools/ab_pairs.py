@@ -6,9 +6,11 @@ Checks *ref* out into a temporary ``git worktree``, then runs
 ``bench/run.py --workload W`` N times in each tree, alternating A (the
 ref) and B (the working tree) and swapping which goes first every pair,
 so slow drift of the host lands on both sides.  Seed and run time are
-``bench/run.py``'s defaults.  It prints ``run_s`` pair by pair, then
-``bench/compare.py A B`` on the result files, and exits with that
-script's status.  The worktree and result files are removed afterwards.
+``bench/run.py``'s defaults.  It prints every ``end_to_end`` metric of
+``BENCHMARK.json`` pair by pair with B/A, counts the pairs in which B is
+better on each, then runs ``bench/compare.py A B`` on the result files
+and exits with that script's status.  The worktree and result files are
+removed afterwards.
 """
 
 from __future__ import annotations
@@ -23,15 +25,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench(tree: Path, workload: str, out: Path) -> float:
-    """One untraced ``bench/run.py`` run in *tree*; returns its ``run_s``."""
+def bench(tree: Path, workload: str, out: Path) -> dict:
+    """One untraced ``bench/run.py`` run in *tree*; returns its end-to-end
+    metric values by name."""
     cmd = [
         sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
         "--out", str(out),
     ]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
     last = json.loads(proc.stdout.strip().splitlines()[-1])
-    return last["metrics"]["run_s"]["value"]
+    return {name: m["value"] for name, m in last["metrics"].items()}
 
 
 def main(argv=None) -> int:
@@ -40,6 +43,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="sweep3d-fig7")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         out = Path(tmp) / "results"
@@ -47,17 +52,21 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "add", "--detach", str(ref_tree), args.ref],
                        cwd=ROOT, check=True)
         try:
-            wins = 0
-            print(f"{'pair':>4s} {'A run_s':>9s} {'B run_s':>9s} {'B/A':>6s}")
+            wins = dict.fromkeys(metrics, 0)
+            print("pair " + " ".join(f"{f'A {n}':>13s} {f'B {n}':>13s} {'B/A':>6s}" for n in metrics))
             for i in range(args.pairs):
                 sides = [("A", ref_tree), ("B", ROOT)]
                 if i % 2:
                     sides.reverse()
-                run_s = {side: bench(tree, args.workload, out / side) for side, tree in sides}
-                wins += run_s["B"] < run_s["A"]
-                print(f"{i:4d} {run_s['A']:9.4f} {run_s['B']:9.4f} "
-                      f"{run_s['B'] / run_s['A']:6.3f}", flush=True)
-            print(f"B faster in {wins} of {args.pairs} pairs")
+                runs = {side: bench(tree, args.workload, out / side) for side, tree in sides}
+                cells = []
+                for name, better in metrics.items():
+                    a, b = runs["A"][name], runs["B"][name]
+                    wins[name] += b > a if better == "higher" else b < a
+                    cells.append(f"{a:13.4f} {b:13.4f} {b / a:6.3f}")
+                print(f"{i:4d} " + " ".join(cells), flush=True)
+            for name, better in metrics.items():
+                print(f"B better ({better}) on {name} in {wins[name]} of {args.pairs} pairs")
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(ref_tree)],
                            cwd=ROOT, check=True)
