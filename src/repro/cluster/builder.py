@@ -44,7 +44,6 @@ class Cluster:
         nic_config: Optional[Union[RvmaNicConfig, RdmaNicConfig]] = None,
         seed: int = 0xC0FFEE,
         sim: Optional[Simulator] = None,
-        trace: bool = False,
     ) -> "Cluster":
         """Construct a cluster.
 
@@ -56,7 +55,7 @@ class Cluster:
         """
         if fidelity not in FIDELITIES:
             raise ValueError(f"fidelity must be one of {FIDELITIES}")
-        sim = sim or Simulator(seed=seed, trace=trace)
+        sim = sim or Simulator(seed=seed)
         topo = (
             topology
             if isinstance(topology, Topology)

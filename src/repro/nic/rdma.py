@@ -194,7 +194,6 @@ class RdmaNic(BaseNic):
         signaled: bool = True,
     ) -> RdmaOp:
         """Two-sided send; consumes a posted recv at the target."""
-        self.trace("send_posted", size=size, tag=tag)
         hdr = RdmaSendHeader(total_size=size, tag=tag)
         op = RdmaOp(
             hdr.op_id,
@@ -291,8 +290,6 @@ class RdmaNic(BaseNic):
             return
         self._op_bytes.pop(hdr.op_id, None)
         # Whole op placed: coalesced transport ack back to the initiator.
-        self.trace("write_placed", op=hdr.op_id, n=hdr.total_size)
-        self.trace("ack_sent", op=hdr.op_id)
         self.send_control(src, AckHeader(op_id=hdr.op_id))
         if hdr.imm is not None:
             # Immediate data produces a *target-side* CQ entry; it

@@ -225,7 +225,6 @@ class RvmaNic(BaseNic):
                 return
             if self.op_journal is not None:
                 self.op_journal.note_init(entry.mailbox, threshold_type, mode)
-            self.trace("init_window", mailbox=mailbox)
             fut.resolve(entry)
 
         self.sim.post(self.cfg.issue_latency(), do)
@@ -389,7 +388,6 @@ class RvmaNic(BaseNic):
                 return
             if self.op_journal is not None:
                 self.op_journal.note_attach(binding.mailbox, handler)
-            self.trace("attach_handler", mailbox=mailbox, kind=handler.kind)
             fut.resolve(binding)
 
         self.sim.post(self.cfg.issue_latency(), do)
@@ -652,7 +650,6 @@ class RvmaNic(BaseNic):
             buf._obs_span = spans.begin(
                 "nic", "epoch_fill", nic=self.name, mailbox=entry.mailbox
             )
-        self.trace("put_placed", mailbox=entry.mailbox, off=place_off, n=nbytes)
 
         if entry.threshold_type is EpochType.EPOCH_BYTES:
             buf.counter += nbytes
@@ -786,7 +783,6 @@ class RvmaNic(BaseNic):
             pb,
             record,
         )
-        self.trace("epoch_complete", mailbox=entry.mailbox, epoch=record.epoch)
         # Replay cascade: a restored successor pinned at an
         # already-satisfied boundary (e.g. a zero-length flush epoch)
         # retires the moment it becomes active, keeping the rebuilt
@@ -797,7 +793,6 @@ class RvmaNic(BaseNic):
         return record
 
     def _write_completion(self, pb: PostedBuffer, record: RetiredBuffer) -> None:
-        self.trace("completion_written", epoch=record.epoch, length=record.length)
         self.memory.write_u64(pb.notification_addr, record.head_addr)
         self.memory.write_u64(pb.length_addr, record.length)
 

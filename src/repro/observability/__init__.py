@@ -8,9 +8,9 @@ Three pieces, one instrumentation surface:
   ``recovery.replayed_msgs``), every one declared in
   :data:`~repro.observability.metrics.CATALOG`.
 - :class:`SpanTracer` records sim-time/wall-time intervals with parent
-  links and per-category enable flags, layered over the flat
-  :class:`~repro.sim.trace.Tracer`.  Every :class:`~repro.sim.engine.Simulator`
-  owns one at ``sim.spans``.
+  links and per-category enable flags; it is the simulator's one
+  tracing path.  Every :class:`~repro.sim.engine.Simulator` owns one at
+  ``sim.spans``.
 - :class:`RunReport` snapshots both into a JSON + markdown artifact,
   with top-N hottest-span profiling hooks; :func:`scrub_report` zeroes
   its wall-clock fields so replayed reports compare byte for byte.

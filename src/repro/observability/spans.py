@@ -1,14 +1,14 @@
-"""Span-style tracing layered on the flat :mod:`repro.sim.trace`.
+"""Span-style tracing: the simulator's one tracing path.
 
 A span is an interval with simulated start/end times (and wall-clock
 times for profiling), a category, optional parent link, and free-form
-fields.  The flat :class:`~repro.sim.trace.Tracer` records *instants*;
-spans record *durations*, which is what profiling and report generation
-need ("where did the sim-time go: NIC pipeline, transport, or fabric?").
+fields.  Spans record *durations*, which is what profiling and report
+generation need ("where did the sim-time go: NIC pipeline, transport,
+or fabric?").
 
 This module deliberately imports nothing from the rest of ``repro`` —
 the engine imports it, so any upward import would be a cycle.  Clocks
-and the optional mirror tracer are passed in duck-typed.
+are passed in as plain callables.
 """
 
 from __future__ import annotations
@@ -98,20 +98,16 @@ class SpanTracer:
     check (``spans.active``), so instrumented components cost nearly
     nothing in benchmark runs.  ``enable()`` with no arguments turns on
     every category; ``enable("transport", "recovery")`` turns on just
-    those.  When a mirror :class:`~repro.sim.trace.Tracer` is attached
-    and enabled, span begin/end also land there as flat entries under
-    ``span.<category>`` so existing trace tooling sees them.
+    those.
     """
 
     def __init__(
         self,
         clock: Callable[[], float],
-        tracer: Any = None,
         wall_clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self._clock = clock
         self._wall_clock = wall_clock
-        self._tracer = tracer
         self.active = False
         self._categories: Optional[set[str]] = None  # None => all when active
         self._spans: list[Span] = []
@@ -172,8 +168,6 @@ class SpanTracer:
         )
         self._next_id += 1
         self._spans.append(sp)
-        if self._tracer is not None:
-            self._tracer.record(f"span.{category}", f"begin {name}", **fields)
         return sp
 
     def end(self, span: Optional[Span], **fields: Any) -> None:
@@ -184,13 +178,6 @@ class SpanTracer:
         span.wall_end = self._wall_clock()
         if fields:
             span.fields.update(fields)
-        if self._tracer is not None:
-            self._tracer.record(
-                f"span.{span.category}",
-                f"end {span.name}",
-                sim_time=span.sim_time,
-                **fields,
-            )
 
     @contextmanager
     def span(self, category: str, name: str, **fields: Any) -> Iterator[Optional[Span]]:

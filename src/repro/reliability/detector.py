@@ -146,7 +146,6 @@ class FailureDetector:
         self._last_heard[peer] = self.sim.now
         self.nic.stat("detector.peers_reinstated").add()
         self.sim.spans.end(self._susp_spans.pop(peer, None), outcome="reinstated")
-        self.nic.trace("peer_reinstated", peer=peer)
 
     def shutdown(self) -> None:
         """Deactivate this detector forever (its NIC crashed): every
@@ -179,7 +178,6 @@ class FailureDetector:
             self._susp_spans[peer] = spans.begin(
                 "detector", "suspicion", observer=self.nic.name, peer=peer, reason=reason
             )
-        self.nic.trace("peer_suspected", peer=peer, reason=reason)
         w = self._watches.get(peer)
         if w is not None:
             w.active = False

@@ -228,7 +228,6 @@ class ReliableTransport:
             fl.pending.pop(seq, None)
             self.nic.stat("transport.gave_up").add()
             self.sim.spans.end(rec.span, outcome="gave_up", attempts=rec.attempts)
-            self.nic.trace("rel_give_up", dst=dst, flow=flow, seq=seq)
             if self.on_give_up is not None:
                 self.on_give_up(dst, f"retry budget exhausted (flow {flow:#x} seq {seq})")
             return

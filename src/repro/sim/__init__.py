@@ -13,7 +13,6 @@ from .link import Link, SerializingLink
 from .process import AllOf, Future, SimProcess, spawn
 from .rng import RngRegistry
 from .stats import Counter, Histogram, StatsRegistry, Summary
-from .trace import TraceEntry, Tracer
 
 __all__ = [
     "AllOf",
@@ -34,7 +33,5 @@ __all__ = [
     "Simulator",
     "StatsRegistry",
     "Summary",
-    "TraceEntry",
-    "Tracer",
     "spawn",
 ]

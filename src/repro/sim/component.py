@@ -60,8 +60,7 @@ class Component:
     """Base class for all simulated hardware/software elements.
 
     Subclasses create ports with :meth:`add_port` and schedule work via
-    ``self.sim.schedule``.  Registration with the simulator enables
-    post-run introspection.
+    ``self.sim.schedule``.
     """
 
     def __init__(self, sim: "Simulator", name: str) -> None:
@@ -71,7 +70,6 @@ class Component:
         #: metric name -> Counter; skips the registry lookup on every
         #: stat() call (NIC fast paths bump several per packet).
         self._stat_cache: dict[str, Any] = {}
-        sim.register_component(self)
 
     def add_port(self, name: str, handler: Optional[Callable[[Any], None]] = None) -> Port:
         if name in self.ports:
@@ -91,11 +89,6 @@ class Component:
         if c is None:
             c = self._stat_cache[name] = self.sim.stats.counter(name, self.name)
         return c
-
-    def trace(self, message: str, **fields: Any) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.record(self.name, message, **fields)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name}>"

@@ -1,8 +1,8 @@
 """The discrete-event simulation engine.
 
 This is the stand-in for SST's core: a deterministic event heap with a
-current simulated time, plus registries for components, statistics and
-tracing.  Everything else in the reproduction (links, NICs, switches,
+current simulated time, plus the run's random streams, statistics and
+span tracer.  Everything else in the reproduction (links, NICs, switches,
 motifs) is built from callbacks scheduled here.
 
 Determinism: events at equal times run in (priority, insertion-order),
@@ -56,7 +56,6 @@ from repro.observability.spans import SpanTracer
 from .event import Event, PRIORITY_NORMAL
 from .rng import RngRegistry
 from .stats import StatsRegistry
-from .trace import Tracer
 
 #: Compaction trigger floor: don't bother rebuilding tiny heaps.
 _COMPACT_MIN_GARBAGE = 64
@@ -78,9 +77,6 @@ class Simulator:
     ----------
     seed:
         Master seed for all random streams drawn via :attr:`rng`.
-    trace:
-        When true, the :attr:`tracer` records every traced event
-        (components call ``sim.tracer.record(...)``).
 
     Examples
     --------
@@ -96,25 +92,21 @@ class Simulator:
         "now",
         "_heap",
         "_seq",
-        "_running",
         "events_executed",
         "_cancelled",
         "_garbage",
         "rng",
         "stats",
-        "tracer",
         "spans",
-        "_components",
         "_next",
         "_woken",
     )
 
-    def __init__(self, seed: int = 0xC0FFEE, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0xC0FFEE) -> None:
         self.now: float = 0.0
         #: heap of (time, priority, seq, (fn, args)-or-Event) tuples.
         self._heap: list[tuple] = []
         self._seq = 0
-        self._running = False
         self.events_executed = 0
         #: total queued events ever cancelled; pending count is derived
         #: (created - executed - cancelled) so the post/run hot paths
@@ -124,9 +116,7 @@ class Simulator:
         self._garbage = 0
         self.rng = RngRegistry(seed)
         self.stats = StatsRegistry()
-        self.tracer = Tracer(enabled=trace, clock=lambda: self.now)
-        self.spans = SpanTracer(clock=lambda: self.now, tracer=self.tracer)
-        self._components: list[Any] = []
+        self.spans = SpanTracer(clock=lambda: self.now)
         #: the next-event slot: a woken heap entry, None (empty) or
         #: _CLOSED (not draining).
         self._next: tuple = _CLOSED
@@ -228,19 +218,6 @@ class Simulator:
         heapq.heapify(heap)
         self._garbage = 0
 
-    # --- component registry ----------------------------------------------------
-
-    def register_component(self, comp: Any) -> None:
-        """Track a component for introspection/finalization."""
-        self._components.append(comp)
-        # A tracer swapped in standalone (its default clock stamps 0.0)
-        # picks up simulated time the moment real components attach.
-        self.tracer.bind_clock(lambda: self.now)
-
-    @property
-    def components(self) -> tuple:
-        return tuple(self._components)
-
     # --- execution ----------------------------------------------------------
 
     def _halt(self, time: float, prio: int, seq: int, payload: Any, until: float) -> None:
@@ -264,8 +241,12 @@ class Simulator:
         heap drains, the next live event lies beyond ``until``, or
         ``budget`` events have run (a negative budget never runs out).
         Cancelled entries are dropped as they surface.  The next-event
-        slot (:meth:`wake`) is open only in here.
+        slot (:meth:`wake`) is open only in here, and an open slot marks
+        a drain in progress: a ``run()`` or ``step()`` from inside an
+        event would close it under the outer drain, so it raises.
         """
+        if self._next is not _CLOSED:
+            raise SimulationError("the event loop is not reentrant")
         self._next = None
         try:
             self._run_events(until, budget)
@@ -332,9 +313,6 @@ class Simulator:
         leave GC alone: KV harnesses call them thousands of times over
         a long-lived object graph, and pausing there grows peak memory.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
         gc_paused = until is None and max_events is None and gc.isenabled()
         if gc_paused:
             gc.disable()
@@ -344,7 +322,6 @@ class Simulator:
                 -1 if max_events is None else max(max_events, 0),
             )
         finally:
-            self._running = False
             if gc_paused:
                 gc.enable()
         return self.now

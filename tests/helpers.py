@@ -15,7 +15,6 @@ from repro.sim.engine import SimulationError
 from repro.sim.event import Event, PRIORITY_NORMAL
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 
 class ReferenceSimulator:
@@ -28,7 +27,7 @@ class ReferenceSimulator:
     optimized engine must match event-for-event.
     """
 
-    def __init__(self, seed: int = 0xC0FFEE, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0xC0FFEE) -> None:
         self.now: float = 0.0
         self._heap: list[tuple] = []
         self._seq = 0
@@ -36,7 +35,6 @@ class ReferenceSimulator:
         self.events_executed = 0
         self.rng = RngRegistry(seed)
         self.stats = StatsRegistry()
-        self.tracer = Tracer(enabled=trace, clock=lambda: self.now)
 
     def schedule(
         self,

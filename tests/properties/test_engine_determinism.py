@@ -126,17 +126,18 @@ def test_motif_identical_on_reference_fabric(monkeypatch):
 
 
 def test_trace_stream_deterministic(fabric_impl):
-    """With tracing on, the recorded trace stream is identical per seed."""
+    """With tracing on, the recorded span stream is identical per seed."""
 
     def traced() -> list:
         cl = Cluster.build(
             n_nodes=5, topology="star", nic_type="rvma", fidelity="packet",
-            seed=SEED, trace=True,
+            seed=SEED,
         )
+        cl.sim.spans.enable()
         Incast(cl, RvmaProtocol(), msgs_per_client=2, msg_bytes=4 * 1024).run()
         return [
-            (e.time, e.category, e.message, tuple(sorted(e.fields.items())))
-            for e in cl.sim.tracer.entries
+            (s.start, s.end, s.category, s.name, tuple(sorted(s.fields.items())))
+            for s in cl.sim.spans
         ]
 
     first = traced()

@@ -15,7 +15,6 @@ class _Probe(Component):
 def test_component_registration_and_ports():
     sim = Simulator()
     c = _Probe(sim, "probe0")
-    assert c in sim.components
     assert c.port("rx") is c.rx
     assert c.rx.full_name == "probe0.rx"
     with pytest.raises(ValueError):
@@ -29,17 +28,6 @@ def test_component_stats_are_namespaced():
     b.stat("nic.rvma.tx_messages").add(5)
     assert a.stat("nic.rvma.tx_messages") is sim.stats.counter("nic.rvma.tx_messages", "a")
     assert sim.stats.instances("nic.rvma.tx_messages") == {"a": 2, "b": 5}
-
-
-def test_component_trace_respects_enablement():
-    sim = Simulator(trace=True)
-    c = _Probe(sim, "traced")
-    c.trace("something happened", detail=1)
-    assert len(sim.tracer.filter("traced")) == 1
-    sim2 = Simulator()  # tracing off by default
-    c2 = _Probe(sim2, "silent")
-    c2.trace("dropped")
-    assert len(sim2.tracer) == 0
 
 
 def test_port_without_handler_raises_on_delivery():

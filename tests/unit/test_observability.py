@@ -173,17 +173,6 @@ def test_span_top_n_and_summary():
     assert open_sp.open
 
 
-def test_span_mirrors_into_flat_tracer():
-    from repro.sim.trace import Tracer
-
-    flat = Tracer(enabled=True)
-    spans = SpanTracer(clock=lambda: 0.0, tracer=flat, wall_clock=lambda: 0.0)
-    spans.enable()
-    spans.end(spans.begin("transport", "send"))
-    cats = [e.category for e in flat.entries]
-    assert cats == ["span.transport", "span.transport"]
-
-
 def test_span_chrome_trace_shapes():
     spans, t = _tracer([0.0])
     spans.enable()

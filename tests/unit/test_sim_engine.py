@@ -5,8 +5,10 @@ import pytest
 from repro.sim import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
+    Future,
     SimulationError,
     Simulator,
+    spawn,
 )
 
 
@@ -130,6 +132,48 @@ def test_run_not_reentrant():
     sim.schedule(1.0, reenter)
     sim.run()
     assert seen == [True]
+
+
+def test_step_inside_an_event_raises_and_keeps_its_wake():
+    """A nested ``step()`` must not close the outer drain's next-event
+    slot: the wake the event made still runs, and the outer run ends
+    cleanly instead of tripping over the emptied slot."""
+    sim = Simulator()
+    fut = Future(sim)
+    got, errors = [], []
+
+    def waiter():
+        got.append((yield fut))
+
+    def outer():
+        fut.resolve(7)
+        try:
+            sim.step()
+        except SimulationError:
+            errors.append("step")
+
+    spawn(sim, waiter())
+    sim.post(1.0, outer)
+    sim.run()
+    assert errors == ["step"] and got == [7]
+
+
+def test_run_inside_a_step_raises():
+    sim = Simulator()
+    errors, later = [], []
+
+    def reenter():
+        try:
+            sim.run()
+        except SimulationError:
+            errors.append("run")
+
+    sim.post(1.0, reenter)
+    sim.post(2.0, later.append, 2.0)
+    assert sim.step() is True
+    assert errors == ["run"] and later == [] and sim.now == 1.0
+    sim.run()
+    assert later == [2.0]
 
 
 def test_events_executed_counter():

@@ -11,8 +11,8 @@ from repro.sim import (
     RngRegistry,
     SerializingLink,
     Simulator,
-    Tracer,
 )
+from repro.observability import SpanTracer
 from repro.units import (
     fmt_bytes,
     fmt_gbps,
@@ -108,22 +108,28 @@ def test_histogram_validation():
 
 
 def test_tracer_disabled_records_nothing():
-    t = Tracer(enabled=False)
-    t.record("cat", "msg")
-    assert len(t) == 0
+    t = SpanTracer(clock=lambda: 0.0)
+    t.enable()
+    kept = t.begin("nic0", "fill")
+    t.disable()
+    assert t.begin("nic0", "late") is None
+    t.end(kept)  # a span opened while enabled still closes
+    assert [s.name for s in t] == ["fill"] and not kept.open
 
 
 def test_tracer_filtering():
     now = [0.0]
-    t = Tracer(enabled=True, clock=lambda: now[0])
-    t.record("nic0", "put sent", size=8)
+    t = SpanTracer(clock=lambda: now[0])
+    t.enable()
+    t.end(t.begin("nic0", "put sent", size=8))
     now[0] = 5.0
-    t.record("nic1", "put received")
-    t.record("nic1", "completion written")
-    assert len(t.filter("nic1")) == 2
-    assert len(t.filter(contains="completion")) == 1
-    assert t.filter("nic0")[0].fields == {"size": 8}
-    assert "put sent" in t.dump()
+    t.end(t.begin("nic1", "put received"))
+    t.end(t.begin("nic1", "completion written"))
+    assert len(t.spans("nic1")) == 2
+    assert len(t.spans("nic")) == 3  # a category filter is a prefix
+    assert t.spans("nic0")[0].fields == {"size": 8}
+    assert t.spans("nic1")[0].start == 5.0
+    assert t.categories() == ["nic0", "nic1"]
 
 
 # --- links ------------------------------------------------------------------
@@ -211,18 +217,21 @@ def test_formatting():
 
 def test_chrome_trace_export(tmp_path):
     now = [0.0]
-    t = Tracer(enabled=True, clock=lambda: now[0])
-    t.record("nic0", "put_placed", n=64)
+    t = SpanTracer(clock=lambda: now[0])
+    t.enable()
+    placed = t.begin("nic0", "put_placed", n=64)
     now[0] = 1500.0
-    t.record("nic1", "completion_written", epoch=0)
+    t.end(placed)
+    t.begin("nic1", "completion_written", epoch=0)
     events = t.to_chrome_trace()
     assert len(events) == 2
     assert events[0]["tid"] == "nic0" and events[0]["ts"] == 0.0
-    assert events[1]["ts"] == 1.5  # ns -> us
+    assert events[0]["dur"] == 1.5  # ns -> us
+    assert events[1]["ts"] == 1.5
     assert events[1]["args"] == {"epoch": 0}
     out = tmp_path / "trace.json"
-    assert t.save_chrome_trace(str(out)) == 2
     import json
 
+    out.write_text(json.dumps({"traceEvents": events}))
     data = json.loads(out.read_text())
-    assert len(data["traceEvents"]) == 2
+    assert data["traceEvents"] == events

@@ -1,19 +1,15 @@
-"""Edge cases for the stats primitives and the flat tracer.
+"""Edge cases for the stats primitives.
 
 Covers the seams the observability layer leans on: Histogram merge
-semantics (empty / single-sample / binning mismatch), Summary.merge
-(Chan's combine must match single-pass accumulation), Tracer.filter
-semantics, and the clock-binding regression — a standalone tracer must
-start stamping simulated time once attached to a running engine.
+semantics (empty / single-sample / binning mismatch) and Summary.merge
+(Chan's combine must match single-pass accumulation).
 """
 
 import math
 
 import pytest
 
-from repro.sim import Simulator
 from repro.sim.stats import Histogram, Summary
-from repro.sim.trace import Tracer
 
 
 # --- Histogram -----------------------------------------------------------
@@ -116,58 +112,3 @@ def test_summary_merge_empty_sides():
 def test_summary_empty_properties():
     s = Summary("s")
     assert s.n == 0 and s.mean == 0.0 and s.variance == 0.0 and s.stddev == 0.0
-
-
-# --- Tracer filter semantics --------------------------------------------
-
-
-def test_tracer_filter_prefix_and_contains():
-    t = Tracer(enabled=True)
-    t.record("nic.rvma", "place done", n=1)
-    t.record("nic.rdma", "write done")
-    t.record("fabric", "deliver place")
-    assert len(t.filter("nic")) == 2
-    assert len(t.filter("nic.rvma")) == 1
-    assert len(t.filter(contains="place")) == 2
-    assert len(t.filter("nic", contains="place")) == 1
-    assert t.filter("nosuch") == []
-
-
-def test_tracer_disabled_records_nothing():
-    t = Tracer(enabled=False)
-    t.record("cat", "msg")
-    assert len(t) == 0
-
-
-# --- Clock binding regression --------------------------------------------
-
-
-def test_standalone_tracer_stamps_zero_until_bound():
-    t = Tracer(enabled=True)
-    assert not t.clock_bound
-    t.record("cat", "early")
-    assert t.entries[0].time == 0.0
-
-
-def test_engine_binds_swapped_in_tracer_clock():
-    """A tracer built standalone then swapped into a sim must pick up
-    simulated time at component registration (regression: entries kept
-    stamping 0.0 forever)."""
-    sim = Simulator()
-    standalone = Tracer(enabled=True)
-    sim.tracer = standalone
-    sim.register_component(object())  # any component attach binds the clock
-    assert standalone.clock_bound
-    sim.schedule(5.0, standalone.record, "cat", "later")
-    sim.run()
-    assert standalone.entries[-1].time == 5.0
-
-
-def test_bind_clock_does_not_clobber_existing_clock():
-    t = Tracer(enabled=True, clock=lambda: 42.0)
-    t.bind_clock(lambda: 7.0)  # already bound -> no-op
-    t.record("cat", "msg")
-    assert t.entries[0].time == 42.0
-    t.bind_clock(lambda: 7.0, force=True)
-    t.record("cat", "msg2")
-    assert t.entries[1].time == 7.0

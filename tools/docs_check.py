@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation drift gate (``make docs-check``).
 
-Five checks, all fatal on failure:
+Six checks, all fatal on failure:
 
 1. **API coverage** — every public symbol exported from
    ``repro.__init__`` (its ``__all__``) and every public method of
@@ -24,6 +24,12 @@ Five checks, all fatal on failure:
    nic/transport/recovery/fabric, with >= 3 span categories, and with
    every reported metric declared in the CATALOG (hence documented, by
    check 2).
+6. **Dotted name resolution** — every backticked dotted ``repro.`` name
+   (optionally ``~``-prefixed, as Sphinx roles write it) in
+   ``docs/*.md`` and ``README.md`` must import or resolve by
+   ``getattr``, so a deleted or renamed module, class or function
+   cannot linger in the prose.  Names the API generator cut off with
+   ``...`` are skipped.
 
 Run from the repo root:
 
@@ -33,6 +39,7 @@ Run from the repo root:
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -158,6 +165,40 @@ def check_live_report() -> list[str]:
     return problems
 
 
+#: A backticked dotted ``repro.`` name, ending at its closing backtick
+#: or at the ``...`` of a truncated API.md summary line.
+_REPRO_NAME = re.compile(r"`~?(repro(?:\.\w+)+)(`|\.\.\.)")
+
+
+def resolves(dotted: str) -> bool:
+    """Whether *dotted* names a module, or an attribute reached from the
+    longest importable module prefix by ``getattr``."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names() -> list[str]:
+    problems = []
+    for path in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for name, end in _REPRO_NAME.findall(line):
+                if end == "`" and not resolves(name):
+                    problems.append(
+                        f"{path.relative_to(ROOT)}:{lineno}: `{name}` does not resolve"
+                    )
+    return problems
+
+
 def main() -> int:
     problems = []
     problems += check_api_coverage()
@@ -165,6 +206,7 @@ def main() -> int:
     problems += check_metric_rows()
     problems += check_ledger_cells()
     problems += check_live_report()
+    problems += check_dotted_names()
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
         for p in problems:
@@ -172,7 +214,7 @@ def main() -> int:
         return 1
     print(
         "docs-check: API.md, OBSERVABILITY.md and PERFORMANCE.md cover every "
-        "public symbol, metric and ledger cell"
+        "public symbol, metric and ledger cell; every documented repro name resolves"
     )
     return 0
 
