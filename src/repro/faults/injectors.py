@@ -123,7 +123,7 @@ class FaultInjector:
             self._dead_nodes.add(node_id)
             self.log.node_failures.append((node_id, self.sim.now))
 
-        self.sim.schedule_at(time, do)
+        self.sim.post_at(time, do)
 
     def node_is_dead(self, node_id: int) -> bool:
         """Whether *node_id* has been killed by this injector."""
@@ -147,7 +147,7 @@ class FaultInjector:
             for cb in list(self.on_crash):
                 cb(node_id)
 
-        self.sim.schedule_at(self.sim.now if at is None else at, do)
+        self.sim.post_at(self.sim.now if at is None else at, do)
 
     def restart_node(self, node_id: int, at: Optional[float] = None) -> None:
         """Restart a crash-stopped node: it accepts traffic again but
@@ -161,7 +161,7 @@ class FaultInjector:
             for cb in list(self.on_restart):
                 cb(node_id)
 
-        self.sim.schedule_at(self.sim.now if at is None else at, do)
+        self.sim.post_at(self.sim.now if at is None else at, do)
 
     def crash_restart(self, node_id: int, crash_at: float, restart_at: float) -> None:
         """Schedule a full crash-stop + restart cycle for one node."""
@@ -290,14 +290,13 @@ class FaultInjector:
         """Mirror a fault window into the fabric's routing state.
 
         Before this existed the fabric kept scoring (and handing out)
-        paths through failed links and switches: its ``_scored_paths`` /
-        route caches bake ``_free_at`` channel handles in at build time
-        and nothing invalidated them across ``fail_switch`` /
-        ``flap_link``.  Marking the element down via
-        ``set_link_state`` / ``set_switch_state`` invalidates those
-        caches and steers *adaptive* routing around the element for the
-        duration of the window (static routing stays oblivious, matching
-        the drop-window semantics).  No-op on fabrics without route
+        paths through failed links and switches: its route cache bakes
+        the allowed-candidate set in at build time and nothing
+        invalidated it across ``fail_switch`` / ``flap_link``.  Marking
+        the element down via ``set_link_state`` / ``set_switch_state``
+        invalidates that cache and steers *adaptive* routing around
+        the element for the duration of the window (static routing
+        stays oblivious, matching the drop-window semantics).  No-op on fabrics without route
         state (e.g. bespoke test doubles)."""
         fabric = getattr(self.cluster, "fabric", None)
         if fabric is None or not hasattr(fabric, "set_switch_state"):

@@ -1,4 +1,4 @@
-"""Network substrate: messages, topologies, routing, switches, fabrics."""
+"""Network substrate: messages, topologies, routing, fabrics."""
 
 from .config import LINK_RATES, NetworkConfig
 from .fabric import BaseFabric, FlowFabric
@@ -10,8 +10,8 @@ from .message import (
     Message,
     Packet,
 )
-from .routing import PathChoice, RoutingMode, choose_path
-from .switch import PacketFabric, Switch
+from .routing import RoutingMode
+from .switch import PacketFabric
 from .topology import (
     TOPOLOGY_KINDS,
     Dragonfly,
@@ -38,13 +38,10 @@ __all__ = [
     "Packet",
     "PacketFabric",
     "PACKET_HEADER_BYTES",
-    "PathChoice",
     "RoutingMode",
     "Star",
-    "Switch",
     "Topology",
     "TOPOLOGY_KINDS",
     "Torus3D",
-    "choose_path",
     "make_topology",
 ]

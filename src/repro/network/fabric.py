@@ -1,9 +1,12 @@
 """Fabric base: channel bookkeeping shared by both fidelities.
 
 A *channel* is one direction of one cable: node->switch (injection),
-switch->switch, or switch->node (ejection).  Fabrics track per-channel
-``free_at`` horizons; the flow fabric reserves channels per message,
-the packet fabric per packet via real switch components.
+switch->switch, or switch->node (ejection).  Both fidelities share one
+channel index space and its per-channel tables: the ``free_at``
+horizons, the ``channel_bytes`` counters and the cached per-pair
+channel routes (:meth:`BaseFabric._pair_routes`).  The flow fabric
+reserves channels per message, the packet fabric per packet; both pick
+adaptive routes with :meth:`BaseFabric._select_route`.
 
 Both fabrics present the same interface to NICs::
 
@@ -55,13 +58,10 @@ class BaseFabric(Component):
         self.channel_bytes = [0] * self.n_channels
         #: per-channel crossing latency, precomputed (hot path).
         self._chan_latency = [self.channel_latency(ch) for ch in range(idx)]
-        #: (src, dst) -> (static_chans, static_hops, ((chans, penalty, hops), ...))
-        #: — topology routes are immutable, so cache them per pair.
+        #: (src, dst) -> ((static_chans, static_hops),
+        #: ((chans, penalty, hops), ...), allowed) — topology routes are
+        #: immutable, so cache them per pair.
         self._route_cache: dict[tuple[int, int], tuple] = {}
-        #: (src, dst) -> (static_path, candidate_paths, allowed) switch
-        #: lists; the packet fabric routes per packet, and recomputing
-        #: Valiant/derouted candidates per packet dominated its profile.
-        self._paths_cache: dict[tuple[int, int], tuple] = {}
         #: fault-state marks pushed by the fault injector: element ->
         #: outstanding down-window count.  Counters (not booleans) so
         #: overlapping windows on the same element compose; an element
@@ -153,8 +153,8 @@ class BaseFabric(Component):
 
         Injection: NIC-to-switch cable plus the first switch's pipeline;
         switch links: cable plus the downstream switch's pipeline;
-        ejection: switch-to-NIC cable only.  This matches the packet
-        fabric, where Switch components charge their own pipeline.
+        ejection: switch-to-NIC cable only.  The packet fabric charges
+        the cable and each switch's pipeline as separate steps instead.
         """
         if ch < self._eje_base:
             return self.config.injection_latency + self.config.switch_latency
@@ -171,8 +171,8 @@ class BaseFabric(Component):
         selection avoids candidates crossing a down element (static
         routing stays oblivious, matching the drop-window semantics:
         a static route through a dead element is simply dropped).
-        Every transition invalidates the route caches — cached scorer
-        handles and allowed-candidate sets would otherwise go stale.
+        Every transition invalidates the route cache — its
+        allowed-candidate sets would otherwise go stale.
         """
         counts = self._down_switches
         if up:
@@ -183,7 +183,7 @@ class BaseFabric(Component):
                 counts[switch_id] = n
         else:
             counts[switch_id] = counts.get(switch_id, 0) + 1
-        self._invalidate_route_caches()
+        self._route_cache.clear()
 
     def set_link_state(self, u: int, v: int, up: bool) -> None:
         """Mark the switch link u<->v down or back up for routing."""
@@ -197,12 +197,7 @@ class BaseFabric(Component):
                 counts[edge] = n
         else:
             counts[edge] = counts.get(edge, 0) + 1
-        self._invalidate_route_caches()
-
-    def _invalidate_route_caches(self) -> None:
-        """Drop every cached route/score structure (fault transitions)."""
         self._route_cache.clear()
-        self._paths_cache.clear()
 
     def _path_blocked(self, path_switches: list[int]) -> bool:
         """Does *path_switches* traverse a currently-down element?"""
@@ -234,29 +229,6 @@ class BaseFabric(Component):
 
     # --- routing ----------------------------------------------------------------
 
-    def _pair_paths(self, src: int, dst: int) -> tuple:
-        """Cached (static_path, candidate_paths, allowed) for a node pair.
-
-        Topology routes are pure functions of the immutable topology;
-        callers must not mutate the returned lists.  ``allowed`` is the
-        fault-filtered candidate index tuple, baked in at build time —
-        the cache is invalidated on every fault transition, so it never
-        goes stale.
-        """
-        key = (src, dst)
-        cached = self._paths_cache.get(key)
-        if cached is None:
-            s_sw = self.topology.node_switch(src)
-            d_sw = self.topology.node_switch(dst)
-            cands = self.topology.candidate_paths(s_sw, d_sw)
-            cached = (
-                self.topology.static_path(s_sw, d_sw),
-                cands,
-                self._allowed_candidates(cands),
-            )
-            self._paths_cache[key] = cached
-        return cached
-
     def _pair_routes(self, src: int, dst: int) -> tuple:
         """Cached channel sequences for every route of a node pair."""
         key = (src, dst)
@@ -275,6 +247,47 @@ class BaseFabric(Component):
             cached = (static, cands, self._allowed_candidates(paths))
             self._route_cache[key] = cached
         return cached
+
+    def _select_route(self, routes: tuple, mode: RoutingMode, score_ejection: bool) -> tuple:
+        """Pick one route of a :meth:`_pair_routes` entry: ``(chans, hops, index)``.
+
+        STATIC takes the topology's static route (index 0), and a lone
+        candidate is taken without an rng draw.  ADAPTIVE scores every
+        candidate that crosses no down element as its hop penalty plus
+        the queued backlog on its channels (UGAL-style: a longer path
+        must be idle enough to beat the minimal one), then draws
+        uniformly among those within 5 % or 1 ns of the best.  The flow
+        fabric scores every channel; the packet fabric leaves the
+        ejection channel out (``score_ejection=False``).
+        """
+        (static_chans, static_hops), cands, allowed = routes
+        if mode is RoutingMode.STATIC:
+            return static_chans, static_hops, 0
+        if len(cands) == 1:
+            chans, _pen, hops = cands[0]
+            return chans, hops, 0
+        use = cands if len(allowed) == len(cands) else [cands[i] for i in allowed]
+        stop = None if score_ejection else -1
+        free = self.free_at
+        now = self.sim.now
+        scores = []
+        for chans, backlog, _hops in use:
+            for ch in chans[:stop]:
+                wait = free[ch] - now
+                if wait > 0:
+                    backlog += wait
+            scores.append(backlog)
+        best = min(scores)
+        slack = best * 0.05 if best * 0.05 > 1.0 else 1.0
+        near = [i for i, sc in enumerate(scores) if sc <= best + slack]
+        if len(near) == 1:
+            idx = near[0]
+        else:
+            idx = near[self._route_rng.integers(0, len(near))]
+        chans, _pen, hops = use[idx]
+        if use is not cands:
+            idx = allowed[idx]
+        return chans, hops, idx
 
     # --- sending (implemented by fidelities) ------------------------------------------
 
@@ -324,43 +337,9 @@ class FlowFabric(BaseFabric):
         """Send a whole message with virtual-cut-through channel reservation."""
         mode = mode or self.config.routing
         msg = self._mk_message(src, dst, size, header, data)
-        (static_chans, static_hops), cands, allowed = self._pair_routes(src, dst)
+        chans, hops, idx = self._select_route(self._pair_routes(src, dst), mode, True)
         free = self.free_at
         now = self.sim.now
-        if mode is RoutingMode.STATIC:
-            chans, hops, idx = static_chans, static_hops, 0
-        elif len(cands) == 1:
-            chans, _pen, hops = cands[0]
-            idx = 0
-        else:
-            # UGAL-ish scoring, identical to routing.choose_path: queued
-            # backlog plus a hop penalty, randomized among the near-best.
-            # Candidates crossing a faulted element are filtered out
-            # up front (``allowed`` is all of them when no fault is live).
-            remap = None
-            use = cands
-            if len(allowed) != len(cands):
-                remap = allowed
-                use = [cands[i] for i in allowed]
-            scores = []
-            for cand_chans, penalty, _hops in use:
-                backlog = penalty
-                for ch in cand_chans:
-                    wait = free[ch] - now
-                    if wait > 0:
-                        backlog += wait
-                scores.append(backlog)
-            best = min(scores)
-            slack = best * 0.05 if best * 0.05 > 1.0 else 1.0
-            near = [i for i, sc in enumerate(scores) if sc <= best + slack]
-            if len(near) == 1:
-                idx = near[0]
-            else:
-                idx = near[self._route_rng.integers(0, len(near))]
-            chans, _pen, hops = use[idx]
-            if remap is not None:
-                idx = remap[idx]
-
         # msg.wire_size, inlined (two property hops per send add up).
         n_pkts = -(-size // MTU) if size else 1
         wire = size + n_pkts * PACKET_HEADER_BYTES

@@ -5,13 +5,14 @@ gives per-(src,dst) in-order, byte-ordered delivery, so RDMA's
 last-byte-polling trick works; an **adaptive** network reorders packets
 and messages, so RDMA needs a trailing send/recv for completion while
 RVMA does not.
+
+Route selection itself lives with the channel tables it scores:
+:meth:`repro.network.fabric.BaseFabric._select_route`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
 
 
 class RoutingMode(Enum):
@@ -24,42 +25,3 @@ class RoutingMode(Enum):
     def ordered(self) -> bool:
         """Does the network guarantee in-order (and byte-ordered) delivery?"""
         return self is RoutingMode.STATIC
-
-
-@dataclass
-class PathChoice:
-    """Result of a routing decision."""
-
-    path: list[int]
-    index: int  # which candidate was picked (diagnostics / tests)
-
-
-def choose_path(
-    candidates: Sequence[list[int]],
-    mode: RoutingMode,
-    load_fn: Callable[[list[int]], float] | None = None,
-    rng_pick: Callable[[int], int] = lambda n: 0,
-    scores: Sequence[float] | None = None,
-) -> PathChoice:
-    """Select a path from *candidates*.
-
-    STATIC always takes candidate 0 (the topology's deterministic
-    minimal path).  ADAPTIVE scores candidates as ``backlog +
-    hop_penalty`` (UGAL-style: a longer path must be idle enough to
-    beat the minimal one) and picks uniformly among the near-best to
-    spread load.  Callers that already hold per-candidate scores pass
-    them via *scores* instead of a *load_fn*.
-    """
-    if not candidates:
-        raise ValueError("no candidate paths")
-    if mode is RoutingMode.STATIC or len(candidates) == 1:
-        return PathChoice(list(candidates[0]), 0)
-
-    if scores is None:
-        scores = [load_fn(p) for p in candidates]
-    best = min(scores)
-    # Near-best set: within 5% or an absolute sliver; randomize among them.
-    slack = max(best * 0.05, 1.0)
-    near = [i for i, s in enumerate(scores) if s <= best + slack]
-    idx = near[rng_pick(len(near))]
-    return PathChoice(list(candidates[idx]), idx)

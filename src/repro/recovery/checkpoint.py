@@ -228,13 +228,13 @@ class CheckpointDaemon:
         if self._started:
             return
         self._started = True
-        self.sim.schedule(self.interval_ns, self._tick)
+        self.sim.post(self.interval_ns, self._tick)
 
     def _tick(self) -> None:
         if not self.node.nic.failed:
             self.take()
         if self.sim.now + self.interval_ns <= self.horizon_ns:
-            self.sim.schedule(self.interval_ns, self._tick)
+            self.sim.post(self.interval_ns, self._tick)
 
     def take(self) -> Optional[NodeCheckpoint]:
         """Snapshot now (no-op while crashed; stale state is the point

@@ -42,7 +42,6 @@ class Watch:
     active: bool = True
     #: resolves with the PeerFailed record when suspicion fires.
     failed: Optional[Future] = None
-    deadline_timer: object = None
 
     def cancel(self) -> None:
         """Stop monitoring (pending ping loop unwinds at its next tick)."""
@@ -89,9 +88,9 @@ class FailureDetector:
             return w
         self._last_heard[peer] = self.sim.now
         if deadline is not None:
-            w.deadline_timer = self.sim.schedule(deadline, w.cancel)
+            self.sim.post(deadline, w.cancel)
         self.transport.send_ping(peer)
-        self.sim.schedule(self.cfg.heartbeat_interval, self._tick, w)
+        self.sim.post(self.cfg.heartbeat_interval, self._tick, w)
         return w
 
     def failure_future(self, peer: int) -> Future:
@@ -165,7 +164,7 @@ class FailureDetector:
             self._suspect(w.peer, f"no proof of life for {elapsed:.0f}ns")
             return
         self.transport.send_ping(w.peer)
-        self.sim.schedule(self.cfg.heartbeat_interval, self._tick, w)
+        self.sim.post(self.cfg.heartbeat_interval, self._tick, w)
 
     def _suspect(self, peer: int, reason: str) -> None:
         if peer in self.suspected:

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Optional
 
+from repro.network.fabric import BaseFabric
 from repro.network.message import Delivery, DeliveryInfo, Message, Packet
-from repro.network.routing import PathChoice, RoutingMode, choose_path
-from repro.network.switch import PacketFabric, Switch
+from repro.network.routing import RoutingMode
 from repro.sim import SimProcess, Simulator, spawn
 from repro.sim.engine import SimulationError
-from repro.sim.event import Event, PRIORITY_NORMAL
+from repro.sim.event import Event, PRIORITY_HIGH, PRIORITY_NORMAL
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import StatsRegistry
 
@@ -128,42 +127,37 @@ class RoutedPacket:
     path_index: int
 
 
-def _switch_on_packet(sw: Switch, env: RoutedPacket) -> None:
-    """Receive a packet, traverse the crossbar, forward it."""
-    xbar = env.packet.wire_size / sw.config.crossbar_bw
-    sw.sim.post(sw.config.switch_latency + xbar, _switch_forward, sw, env)
-
-
-def _switch_forward(sw: Switch, env: RoutedPacket) -> None:
-    sw.packets_forwarded.value += 1
-    env.hop += 1
-    if env.hop < len(env.route):
-        nxt = env.route[env.hop]
-        sw.to_switch[nxt].send(env, env.packet.wire_size)
-    else:
-        dst = env.packet.message.dst
-        sw.to_node[dst].send(env, env.packet.wire_size)
-
-
-class ReferencePacketFabric(PacketFabric):
+class ReferencePacketFabric(BaseFabric):
     """The per-packet event chain the vectorized fabric replaced, kept as an oracle.
 
-    Every packet is a :class:`RoutedPacket` hopping through the real
-    ``Switch`` ports over real ``SerializingLink`` cables: one engine
-    event per wire arrival and one per crossbar traversal.  The fabric
+    Every packet is a :class:`RoutedPacket` hopping from switch to
+    switch over serializing full-duplex cables: one engine event per
+    wire arrival and one per crossbar traversal.  The fabric
     conformance suite asserts :class:`PacketFabric` matches it on every
     observable (delivery stream, timing, ``fabric.*`` metrics, spans);
-    only ``events_executed`` differs.  Like :class:`ReferenceSimulator`,
-    keep it simple and obviously correct rather than fast.
+    only ``events_executed`` differs.  It shares nothing with the
+    production fabric's channel tables: horizons live in its own dict
+    keyed by the directed hop, routes come straight from the topology,
+    and it keeps its own copy of the near-best tie-break — so a
+    channel-index mapping error cannot hide in both.  Like
+    :class:`ReferenceSimulator`, keep it simple and obviously correct
+    rather than fast.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        for sw in self.switches:
-            for port in sw.ports.values():
-                port.set_handler(partial(_switch_on_packet, sw))
-        for ep in self.endpoints:
-            ep.inj_port.set_handler(partial(self._on_packet_arrival, ep.node_id))
+    def __init__(
+        self, sim: Simulator, topology, config=None, name: str = "pktfabric"
+    ) -> None:
+        super().__init__(sim, topology, config, name)
+        self.forwarded = [
+            sim.stats.counter("fabric.packets_forwarded", f"switch{i}")
+            for i in range(topology.n_switches)
+        ]
+        self.packets_delivered = self.stat("fabric.packets_delivered")
+        self._msg_spans: dict[int, list] = {}
+        #: directed hop -> busy-until: ("inj", node), ("link", u, v) or
+        #: ("ej", node).
+        self._busy: dict[tuple, float] = {}
+        self._inv_bw = 1.0 / self.config.link_bw
 
     def send(
         self,
@@ -179,9 +173,9 @@ class ReferencePacketFabric(PacketFabric):
         msg = self._mk_message(src, dst, size, header, data)
         n_pkts = 0
         for pkt in msg.fragment():
-            choice = self.select_path(src, dst, mode)
-            env = RoutedPacket(packet=pkt, route=choice.path, hop=0, path_index=choice.index)
-            self.endpoints[src].inj_port.send(env, pkt.wire_size)
+            route, index = self.select_path(src, dst, mode)
+            env = RoutedPacket(packet=pkt, route=route, hop=0, path_index=index)
+            self._transmit(("inj", src), self.config.injection_latency, env, self._on_switch_arrival)
             n_pkts += 1
         spans = self.sim.spans
         if spans.active and spans.wants("fabric"):
@@ -190,46 +184,71 @@ class ReferencePacketFabric(PacketFabric):
                 self._msg_spans[id(msg)] = [sp, n_pkts]
         return msg
 
-    def select_path(self, src: int, dst: int, mode: RoutingMode) -> PathChoice:
-        """Load-aware path choice, scored from cached channel handles.
+    def select_path(self, src: int, dst: int, mode: RoutingMode) -> tuple[list[int], int]:
+        """Load-aware choice of ``(switch route, candidate index)``.
 
-        UGAL scoring over the fabric's cached scorer handles (queued
-        backlog on the injection cable and every switch link, plus a hop
-        penalty), the near-best tie-break of ``choose_path``, the fabric's
-        route rng stream, and fault-window candidate filtering.
+        UGAL scoring (queued backlog on the injection cable and every
+        switch link, plus a hop penalty) over the candidates crossing
+        no down element, a uniform draw among those within 5 % or 1 ns
+        of the best from the fabric's route rng stream; a lone
+        candidate is taken without a draw.
         """
-        entry = self._scored_paths.get((src, dst))
-        if entry is None:
-            entry = self._build_scorers(src, dst)
-        static_path, cands, scorers, allowed = entry
+        topo = self.topology
+        s_sw, d_sw = topo.node_switch(src), topo.node_switch(dst)
         if mode is RoutingMode.STATIC:
-            return PathChoice(list(static_path), 0)
+            return topo.static_path(s_sw, d_sw), 0
+        cands = topo.candidate_paths(s_sw, d_sw)
+        if len(cands) == 1:
+            return cands[0], 0
+        allowed = self._allowed_candidates(cands)
         now = self.sim.now
-        remap = None
-        use_cands = cands
-        use_scorers = scorers
-        if len(allowed) != len(cands):
-            remap = allowed
-            use_cands = [cands[i] for i in allowed]
-            use_scorers = [scorers[i] for i in allowed]
         scores = []
-        for chans, base in use_scorers:
-            for free_at, pid in chans:
-                t = free_at[pid]
+        for i in allowed:
+            path = cands[i]
+            score = len(path) * self.config.hop_latency
+            hops = [("inj", src)] + [("link", u, v) for u, v in zip(path, path[1:])]
+            for hop in hops:
+                t = self._busy.get(hop, 0.0)
                 if t > now:
-                    base += t - now
-            scores.append(base)
-        ch = choose_path(
-            use_cands,
-            mode,
-            rng_pick=lambda n: self.sim.rng.choice(f"{self.name}.route", n),
-            scores=scores,
-        )
-        if remap is not None:
-            return PathChoice(ch.path, remap[ch.index])
-        return ch
+                    score += t - now
+            scores.append(score)
+        best = min(scores)
+        slack = max(best * 0.05, 1.0)
+        near = [allowed[k] for k, score in enumerate(scores) if score <= best + slack]
+        index = near[self.sim.rng.choice(f"{self.name}.route", len(near))]
+        return cands[index], index
 
-    def _on_packet_arrival(self, node_id: int, env: RoutedPacket) -> None:
+    def injection_busy_until(self, node: int) -> float:
+        return self._busy.get(("inj", node), 0.0)
+
+    def _transmit(self, hop: tuple, latency: float, env: RoutedPacket, on_arrival) -> None:
+        """Serialize *env* onto one cable direction, FIFO behind earlier
+        packets; it arrives one propagation latency after its tail."""
+        now = self.sim.now
+        start = max(self._busy.get(hop, 0.0), now)
+        tail = start + env.packet.wire_size * self._inv_bw
+        self._busy[hop] = tail
+        # PRIORITY_HIGH so arrivals at T are visible to work scheduled
+        # at T with normal priority.
+        self.sim.post_at(tail + latency, on_arrival, env, priority=PRIORITY_HIGH)
+
+    def _on_switch_arrival(self, env: RoutedPacket) -> None:
+        """Receive a packet, traverse the crossbar, forward it."""
+        xbar = env.packet.wire_size / self.config.crossbar_bw
+        self.sim.post(self.config.switch_latency + xbar, self._switch_forward, env)
+
+    def _switch_forward(self, env: RoutedPacket) -> None:
+        here = env.route[env.hop]
+        self.forwarded[here].value += 1
+        env.hop += 1
+        if env.hop < len(env.route):
+            nxt = env.route[env.hop]
+            self._transmit(("link", here, nxt), self.config.hop_latency, env, self._on_switch_arrival)
+        else:
+            dst = env.packet.message.dst
+            self._transmit(("ej", dst), self.config.injection_latency, env, self._on_packet_arrival)
+
+    def _on_packet_arrival(self, env: RoutedPacket) -> None:
         self.packets_delivered.value += 1
         msg = env.packet.message
         entry = self._msg_spans.get(id(msg))
@@ -244,7 +263,7 @@ class ReferencePacketFabric(PacketFabric):
             hops=len(env.route),
             path_index=env.path_index,
         )
-        self._deliver(node_id, Delivery(msg, info, packet=env.packet))
+        self._deliver(msg.dst, Delivery(msg, info, packet=env.packet))
 
 
 def run_gen(sim: Simulator, gen, name: str = "test"):

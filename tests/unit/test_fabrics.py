@@ -8,45 +8,48 @@ from repro.network import (
     NetworkConfig,
     PacketFabric,
     RoutingMode,
-    choose_path,
     make_topology,
 )
 from repro.sim import Simulator
 from repro.units import gbps
 
 
-# --- routing policy -----------------------------------------------------------
+# --- route selection ---------------------------------------------------------------
+
+
+def _routes(n_cands):
+    """A flow fabric plus a ``_pair_routes``-shaped entry over synthetic
+    candidates: candidate *i* crosses its own switch link, then the
+    shared ejection channel of node 15."""
+    fab = FlowFabric(Simulator(), make_topology("fattree", 16))
+    eject = fab.ejection_channel(15)
+    static = ((fab.injection_channel(0), eject), 1)
+    cands = tuple(((fab._link_base + i, eject), 40.0, 1) for i in range(n_cands))
+    return fab, (static, cands, tuple(range(n_cands)))
 
 
 def test_static_always_first_candidate():
-    cands = [[0, 1], [0, 2, 1], [0, 3, 1]]
-    choice = choose_path(cands, RoutingMode.STATIC, lambda p: 0.0, lambda n: n - 1)
-    assert choice.path == [0, 1] and choice.index == 0
+    fab, routes = _routes(3)
+    static_chans = routes[0][0]
+    for ch in static_chans:
+        fab.free_at[ch] = 1e6  # a congested static route is still taken
+    for score_ejection in (True, False):
+        chans, hops, index = fab._select_route(routes, RoutingMode.STATIC, score_ejection)
+        assert chans == static_chans and hops == 1 and index == 0
 
 
 def test_adaptive_prefers_low_load():
-    cands = [[0, 1], [0, 2, 1]]
-    loads = {(0, 1): 1000.0, (0, 2, 1): 10.0}
-    choice = choose_path(
-        cands, RoutingMode.ADAPTIVE, lambda p: loads[tuple(p)], lambda n: 0
-    )
-    assert choice.path == [0, 2, 1]
+    fab, routes = _routes(2)
+    fab.free_at[routes[1][0][0][0]] = 1000.0  # candidate 0's link is busy
+    for score_ejection in (True, False):
+        chans, _hops, index = fab._select_route(routes, RoutingMode.ADAPTIVE, score_ejection)
+        assert index == 1 and chans == routes[1][1][0]
 
 
 def test_adaptive_randomizes_among_near_equal():
-    cands = [[0, 1], [0, 2, 1], [0, 3, 1]]
-    picks = set()
-    for k in range(3):
-        choice = choose_path(
-            cands, RoutingMode.ADAPTIVE, lambda p: 5.0, lambda n, k=k: k % n
-        )
-        picks.add(choice.index)
+    fab, routes = _routes(3)
+    picks = {fab._select_route(routes, RoutingMode.ADAPTIVE, True)[2] for _ in range(8)}
     assert len(picks) > 1
-
-
-def test_empty_candidates_rejected():
-    with pytest.raises(ValueError):
-        choose_path([], RoutingMode.STATIC, lambda p: 0.0, lambda n: 0)
 
 
 def test_routing_mode_ordered_property():
@@ -187,7 +190,7 @@ def test_packet_switch_forward_counts():
     fab.attach(1, lambda d: None)
     fab.send(0, 1, 100)
     sim.run()
-    assert fab.switches[0].packets_forwarded.value == 1
+    assert sim.stats.instances("fabric.packets_forwarded") == {"switch0": 1}
     assert fab.packets_delivered.value == 1
 
 
@@ -212,16 +215,17 @@ def test_network_config_validation():
 
 
 def test_channel_labels_and_hottest_channels():
-    sim = Simulator()
-    topo = make_topology("fattree", 16)
-    fab = FlowFabric(sim, topo, NetworkConfig(routing=RoutingMode.STATIC))
-    fab.attach(15, lambda d: None)
-    for _ in range(3):
-        fab.send(0, 15, 10000)
-    sim.run()
-    hottest = fab.hottest_channels(5)
-    assert hottest[0][1] >= hottest[-1][1] > 0
-    labels = [name for name, _ in hottest]
-    assert any(l.startswith("inject[node0]") for l in labels)
-    assert any(l.startswith("eject[node15]") for l in labels)
-    assert any(l.startswith("link[sw") for l in labels)
+    for fabric_cls in (FlowFabric, PacketFabric):
+        sim = Simulator()
+        topo = make_topology("fattree", 16)
+        fab = fabric_cls(sim, topo, NetworkConfig(routing=RoutingMode.STATIC))
+        fab.attach(15, lambda d: None)
+        for _ in range(3):
+            fab.send(0, 15, 10000)
+        sim.run()
+        hottest = fab.hottest_channels(5)
+        assert hottest[0][1] >= hottest[-1][1] > 0, fabric_cls.__name__
+        labels = [name for name, _ in hottest]
+        assert any(l.startswith("inject[node0]") for l in labels)
+        assert any(l.startswith("eject[node15]") for l in labels)
+        assert any(l.startswith("link[sw") for l in labels)

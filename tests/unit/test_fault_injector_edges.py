@@ -16,7 +16,7 @@ from repro.faults import ChaosEvent, ChaosSchedule, FaultInjector
 from repro.network.message import Delivery, DeliveryInfo, Message
 from repro.recovery import CheckpointDaemon
 
-from tests.helpers import ReferencePacketFabric, run_gens
+from tests.helpers import run_gens
 
 MAILBOX = 0xAB
 
@@ -145,6 +145,12 @@ def test_fail_node_during_checkpoint_cadence_skips_dark_ticks():
 # ----------------------------------------------- fabric route-state mirroring
 
 
+def _switch_paths(fabric, src: int, dst: int) -> list:
+    """Candidate switch paths of a node pair, in ``_pair_routes`` order."""
+    topo = fabric.topology
+    return topo.candidate_paths(topo.node_switch(src), topo.node_switch(dst))
+
+
 def _multi_path_pair(fabric, sim_nodes: int):
     """A (src, dst, victim_switch) where the pair has several candidate
     paths and *victim_switch* lies on some-but-not-all of them (and on
@@ -153,7 +159,7 @@ def _multi_path_pair(fabric, sim_nodes: int):
         for dst in range(sim_nodes):
             if src == dst:
                 continue
-            _static, cands, _allowed = fabric._pair_paths(src, dst)
+            cands = _switch_paths(fabric, src, dst)
             if len(cands) < 2:
                 continue
             ends = {cands[0][0], cands[0][-1]}
@@ -166,48 +172,47 @@ def _multi_path_pair(fabric, sim_nodes: int):
     raise AssertionError("no multi-path pair with a partial victim switch")
 
 
-def test_switch_failure_invalidates_stale_scorer_caches(monkeypatch):
-    """Regression: the packet fabric's ``_scored_paths`` / fast-route
-    caches bake channel handles in at build time, and before route-state
-    mirroring nothing invalidated them across ``fail_switch`` — adaptive
-    selection kept scoring (and picking) paths through the dead switch.
-    Failing a switch must invalidate the caches, exclude its paths while
-    the window is open, and re-admit them once it closes."""
-    import repro.cluster.builder as builder
+def test_switch_failure_invalidates_stale_scorer_caches():
+    """Regression: the packet fabric's cached routes bake the
+    allowed-candidate set in at build time, and before route-state
+    mirroring nothing invalidated them across ``fail_switch`` —
+    adaptive selection kept scoring (and picking) paths through the
+    dead switch.  Failing a switch must invalidate the cache, exclude
+    its paths while the window is open, and re-admit them once it
+    closes."""
     from repro.network.routing import RoutingMode
 
-    # The reference fabric exposes per-packet select_path over the same
-    # scorer caches the vectorized send reads.
-    monkeypatch.setattr(builder, "PacketFabric", ReferencePacketFabric)
     cl = Cluster.build(
         n_nodes=16, topology="dragonfly", nic_type="rvma", fidelity="packet", seed=7
     )
     fabric = cl.fabric
     src, dst, victim = _multi_path_pair(fabric, 16)
+    paths = _switch_paths(fabric, src, dst)
 
-    # Warm every cache layer the way live traffic would.
-    fabric.select_path(src, dst, RoutingMode.ADAPTIVE)
-    assert (src, dst) in fabric._scored_paths
+    # Warm the route cache the way live traffic would.
+    fabric._select_route(fabric._pair_routes(src, dst), RoutingMode.ADAPTIVE, False)
+    assert (src, dst) in fabric._route_cache
 
     inj = FaultInjector(cl)
     inj.fail_switch(victim, start=0.0, end=5_000.0)
 
-    # The mark applies immediately (start <= now) and nukes the caches.
-    assert (src, dst) not in fabric._scored_paths
-    assert not fabric._fast_routes
+    # The mark applies immediately (start <= now) and drops the cache.
+    assert (src, dst) not in fabric._route_cache
     assert victim in fabric._down_switches
 
-    _static, cands, allowed = fabric._pair_paths(src, dst)
+    _static, cands, allowed = fabric._pair_routes(src, dst)
     assert 0 < len(allowed) < len(cands)
-    assert all(victim not in cands[i] for i in allowed)
+    assert all(victim not in paths[i] for i in allowed)
     for _ in range(20):
-        choice = fabric.select_path(src, dst, RoutingMode.ADAPTIVE)
-        assert victim not in choice.path
+        _chans, _hops, index = fabric._select_route(
+            fabric._pair_routes(src, dst), RoutingMode.ADAPTIVE, False
+        )
+        assert victim not in paths[index]
 
     cl.sim.run()  # past the window end: the up-mark restores the switch
     assert cl.sim.now >= 5_000.0
     assert victim not in fabric._down_switches
-    _static, cands, allowed = fabric._pair_paths(src, dst)
+    _static, cands, allowed = fabric._pair_routes(src, dst)
     assert allowed == tuple(range(len(cands)))
 
 

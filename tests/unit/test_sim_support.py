@@ -1,17 +1,12 @@
-"""Unit tests for RNG streams, stats, tracing, links and units."""
+"""Unit tests for RNG streams, stats, tracing, cables and units."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.sim import (
-    Component,
-    Link,
-    RngRegistry,
-    SerializingLink,
-    Simulator,
-)
+from repro.network import NetworkConfig, PacketFabric, make_topology
+from repro.sim import RngRegistry, Simulator
 from repro.observability import SpanTracer
 from repro.units import (
     fmt_bytes,
@@ -132,57 +127,44 @@ def test_tracer_filtering():
     assert t.categories() == ["nic0", "nic1"]
 
 
-# --- links ------------------------------------------------------------------
+# --- cables -----------------------------------------------------------------
+# Two nodes on one switch: every cable direction is a FIFO channel that
+# serializes at the link rate and is independent of the opposite one.
 
 
-class _Probe(Component):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.got = []
-        self.port = self.add_port("p", lambda payload: self.got.append((self.sim.now, payload)))
-
-
-def test_plain_link_delivers_after_latency():
+def _two_node_fabric():
     sim = Simulator()
-    a, b = _Probe(sim, "a"), _Probe(sim, "b")
-    Link(sim, a.port, b.port, latency=25.0)
-    a.port.send("hello")
-    sim.run()
-    assert b.got == [(25.0, "hello")]
+    cfg = NetworkConfig(
+        link_bw=2.0, injection_latency=10.0, switch_latency=5.0, crossbar_factor=2.0
+    )
+    fab = PacketFabric(sim, make_topology("star", 2), cfg)
+    got = {0: [], 1: []}
+    for node in (0, 1):
+        fab.attach(node, lambda d, node=node: got[node].append(sim.now))
+    return sim, fab, got
 
 
 def test_serializing_link_fifo_and_bandwidth():
-    sim = Simulator()
-    a, b = _Probe(sim, "a"), _Probe(sim, "b")
-    link = SerializingLink(sim, a.port, b.port, latency=10.0, bandwidth=2.0)  # 2 B/ns
-    a.port.send("m1", size_bytes=100)  # tail at 50
-    a.port.send("m2", size_bytes=100)  # tail at 100
+    sim, fab, got = _two_node_fabric()
+    fab.send(0, 1, 70)  # 100 wire bytes: 50 ns per cable at 2 B/ns
+    fab.send(0, 1, 70)
+    assert fab.injection_busy_until(0) == 100.0
     sim.run()
-    assert [t for t, _ in b.got] == [60.0, 110.0]
-    assert link.bytes_carried == 200
+    # inject tail 50, +10 wire, +5 pipeline +25 crossbar, eject tail 140, +10.
+    assert got[1] == [150.0, 200.0]
+    assert fab.channel_bytes[fab.injection_channel(0)] == 200
+    assert fab.channel_bytes[fab.ejection_channel(1)] == 200
 
 
 def test_serializing_link_full_duplex():
-    sim = Simulator()
-    a, b = _Probe(sim, "a"), _Probe(sim, "b")
-    SerializingLink(sim, a.port, b.port, latency=10.0, bandwidth=1.0)
-    a.port.send("x", size_bytes=50)
-    b.port.send("y", size_bytes=50)
+    sim, fab, got = _two_node_fabric()
+    for _ in range(3):
+        fab.send(0, 1, 70)  # node 0's cable is busy outbound for 0-150 ns...
+    fab.send(1, 0, 70)  # ...while this crosses it inbound at 90-140 ns
     sim.run()
     # Opposite directions do not serialize against each other.
-    assert b.got[0][0] == 60.0 and a.got[0][0] == 60.0
-
-
-def test_port_misuse_raises():
-    sim = Simulator()
-    a, b, c = _Probe(sim, "a"), _Probe(sim, "b"), _Probe(sim, "c")
-    link = SerializingLink(sim, a.port, b.port, latency=1.0, bandwidth=1.0)
-    with pytest.raises(ValueError):
-        c.port.send("nope")  # unconnected
-    with pytest.raises(ValueError):
-        link.transmit(c.port, "nope")  # not an endpoint
-    with pytest.raises(ValueError):
-        a.port.connect(link)  # already connected
+    assert got[0] == [150.0]
+    assert got[1] == [150.0, 200.0, 250.0]
 
 
 # --- units ------------------------------------------------------------------

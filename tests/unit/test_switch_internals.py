@@ -40,7 +40,7 @@ def test_switch_tracks_forwarded_packets_per_hop():
     fab.attach(15, lambda d: None)
     fab.send(0, 15, MTU * 2)  # 2 packets, 5-switch path
     sim.run()
-    total_forwards = sum(sw.packets_forwarded.value for sw in fab.switches)
+    total_forwards = sum(sim.stats.instances("fabric.packets_forwarded").values())
     assert total_forwards == 2 * 5
 
 
@@ -56,7 +56,7 @@ def test_packet_mode_adaptive_is_load_aware():
     for _ in range(4):
         fab.send(0, 15, MTU * 4, mode=RoutingMode.STATIC)
     # Now adaptive sends should mostly dodge the congested static path.
-    choices = [fab.select_path(0, 15, RoutingMode.ADAPTIVE).path for _ in range(8)]
+    choices = [fab.select_path(0, 15, RoutingMode.ADAPTIVE)[0] for _ in range(8)]
     dodged = sum(1 for p in choices if p != static)
     assert dodged >= 6
 

@@ -8,6 +8,10 @@ deps, and is how the committed ``--cov-fail-under`` number was measured.
 
     python tools/coverage_floor.py                 # whole test suite
     python tools/coverage_floor.py tests/unit -q   # any pytest args
+    python tools/coverage_floor.py --per-file tests/unit -k fabric
+
+Every argument except ``--per-file`` (print every module's number) is
+passed to pytest unchanged and in order.
 
 It installs a ``sys.settrace`` hook (threads included via
 ``threading.settrace``), runs pytest in-process, then reports
@@ -23,7 +27,6 @@ of tests for a quick look.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
 import threading
@@ -83,18 +86,14 @@ class Collector:
         threading.settrace(None)  # type: ignore[arg-type]
 
 
+def split_args(argv: list[str]) -> tuple[list[str], bool]:
+    """``(pytest_args, per_file)``: every argument but ``--per-file`` goes
+    to pytest verbatim and in order, dash-prefixed options included."""
+    return [a for a in argv if a != "--per-file"], "--per-file" in argv
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="stdlib-only line coverage for src/repro"
-    )
-    parser.add_argument(
-        "pytest_args", nargs="*", default=[],
-        help="arguments forwarded to pytest (default: the whole suite)",
-    )
-    parser.add_argument(
-        "--per-file", action="store_true", help="print every module's number"
-    )
-    args = parser.parse_args(argv)
+    pytest_args, per_file = split_args(sys.argv[1:] if argv is None else argv)
 
     sys.path.insert(0, str(SRC))
     import pytest
@@ -102,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     collector = Collector()
     collector.install()
     try:
-        exit_code = pytest.main(args.pytest_args or ["tests/"])
+        exit_code = pytest.main(pytest_args or ["tests/"])
     finally:
         collector.uninstall()
     if exit_code != 0:
@@ -119,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         total_hit += len(got)
         rows.append((path.relative_to(SRC), len(got), len(want)))
 
-    if args.per_file:
+    if per_file:
         for rel, hit, want in rows:
             print(f"{100.0 * hit / want:6.1f}%  {hit:5}/{want:<5}  {rel}")
     pct = 100.0 * total_hit / max(total_exec, 1)
