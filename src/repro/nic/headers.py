@@ -34,6 +34,11 @@ class RvmaPutHeader:
     offset: int
     total_size: int
     op_id: int = field(default_factory=next_op_id)
+    #: Simulator-side link to the initiator's :class:`repro.nic.rvma.PutOp`
+    #: on a first attempt, so the target can report placement and the
+    #: initiator can drop a put no NACK can name any more.  Not on the
+    #: wire; retries and active-mailbox replies carry None.
+    op: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

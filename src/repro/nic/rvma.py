@@ -15,7 +15,7 @@ completion semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..memory.address import RVMA_ADDR_MASK
@@ -33,6 +33,7 @@ from .headers import (
     RvmaGetReply,
     RvmaNackHeader,
     RvmaPutHeader,
+    next_op_id,
 )
 from .lut import BufferMode, EpochType, LutError, MailboxEntry, MailboxLUT, RetiredBuffer
 
@@ -55,13 +56,17 @@ class RvmaNicConfig(NicConfig):
     #: to IB RNR retry.
     put_retry_timeout: float = 2000.0
     put_retries: int = 64
-    #: Outstanding put handles kept for NACK matching; older ops are
-    #: evicted (a NACK for an evicted op can no longer be retried).
-    #: Bounds initiator memory in million-put motif runs.
+    #: Put handles kept for NACK matching, counted in puts issued: a put
+    #: still held ``put_window`` puts after its own is evicted (a NACK
+    #: for it can no longer be retried).  A put leaves earlier once it
+    #: is settled (:attr:`PutOp.unsettled`: the target placed all of its
+    #: first attempt, NACKed none of it, and the reliability transport
+    #: has its ack) unless the NIC journals its sends.  Bounds initiator
+    #: memory in million-put motif runs.
     put_window: int = 65536
 
 
-@dataclass
+@dataclass(slots=True)
 class PutOp:
     """Initiator-side handle for an RVMA put."""
 
@@ -76,6 +81,28 @@ class PutOp:
     #: abandoned for good; later NACKs for its other packets are not
     #: new losses.
     lost: bool = False
+    #: puts the initiating NIC had issued, this one included; the put
+    #: window evicts the op at put ``index + put_window`` if still held.
+    index: int = 0
+    #: units left before the put settles: each byte of its first
+    #: attempt placed at the target (a zero-byte put is one unit), plus
+    #: the reliability transport's ack when the put rides it (an unacked
+    #: message is resent to a crash-restarted target, which may NACK
+    #: it).  None while it cannot settle: its send is journaled, or the
+    #: target NACKed any part of it.
+    unsettled: Optional[int] = None
+    #: the initiating NIC's held-put table, left once the put settles.
+    held: Optional[dict] = field(default=None, repr=False, compare=False)
+
+    def settle(self, units: int) -> None:
+        """Count *units* as done.  At zero the put is settled: no NACK
+        can name it any more, so the initiator stops holding it."""
+        left = self.unsettled
+        if left is not None:
+            left -= units
+            self.unsettled = left
+            if left <= 0:
+                self.held.pop(self.op_id, None)
 
 
 @dataclass
@@ -114,10 +141,10 @@ class RvmaNic(BaseNic):
         #: bytes received so far per in-flight multi-packet op (op counting).
         self._op_bytes: dict[int, int] = {}
         self._gets: dict[int, GetOp] = {}
+        #: held put handles in issue order (a dict keeps insertion order,
+        #: so the oldest held put is the first entry).
         self._puts: dict[int, PutOp] = {}
-        from collections import deque as _deque
-
-        self._put_order: "_deque[int]" = _deque()
+        self._puts_issued = 0
         #: crash-restart recovery: duck-typed host-side journal of
         #: window-structure commands (:class:`repro.recovery.checkpoint.OpJournal`).
         #: None (the default) costs one attribute check per command.
@@ -159,7 +186,6 @@ class RvmaNic(BaseNic):
                 op.done.resolve(False)
         self._gets.clear()
         self._puts.clear()
-        self._put_order.clear()
         self._op_bytes.clear()
         self.lut = MailboxLUT(
             max_entries=self.cfg.lut_entries,
@@ -438,26 +464,39 @@ class RvmaNic(BaseNic):
     ) -> PutOp:
         """Initiate an RVMA put.  ``local_done`` resolves when the payload
         has fully left this NIC (send buffer reusable)."""
-        hdr = RvmaPutHeader(mailbox=mailbox, offset=offset, total_size=size)
+        self._puts_issued += 1
+        puts = self._puts
         op = PutOp(
-            op_id=hdr.op_id,
+            op_id=next_op_id(),
             dst=dst,
             mailbox=mailbox,
             size=size,
             local_done=self.future(),
             retry=(data, offset, mode, self.cfg.put_retries),
+            index=self._puts_issued,
+            held=puts,
         )
-        self._puts[hdr.op_id] = op
-        self._put_order.append(hdr.op_id)
-        while len(self._put_order) > self.cfg.put_window:
-            evicted = self._puts.pop(self._put_order.popleft(), None)
-            if evicted is not None:
-                # The op can no longer be matched to a late NACK: its
-                # retry state is gone.  Silent before; now accounted so
-                # the chaos audit can flag undersized put windows.
-                self.stat("nic.rvma.put_window_evictions").add()
+        puts[op.op_id] = op
+        stale = self._puts_issued - self.cfg.put_window
+        while stale > 0 and puts:
+            oldest = next(iter(puts.values()))
+            if oldest.index > stale:
+                break
+            # The op can no longer be matched to a late NACK: its retry
+            # state is gone.  Settled puts have left already, so this
+            # counts only puts a NACK could still name.
+            del puts[oldest.op_id]
+            self.stat("nic.rvma.put_window_evictions").add()
 
         def issue() -> None:
+            transport = self.transport
+            if transport is None or transport.journal is None:
+                # A journaled send never settles: a rejoin can replay it
+                # and the replay can be NACKed.
+                op.unsettled = (size or 1) + (transport is not None and dst != self.node_id)
+            hdr = RvmaPutHeader(
+                mailbox=mailbox, offset=offset, total_size=size, op_id=op.op_id, op=op
+            )
             self._inject_now(dst, size, hdr, data, mode)
             self.resolve_at(op.local_done, self.local_injection_done(), op)
 
@@ -661,6 +700,8 @@ class RvmaNic(BaseNic):
         aud = self.auditor
         if aud is not None:
             aud.on_place(self, entry, buf, place_off, nbytes, data)
+        if hdr.op is not None:
+            hdr.op.settle(nbytes or 1)
         if buf.counter >= buf.threshold > 0:
             self._complete_active(entry)
 
@@ -679,6 +720,8 @@ class RvmaNic(BaseNic):
                 self.stat("nic.rvma.puts_discarded").add()
                 self._nack(src, hdr, NackReason.NO_BUFFER)
                 return
+            if hdr.op is not None:
+                hdr.op.settle(1)
             if entry.threshold_type is EpochType.EPOCH_OPS and hdr.total_size == 0:
                 buf.counter += 1
                 if buf.counter >= buf.threshold > 0:
@@ -744,6 +787,8 @@ class RvmaNic(BaseNic):
                 )
             ):
                 self._complete_active(entry)
+        if hdr.op is not None:
+            hdr.op.settle(consumed)
 
     def _complete_active(self, entry: MailboxEntry) -> RetiredBuffer:
         """Threshold reached (or epoch pre-empted): retire and notify."""
@@ -847,6 +892,11 @@ class RvmaNic(BaseNic):
     # --- NACKs -----------------------------------------------------------------------
 
     def _nack(self, src: int, hdr, reason: NackReason) -> None:
+        op = getattr(hdr, "op", None)
+        if op is not None:
+            # Its initiator may match this NACK: the put must stay held
+            # until the put window evicts it.
+            op.unsettled = None
         self.stat(f"nic.rvma.nacks_{reason.value}").add()
         if self.cfg.send_nacks and src != self.node_id:
             self.send_control(src, RvmaNackHeader(op_id=hdr.op_id, mailbox=hdr.mailbox, reason=reason))

@@ -146,6 +146,10 @@ class ReliableTransport:
         #: (:class:`repro.recovery.checkpoint.SendJournal`); every
         #: :meth:`send` is recorded so a rejoin can replay it.
         self.journal = None
+        #: ``<nic>.rel.jitter`` stream, resolved on the first transmit:
+        #: the same draws as looking it up by name each time, without
+        #: seeding a stream per NIC at build time.
+        self._jitter_rng = None
         self._shutdown = False
         self._hb_seq = 0
         #: canonical distribution: attempts needed per acked message.
@@ -204,9 +208,10 @@ class ReliableTransport:
         msg = self.nic.fabric.send(
             self.nic.node_id, rec.dst, rec.size, header=rec.env, data=rec.data, mode=rec.mode
         )
-        jitter = 1.0 + self.cfg.jitter_frac * self.sim.rng.random(
-            f"{self.nic.name}.rel.jitter"
-        )
+        rng = self._jitter_rng
+        if rng is None:
+            rng = self._jitter_rng = self.sim.rng.stream(f"{self.nic.name}.rel.jitter")
+        jitter = 1.0 + self.cfg.jitter_frac * rng.random()
         rec.timer = self.sim.schedule(
             rec.timeout * jitter, self._on_timeout, rec.dst, rec.flow, rec.seq
         )
@@ -256,6 +261,11 @@ class ReliableTransport:
             attempts.add(rec.attempts + 1)
             if rec.span is not None:
                 spans.end(rec.span, outcome="acked", attempts=rec.attempts + 1)
+            # A first-attempt RVMA put links its PutOp, which needs this
+            # ack to settle (see repro.nic.rvma.PutOp.unsettled).
+            op = getattr(rec.env.inner, "op", None)
+            if op is not None:
+                op.settle(1)
 
     def unacked(self, dst: Optional[int] = None) -> int:
         """Outstanding unacknowledged messages (optionally to one peer)."""

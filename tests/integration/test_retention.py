@@ -1,9 +1,10 @@
 """KV memory follows the work in flight, not the number of ops.
 
 Every consumed posting releases its record, a re-posted buffer reuses
-its notification line and a stream recycles chunks that have left the
-NIC's rewind ring, so a cell run twice as long ends holding exactly the
-same allocations and posted records.
+its notification line, a stream recycles chunks that have left the
+NIC's rewind ring and a settled put leaves its NIC's put window, so a
+cell run twice as long ends holding exactly the same allocations,
+posted records and put handles.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ def _retained(monkeypatch, n_ops: int):
     assert cell.completed, cell.error
     allocations = [node.memory.allocation_count for node in cell.cluster.nodes]
     posted = sorted((win.virtual_addr, len(win.posted)) for win in windows)
-    return allocations, posted, sum(win.consumed for win in windows)
+    put_handles = [len(node.nic._puts) for node in cell.cluster.nodes]
+    return allocations, posted, put_handles, sum(win.consumed for win in windows)
 
 
 def test_kv_retention_does_not_grow_with_op_count(monkeypatch):
-    allocations, posted, consumed = _retained(monkeypatch, 200)
-    allocations2, posted2, consumed2 = _retained(monkeypatch, 400)
+    allocations, posted, put_handles, consumed = _retained(monkeypatch, 200)
+    allocations2, posted2, put_handles2, consumed2 = _retained(monkeypatch, 400)
     assert consumed2 > consumed  # the longer run really did more work
     assert allocations2 == allocations
     assert posted2 == posted
+    assert put_handles2 == put_handles
