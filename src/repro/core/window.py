@@ -17,7 +17,7 @@ from ..memory.buffer import HostBuffer, PostedBuffer
 from ..nic.lut import BufferMode, EpochType
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecord:
     """Software-side record of one posted buffer and its slots."""
 
@@ -27,7 +27,7 @@ class PostedRecord:
     length_addr: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletionInfo:
     """What ``wait_completion`` returns: the completed buffer's identity."""
 
@@ -74,7 +74,12 @@ class Window:
 
 
 def alloc_notification_slot(memory) -> tuple[int, int]:
-    """Allocate a zeroed cache-line slot; returns (notify_addr, length_addr)."""
+    """Allocate a fresh cache-line slot; returns (notify_addr, length_addr).
+
+    The line reads zero without a write: ``NodeMemory`` never reuses an
+    address, so no store has reached it and nothing watches it yet; its
+    backing bytes materialize only when the NIC writes the completion.
+    A reused line is zeroed by its caller (``RvmaApi.post_buffer``).
+    """
     alloc = memory.alloc(CACHE_LINE, align=CACHE_LINE, label="rvma-notify")
-    memory.write(alloc.base, b"\x00" * 16)
     return alloc.base, alloc.base + 8

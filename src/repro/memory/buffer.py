@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .memory import Allocation, NodeMemory
@@ -84,13 +84,14 @@ class MemoryRegion:
         return self.addr <= addr and addr + length <= self.addr + self.length
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedBuffer:
     """A receive buffer as posted to an RVMA mailbox (paper §III-B).
 
     Carries everything ``RVMA_Post_buffer`` hands the NIC: where the
     data goes, how completion is detected, and where the two completion
-    words (head pointer, then length) are written.
+    words (head pointer, then length) are written.  Slotted: one is
+    made per posting, so it carries no per-instance ``__dict__``.
     """
 
     buffer: HostBuffer
@@ -108,3 +109,8 @@ class PostedBuffer:
     #: Epoch number assigned when the buffer became the active head.
     epoch: int = -1
     completed: bool = False
+    #: Set by crash-recovery replay: this epoch must close exactly at its
+    #: journaled ``threshold`` (``recovery/rejoin.py``).
+    replay_boundary: bool = field(default=False, init=False, repr=False, compare=False)
+    #: Open ``epoch_fill`` span while the buffer fills with spans on.
+    _obs_span: Optional[object] = field(default=None, init=False, repr=False, compare=False)

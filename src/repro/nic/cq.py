@@ -28,7 +28,7 @@ class CqKind(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CqEntry:
     kind: CqKind
     op_id: int

@@ -13,7 +13,6 @@ host memory and each completion check pays a PCIe round trip
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -41,7 +40,7 @@ class LutError(RuntimeError):
     """Raised when the table or counter pool cannot satisfy a request."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RetiredBuffer:
     """Completed-epoch record kept for rewind (paper §IV-F)."""
 
@@ -51,15 +50,23 @@ class RetiredBuffer:
     buffer: PostedBuffer
 
 
-@dataclass
+@dataclass(slots=True)
 class MailboxEntry:
-    """State for one mailbox: its bucket of buffers and epoch history."""
+    """State for one mailbox: its bucket of buffers and epoch history.
+
+    Slotted, and both sequences are lists, not deques: a bucket is a few
+    buffers deep and the rewind ring at most ``retain_epochs`` long, so
+    popping index 0 is cheap, while an empty deque costs 760 bytes
+    against a list's 56 on every mailbox.
+    """
 
     mailbox: int
     threshold_type: EpochType
     mode: BufferMode
-    queue: deque = field(default_factory=deque)  # deque[PostedBuffer]; [0] is active
-    retired: deque = field(default_factory=deque)  # deque[RetiredBuffer]
+    #: The bucket of posted buffers; ``[0]`` is the active one.
+    queue: list[PostedBuffer] = field(default_factory=list)
+    #: Rewind ring: the last ``retain_epochs`` retired buffers, oldest first.
+    retired: list[RetiredBuffer] = field(default_factory=list)
     epoch: int = 0  # completed-buffer count == current epoch number
     closed: bool = False
     #: True while the active buffer's counter lives in host memory.
@@ -154,7 +161,7 @@ class MailboxLUT:
     def retire_active(self, entry: MailboxEntry) -> RetiredBuffer:
         """Complete the active buffer: record it, advance the epoch,
         activate the next buffer in the bucket."""
-        buf = entry.queue.popleft()
+        buf = entry.queue.pop(0)
         buf.completed = True
         if not entry.counter_spilled:
             self.counters_in_use -= 1
@@ -166,7 +173,7 @@ class MailboxLUT:
         )
         entry.retired.append(record)
         while len(entry.retired) > self.retain_epochs:
-            entry.retired.popleft()
+            del entry.retired[0]
         entry.epoch += 1
         if entry.queue:
             self._activate(entry, entry.queue[0])

@@ -51,7 +51,7 @@ class RdmaNicConfig(NicConfig):
     rnr_retries: int = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class RdmaOp:
     """Initiator-side handle; ``done`` resolves with the CqEntry."""
 

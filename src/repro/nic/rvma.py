@@ -220,10 +220,7 @@ class RvmaNic(BaseNic):
         room = 0
         for buf in entry.queue:
             cap = buf.buffer.size
-            if (
-                getattr(buf, "replay_boundary", False)
-                and entry.threshold_type is EpochType.EPOCH_BYTES
-            ):
+            if buf.replay_boundary and entry.threshold_type is EpochType.EPOCH_BYTES:
                 cap = min(cap, buf.threshold)
             room += max(cap - buf.bytes_received, 0)
         return max(room - self._inflight_flow_bytes.get(entry.mailbox, 0), 0)
@@ -314,7 +311,7 @@ class RvmaNic(BaseNic):
             if entry is None or entry.active is None:
                 fut.resolve(None)
                 return
-            if getattr(entry.active, "replay_boundary", False):
+            if entry.active.replay_boundary:
                 # Rejoin replay in progress: the active buffer must close
                 # at its journaled boundary, not wherever this flush
                 # happens to land.  The caller's wait_completion blocks
@@ -683,7 +680,7 @@ class RvmaNic(BaseNic):
         buf.bytes_received = max(buf.bytes_received, place_off + nbytes)
         self.stat("nic.rvma.bytes_placed").add(nbytes)
         spans = self.sim.spans
-        if spans.active and getattr(buf, "_obs_span", None) is None and spans.wants("nic"):
+        if spans.active and buf._obs_span is None and spans.wants("nic"):
             buf._obs_span = spans.begin(
                 "nic", "epoch_fill", nic=self.name, mailbox=entry.mailbox
             )
@@ -736,10 +733,7 @@ class RvmaNic(BaseNic):
                 self._nack(src, hdr, NackReason.NO_BUFFER)
                 return
             room = buf.buffer.size - buf.bytes_received
-            if (
-                getattr(buf, "replay_boundary", False)
-                and entry.threshold_type is EpochType.EPOCH_BYTES
-            ):
+            if buf.replay_boundary and entry.threshold_type is EpochType.EPOCH_BYTES:
                 # Rejoin replay: this buffer's epoch originally closed at
                 # a journaled byte boundary (possibly a flush mid-chunk);
                 # stop the append there so the rebuilt stream tiles the
@@ -753,11 +747,7 @@ class RvmaNic(BaseNic):
                 buf.bytes_received += take
                 self.stat("nic.rvma.bytes_placed").add(take)
                 spans = self.sim.spans
-                if (
-                    spans.active
-                    and getattr(buf, "_obs_span", None) is None
-                    and spans.wants("nic")
-                ):
+                if spans.active and buf._obs_span is None and spans.wants("nic"):
                     buf._obs_span = spans.begin(
                         "nic", "epoch_fill", nic=self.name, mailbox=entry.mailbox
                     )
@@ -781,10 +771,7 @@ class RvmaNic(BaseNic):
             if (
                 buf.counter >= buf.threshold > 0
                 or (take == 0 and buf.bytes_received >= buf.buffer.size)
-                or (
-                    getattr(buf, "replay_boundary", False)
-                    and buf.counter >= buf.threshold
-                )
+                or (buf.replay_boundary and buf.counter >= buf.threshold)
             ):
                 self._complete_active(entry)
         if hdr.op is not None:
@@ -812,7 +799,7 @@ class RvmaNic(BaseNic):
             self.stat("nic.rvma.spilled_completions").add()
         pb = record.buffer
         self._epoch_hist.add(record.length)
-        sp = getattr(pb, "_obs_span", None)
+        sp = pb._obs_span
         if sp is not None:
             self.sim.spans.end(sp, bytes=record.length, epoch=record.epoch)
             pb._obs_span = None
@@ -831,7 +818,7 @@ class RvmaNic(BaseNic):
         # retires the moment it becomes active, keeping the rebuilt
         # epoch numbering aligned with the original run.
         nxt = entry.active
-        if nxt is not None and getattr(nxt, "replay_boundary", False) and nxt.counter >= nxt.threshold:
+        if nxt is not None and nxt.replay_boundary and nxt.counter >= nxt.threshold:
             self._complete_active(entry)
         return record
 

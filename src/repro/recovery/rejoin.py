@@ -293,11 +293,7 @@ class RecoveryAgent:
             if entry is None:
                 continue
             active = entry.active
-            if (
-                active is not None
-                and getattr(active, "replay_boundary", False)
-                and active.counter >= active.threshold
-            ):
+            if active is not None and active.replay_boundary and active.counter >= active.threshold:
                 nic._complete_active(entry)  # cascades through successors
 
     # ------------------------------------------------------------------ handshake

@@ -29,7 +29,10 @@ class Future:
     """A one-shot value that processes may wait on.
 
     NIC completion pointers, message arrivals and process termination
-    are all surfaced to process code as futures.
+    are all surfaced to process code as futures.  A future holds a
+    waiter list only while someone waits: ``_waiters`` is the shared
+    empty tuple until the first waiter registers, and again once
+    resolved.
     """
 
     __slots__ = ("sim", "done", "value", "_waiters")
@@ -38,7 +41,7 @@ class Future:
         self.sim = sim
         self.done = False
         self.value: Any = None
-        self._waiters: list = []
+        self._waiters: "list | tuple" = ()
 
     def resolve(self, value: Any = None) -> None:
         """Mark done and wake every waiter (in registration order)."""
@@ -46,7 +49,7 @@ class Future:
             raise RuntimeError("future already resolved")
         self.done = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, ()
         for waiter in waiters:
             if waiter.__class__ is not _AllOfWait:
                 self.sim.wake(waiter, value)
@@ -60,8 +63,10 @@ class Future:
         """Invoke ``cb(value)`` once resolved (immediately if already done)."""
         if self.done:
             self.sim.wake(cb, self.value)
-        else:
+        elif self._waiters:
             self._waiters.append(cb)
+        else:
+            self._waiters = [cb]
 
 
 class AllOf:
@@ -101,7 +106,10 @@ class _AllOfWait:
         self.remaining = 0
         for f in futures:
             if not f.done:
-                f._waiters.append(self)
+                if f._waiters:
+                    f._waiters.append(self)
+                else:
+                    f._waiters = [self]
                 self.remaining += 1
 
     def values(self) -> list:
@@ -119,6 +127,8 @@ class SimProcess:
     Exceptions raised inside the generator propagate out of the event
     loop (they indicate simulation bugs, not modelled behaviour).
     """
+
+    __slots__ = ("sim", "gen", "name", "done_future", "result")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "proc") -> None:
         self.sim = sim

@@ -1,0 +1,51 @@
+"""tools/mem_sites.py: a workload's traced peak and its allocation sites."""
+
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from repro.sim.engine import Simulator
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: A 27-node, one-iteration Halo3D: both legs in about a second.
+TINY = {"n_nodes": 27, "params": {"iterations": 1, "msg_bytes": 4096, "compute_ns": 1000.0}}
+
+
+def _mem_sites():
+    path = ROOT / "tools" / "mem_sites.py"
+    spec = importlib.util.spec_from_file_location("mem_sites", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="the tool starts tracemalloc itself")
+def test_reports_the_traced_peak_and_its_largest_sites():
+    tool = _mem_sites()
+    engine = Simulator.post, Simulator.wake
+    report = tool.measure("halo3d-fig8", size=TINY, top=4)
+    assert (Simulator.post, Simulator.wake) == engine
+    assert not tracemalloc.is_tracing()
+
+    assert 0.9 * report["peak_bytes"] <= report["snapshot_bytes"] <= report["peak_bytes"]
+    sizes = [row["bytes"] for row in report["sites"]]
+    assert len(sizes) == 4 and sizes == sorted(sizes, reverse=True)
+    assert sum(sizes) <= report["snapshot_bytes"]
+    for row in report["sites"]:
+        path, line = row["site"].rsplit(":", 1)
+        assert (ROOT / path).is_file() and int(line) > 0
+
+    header, columns, *rows = tool.render(report).splitlines()
+    assert header.startswith("halo3d-fig8 seed=20210517: traced peak ")
+    assert columns.split() == ["MB", "count", "avg", "B", "site"]
+    assert [row.split()[3] for row in rows] == [row["site"] for row in report["sites"]]
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="the tool starts tracemalloc itself")
+def test_rvma_only_drops_the_rdma_leg():
+    report = _mem_sites().measure("halo3d-fig8", size=TINY, rvma_only=True, top=3)
+    assert report["size"]["legs"] == ["rvma"]
+    assert 0.9 * report["peak_bytes"] <= report["snapshot_bytes"] <= report["peak_bytes"]
