@@ -152,7 +152,10 @@ class NodeMemory:
     ) -> tuple:
         """Invoke ``callback(addr, data)`` whenever a write overlaps the range.
 
-        Returns a token for :meth:`remove_watchpoint`.
+        Returns a token for :meth:`remove_watchpoint`: the tuple
+        ``(addr, length, callback)``.  Any equal tuple removes it too, so
+        a callback can deregister itself without holding its own token
+        (which would make it a reference cycle).
         """
         token = (addr, length, callback)
         self._watchpoints.append(token)

@@ -49,6 +49,51 @@ POLL = WakeupModel("poll", 0.0, POLL_INTERVAL_NS)
 CQ_POLL = WakeupModel("cq_poll", CQ_POLL_OVERHEAD_NS, POLL_INTERVAL_NS)
 
 
+#: :attr:`_LineWatch.expected` of a wait that any store to the line ends.
+_ANY_STORE = object()
+#: :attr:`_LineWatch.expected` of a wait for a non-zero u64.
+_NONZERO_U64 = object()
+
+
+class _LineWatch:
+    """One armed wait: the watchpoint callback on a cache line.
+
+    Creating one registers it on the waiter's memory.  ``expected`` is
+    the byte a byte wait expects, or one of the markers above.  On a
+    match the watch removes itself with a fresh token equal to the one
+    it was registered under, so it never holds that token: a completed
+    wait is acyclic and reference counting frees it.
+    """
+
+    __slots__ = ("waiter", "line", "addr", "model", "fut", "expected")
+
+    def __init__(self, waiter: "MemoryWaiter", addr: int, model: WakeupModel,
+                 expected: object) -> None:
+        self.waiter = waiter
+        self.line = line = cache_line_of(addr)
+        self.addr = addr
+        self.model = model
+        self.fut = Future(waiter.sim)
+        self.expected = expected
+        waiter.memory.add_watchpoint(line, CACHE_LINE, self)
+
+    def __call__(self, w_addr: int, _data: bytes) -> None:
+        memory = self.waiter.memory
+        expected = self.expected
+        if expected is _ANY_STORE:
+            value = w_addr
+        elif expected is _NONZERO_U64:
+            value = memory.read_u64(self.addr)
+            if value == 0:
+                return  # unrelated store to the same line
+        elif memory.read(self.addr, 1)[0] == expected:
+            value = expected
+        else:
+            return
+        memory.remove_watchpoint((self.line, CACHE_LINE, self))
+        self.waiter.sim.post(self.model.delay_after_store(), self.fut.resolve, value)
+
+
 class MemoryWaiter:
     """Arms wakeups on cache lines of a :class:`NodeMemory`.
 
@@ -62,16 +107,7 @@ class MemoryWaiter:
 
     def wait_for_write(self, addr: int, model: WakeupModel = MWAIT) -> Future:
         """Future resolving with the store's address once the line is written."""
-        fut = Future(self.sim)
-        line = cache_line_of(addr)
-        token_box: list = []
-
-        def on_write(w_addr: int, _data: bytes) -> None:
-            self.memory.remove_watchpoint(token_box[0])
-            self.sim.post(model.delay_after_store(), fut.resolve, w_addr)
-
-        token_box.append(self.memory.add_watchpoint(line, CACHE_LINE, on_write))
-        return fut
+        return _LineWatch(self, addr, model, _ANY_STORE).fut
 
     def wait_for_byte(self, addr: int, expected: int, model: WakeupModel = POLL) -> Future:
         """Future resolving once the byte at *addr* equals *expected*.
@@ -80,20 +116,10 @@ class MemoryWaiter:
         for completion: the sender encodes a per-iteration sentinel in
         the final byte and the receiver spins on it.
         """
+        if self.memory.read(addr, 1)[0] != expected:
+            return _LineWatch(self, addr, model, expected).fut
         fut = Future(self.sim)
-        if self.memory.read(addr, 1)[0] == expected:
-            self.sim.post(model.delay_after_store(), fut.resolve, expected)
-            return fut
-        line = cache_line_of(addr)
-        token_box: list = []
-
-        def on_write(_w_addr: int, _data: bytes) -> None:
-            if self.memory.read(addr, 1)[0] != expected:
-                return
-            self.memory.remove_watchpoint(token_box[0])
-            self.sim.post(model.delay_after_store(), fut.resolve, expected)
-
-        token_box.append(self.memory.add_watchpoint(line, CACHE_LINE, on_write))
+        self.sim.post(model.delay_after_store(), fut.resolve, expected)
         return fut
 
     def wait_for_nonzero_u64(self, addr: int, model: WakeupModel = MWAIT) -> Future:
@@ -103,19 +129,9 @@ class MemoryWaiter:
         pointer: the NIC stores the completed buffer's head address
         (never zero) into the notification word.
         """
+        value = self.memory.read_u64(addr)
+        if value == 0:
+            return _LineWatch(self, addr, model, _NONZERO_U64).fut
         fut = Future(self.sim)
-        if self.memory.read_u64(addr) != 0:
-            self.sim.post(model.delay_after_store(), fut.resolve, self.memory.read_u64(addr))
-            return fut
-        line = cache_line_of(addr)
-        token_box: list = []
-
-        def on_write(_w_addr: int, _data: bytes) -> None:
-            value = self.memory.read_u64(addr)
-            if value == 0:
-                return  # unrelated store to the same line
-            self.memory.remove_watchpoint(token_box[0])
-            self.sim.post(model.delay_after_store(), fut.resolve, value)
-
-        token_box.append(self.memory.add_watchpoint(line, CACHE_LINE, on_write))
+        self.sim.post(model.delay_after_store(), fut.resolve, value)
         return fut

@@ -8,7 +8,6 @@ memory by the NIC (a PCIe traversal) before software can poll them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -50,8 +49,10 @@ class CompletionQueue:
     def __init__(self, sim: Simulator, capacity: int = 4096) -> None:
         self.sim = sim
         self.capacity = capacity
-        self.entries: deque[CqEntry] = deque()
-        self._consumers: deque[Future | Callable[[CqEntry], None]] = deque()
+        # Lists, not deques: one CQ per node, and an empty deque costs
+        # ~760 B where an empty list costs 56 B; queues stay a few deep.
+        self.entries: list[CqEntry] = []
+        self._consumers: list[Future | Callable[[CqEntry], None]] = []
         self.overflows = 0
         self.total_entries = 0
 
@@ -60,7 +61,7 @@ class CompletionQueue:
         the classic 'ran out of CQ contexts' failure the paper cites)."""
         self.total_entries += 1
         if self._consumers:
-            consumer = self._consumers.popleft()
+            consumer = self._consumers.pop(0)
             if consumer.__class__ is Future:
                 consumer.resolve(entry)
             else:
@@ -75,14 +76,14 @@ class CompletionQueue:
         """Software-side: harvest up to *max_entries* without blocking."""
         out = []
         while self.entries and len(out) < max_entries:
-            out.append(self.entries.popleft())
+            out.append(self.entries.pop(0))
         return out
 
     def wait(self) -> Future:
         """Future resolving with the next entry (drains backlog first)."""
         fut = Future(self.sim)
         if self.entries:
-            fut.resolve(self.entries.popleft())
+            fut.resolve(self.entries.pop(0))
         else:
             self._consumers.append(fut)
         return fut
@@ -94,7 +95,7 @@ class CompletionQueue:
         waiter would be (:meth:`Simulator.wake`).
         """
         if self.entries:
-            self.sim.wake(cb, self.entries.popleft())
+            self.sim.wake(cb, self.entries.pop(0))
         else:
             self._consumers.append(cb)
 

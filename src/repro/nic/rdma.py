@@ -16,7 +16,6 @@ Implements the RDMA semantics the paper describes in §II / Fig 1:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,7 +93,7 @@ class RdmaNic(BaseNic):
         self._next_rkey = 0x1000
         # Posted receives: (buffer, wr_id, tag).  ``tag=None`` matches any
         # send; tagged entries model per-connection (QP) receive queues.
-        self.recv_queue: deque[tuple[HostBuffer, int, Optional[int]]] = deque()
+        self.recv_queue: list[tuple[HostBuffer, int, Optional[int]]] = []
         #: op_id -> (buffer, wr_id) for sends mid-placement (multi-packet).
         self._recv_claims: dict[int, tuple[HostBuffer, int]] = {}
         self._pending: dict[int, RdmaOp] = {}

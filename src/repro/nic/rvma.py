@@ -495,7 +495,9 @@ class RvmaNic(BaseNic):
                 mailbox=mailbox, offset=offset, total_size=size, op_id=op.op_id, op=op
             )
             self._inject_now(dst, size, hdr, data, mode)
-            self.resolve_at(op.local_done, self.local_injection_done(), op)
+            # With None, not the op: the op holds its own future, and
+            # a put handle must stay acyclic so refcounting frees it.
+            self.resolve_at(op.local_done, self.local_injection_done())
 
         self.sim.post(self.cfg.issue_latency(), issue)
         return op

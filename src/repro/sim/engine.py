@@ -32,9 +32,8 @@ event-for-event to the reference pure-heap implementation:
 * **GC pause during unbounded drains** — ``run()`` with neither
   ``until`` nor ``max_events`` disables the cyclic collector
   (per-event tuples are acyclic, so gen-0 sweeps are pure overhead)
-  and restores it on exit.  Bounded runs keep GC on: long-lived KV
-  harnesses call them thousands of times and would otherwise grow
-  their peak memory.
+  and restores it on exit.  Bounded runs keep GC on; pausing them too
+  measured no gain (``docs/PERFORMANCE.md`` item 6).
 * **Next-event slot** — :meth:`Simulator.wake` schedules like
   ``post(0.0, fn, arg)`` (seq and all), but inside a drain the first
   wake an event makes waits in a one-entry slot instead of the heap.
@@ -310,8 +309,9 @@ class Simulator:
         allocations (heap tuples, arg tuples) are acyclic, and
         generation-0 sweeps otherwise trigger every ~700 events.  It is
         re-enabled on exit, so callers see no change.  Bounded runs
-        leave GC alone: KV harnesses call them thousands of times over
-        a long-lived object graph, and pausing there grows peak memory.
+        leave GC alone: no per-op record is cyclic, so pausing them too
+        costs no peak memory, but it bought no measured run time on the
+        KV workloads either (``docs/PERFORMANCE.md`` item 6).
         """
         gc_paused = until is None and max_events is None and gc.isenabled()
         if gc_paused:

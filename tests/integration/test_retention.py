@@ -1,17 +1,31 @@
-"""KV memory follows the work in flight, not the number of ops.
+"""Memory follows the work in flight, not the number of ops.
 
 Every consumed posting releases its record, a re-posted buffer reuses
 its notification line, a stream recycles chunks that have left the
 NIC's rewind ring and a settled put leaves its NIC's put window, so a
-cell run twice as long ends holding exactly the same allocations,
+KV cell run twice as long ends holding exactly the same allocations,
 posted records and put handles.
+
+What a run lets go of is freed at once: no record made per wait, per
+put or per op is part of a reference cycle, so reference counting
+frees it without the cyclic collector, which ``Simulator.run`` pauses.
 """
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+from functools import partial
+
+import pytest
+
+from repro import Cluster
 from repro.core import RvmaApi
+from repro.experiments.chaos import run_chaos, run_crash_restart
 from repro.experiments.kv_churn import run_kv_service
 from repro.services import WorkloadConfig
+
+from tests.properties.test_cost_ledger import CELLS
 
 
 def _retained(monkeypatch, n_ops: int):
@@ -42,3 +56,40 @@ def test_kv_retention_does_not_grow_with_op_count(monkeypatch):
     assert allocations2 == allocations
     assert posted2 == posted
     assert put_handles2 == put_handles
+
+
+#: Every cost-ledger cell, and both fault sweeps at one seed.
+ACYCLIC_CELLS = {
+    **CELLS,
+    "crash-restart-sweep": partial(run_crash_restart, seeds=(1,)),
+    "chaos-sweep": partial(run_chaos, seeds=(1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACYCLIC_CELLS))
+def test_cell_leaves_no_cyclic_garbage(monkeypatch, name):
+    # A cluster is one big cycle by design: keep every one the cell
+    # builds alive, so that only what the run let go of is counted.
+    clusters = []
+    build = Cluster.build
+
+    def kept_build(cls, *args, **kwargs):
+        clusters.append(build(*args, **kwargs))
+        return clusters[-1]
+
+    monkeypatch.setattr(Cluster, "build", classmethod(kept_build))
+    gc.collect()
+    # Paused for the whole cell: a bounded drain leaves the collector
+    # on, and a collection inside the cell would hide the garbage.
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ACYCLIC_CELLS[name]()
+        unreachable = gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage).most_common(5)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert clusters
+    assert unreachable == 0, f"{name} left {unreachable} objects in reference cycles: {kinds}"

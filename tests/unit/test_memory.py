@@ -1,5 +1,7 @@
 """Unit tests for the host memory substrate."""
 
+import gc
+
 import pytest
 
 from repro.memory import (
@@ -225,6 +227,56 @@ def test_wait_for_byte_sentinel():
     sim.schedule(30.0, mem.write, a.base + 63, b"\x07")
     sim.run()
     assert p.result == pytest.approx(30.0 + POLL.delay_after_store())
+
+
+# Each wait: (arm it at a base address, an unrelated store that must
+# leave it armed, the store that ends it, the value it resolves with).
+# Stores are (offset, bytes) into one 128-byte allocation: two cache
+# lines.  A write wait resolves with the store's address.
+WAITS = {
+    "write": (lambda w, base: w.wait_for_write(base + 8),
+              (64, b"x"), (0, b"y"), lambda base: base),
+    "byte": (lambda w, base: w.wait_for_byte(base + 63, 7),
+             (63, b"\x05"), (63, b"\x07"), lambda base: 7),
+    "nonzero_u64": (lambda w, base: w.wait_for_nonzero_u64(base + 8),
+                    (16, b"\x01"), (8, (0xABC).to_bytes(8, "little")), lambda base: 0xABC),
+}
+
+
+def _run_wait(kind):
+    """Arm *kind* on a fresh memory, store unrelated then matching bytes,
+    then store to the line once more after the wait resolved."""
+    arm, unrelated, matching, value = WAITS[kind]
+    sim, mem = Simulator(), NodeMemory()
+    base = mem.alloc(128).base
+    fut = arm(MemoryWaiter(sim, mem), base)
+    states = []
+    for at, (offset, data) in ((10.0, unrelated), (20.0, matching), (30.0, matching)):
+        sim.schedule(at, mem.write, base + offset, data)
+        sim.run()
+        states.append((fut.done, len(mem._watchpoints)))
+    return fut, value(base), states, (sim, mem)
+
+
+@pytest.mark.parametrize("kind", sorted(WAITS))
+def test_wait_resolves_once_with_its_value(kind):
+    fut, value, states, _ = _run_wait(kind)
+    assert fut.value == value
+    # Armed across the unrelated store, disarmed by the matching one,
+    # and a later store to the line finds nothing to resolve again.
+    assert states == [(False, 1), (True, 0), (True, 0)]
+
+
+@pytest.mark.parametrize("kind", sorted(WAITS))
+def test_resolved_wait_leaves_no_cycle(kind):
+    gc.collect()
+    gc.disable()
+    try:
+        fut, _, _, _alive = _run_wait(kind)
+        assert fut.done
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_poll_model_costs_more_idle_overhead_than_mwait():

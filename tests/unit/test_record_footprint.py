@@ -59,6 +59,13 @@ def test_empty_mailbox_entry_costs_lists_not_deques():
     assert sys.getsizeof(entry.queue) == sys.getsizeof(entry.retired) == empty
 
 
+def test_empty_completion_and_receive_queues_cost_one_list_each(rdma_pair):
+    nic = rdma_pair.node(0).nic
+    empty = sys.getsizeof([])
+    assert sys.getsizeof(nic.cq.entries) == sys.getsizeof(nic.cq._consumers) == empty
+    assert sys.getsizeof(nic.recv_queue) == empty
+
+
 def test_posted_buffer_recovery_and_span_fields_stay_out_of_its_interface():
     mem = NodeMemory()
     a, b = _posted(mem), _posted(mem)

@@ -54,6 +54,25 @@ def test_put_places_data_and_completes(rvma_pair):
     assert head == addr and length == 200
 
 
+def test_put_local_done_resolves_with_none(rvma_pair):
+    # Not with the op: the op holds local_done, so that value would make
+    # every put handle a reference cycle.
+    cl = rvma_pair
+
+    def receiver():
+        _, notify, _ = yield from _arm(cl.node(1), 0xA, 8)
+        yield cl.node(1).waiter.wait_for_nonzero_u64(notify)
+
+    def sender():
+        yield 500.0
+        op = cl.node(0).nic.hw_put(1, 0xA, 8, b"8 bytes!")
+        return op, (yield op.local_done)
+
+    _, (op, value) = run_gens(cl.sim, receiver(), sender())
+    assert op.local_done.done
+    assert value is None and op.local_done.value is None
+
+
 def test_put_offset_places_at_offset(rvma_pair):
     cl = rvma_pair
 
