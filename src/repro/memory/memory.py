@@ -3,7 +3,9 @@
 The simulator stores *real bytes*, not abstract tokens: data-integrity
 assertions (e.g. "out-of-order packet delivery still reconstructs the
 payload", "rewind recovers the previous epoch's contents") verify actual
-memory contents.
+memory contents.  Only written bytes take host memory: an allocation's
+backing ends at the highest byte ever written to it, and every byte
+never written reads as zero.
 
 Memory is organized as a bump allocator over a flat 48-bit physical
 space.  Reads and writes must fall inside a single allocation —
@@ -29,8 +31,12 @@ class MemoryFault(RuntimeError):
 class Allocation:
     """One contiguous allocation: [base, base+size) backed by a bytearray.
 
-    Backing storage materialises on first access so that size-only
-    simulations (motifs at 8,192 nodes) never pay for payload bytes.
+    The backing holds the allocation's bytes up to the highest byte
+    ever written to it and nothing past that: it is None until the
+    first write, and a read past its end returns zeros.  Size-only
+    simulations (motifs at 8,192 nodes) never pay for payload bytes,
+    and a receive buffer posted for the largest message backs only the
+    bytes its puts placed.
     """
 
     __slots__ = ("base", "size", "_data", "label")
@@ -40,12 +46,6 @@ class Allocation:
         self.size = size
         self._data: bytearray | None = None
         self.label = label
-
-    @property
-    def data(self) -> bytearray:
-        if self._data is None:
-            self._data = bytearray(self.size)
-        return self._data
 
     @property
     def end(self) -> int:
@@ -120,18 +120,34 @@ class NodeMemory:
             return
         a = self.find(addr, len(data))
         off = addr - a.base
-        a.data[off : off + len(data)] = data
+        buf = a._data
+        if buf is None:
+            buf = a._data = bytearray()
+        gap = off - len(buf)
+        if gap >= 0:
+            if gap:
+                buf += bytes(gap)  # never-written bytes before it read as 0
+            buf += data
+        else:
+            # Grows the backing when the write runs past its end.
+            buf[off : off + len(data)] = data
         self.bytes_written += len(data)
         self._fire_watchpoints(addr, data)
 
     def read(self, addr: int, length: int) -> bytes:
-        """Load *length* bytes from *addr*."""
+        """Load *length* bytes from *addr*; bytes never written read as 0."""
         if length <= 0:
             return b""
         a = self.find(addr, length)
         off = addr - a.base
         self.bytes_read += length
-        return bytes(a.data[off : off + length])
+        buf = a._data
+        if buf is None:
+            return bytes(length)
+        out = bytes(buf[off : off + length])
+        if len(out) < length:
+            out += bytes(length - len(out))
+        return out
 
     def write_u64(self, addr: int, value: int) -> None:
         """Store a little-endian 64-bit word (completion pointers/lengths)."""

@@ -35,9 +35,10 @@ class RvmaPutHeader:
     total_size: int
     op_id: int = field(default_factory=next_op_id)
     #: Simulator-side link to the initiator's :class:`repro.nic.rvma.PutOp`
-    #: on a first attempt, so the target can report placement and the
-    #: initiator can drop a put no NACK can name any more.  Not on the
-    #: wire; retries and active-mailbox replies carry None.
+    #: on every attempt (the first and each NACK retry), so the target
+    #: can report placement and the initiator can drop a put no NACK
+    #: can name any more.  Not on the wire; active-mailbox replies carry
+    #: None.
     op: object = field(default=None, compare=False, repr=False)
 
 
@@ -86,6 +87,11 @@ class RvmaNackHeader:
     op_id: int
     mailbox: int
     reason: NackReason
+    #: Simulator-side: the refused fragment's settle units (its bytes,
+    #: 1 for an empty put), handed back to the put once its initiator
+    #: has handled this NACK (:attr:`repro.nic.rvma.PutOp.unsettled`).
+    #: Not on the wire.
+    units: int = field(default=0, compare=False, repr=False)
 
 
 # --- reliability envelope -----------------------------------------------------

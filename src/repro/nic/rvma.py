@@ -59,9 +59,10 @@ class RvmaNicConfig(NicConfig):
     #: Put handles kept for NACK matching, counted in puts issued: a put
     #: still held ``put_window`` puts after its own is evicted (a NACK
     #: for it can no longer be retried).  A put leaves earlier once it
-    #: is settled (:attr:`PutOp.unsettled`: the target placed all of its
-    #: first attempt, NACKed none of it, and the reliability transport
-    #: has its ack) unless the NIC journals its sends.  Bounds initiator
+    #: is settled (:attr:`PutOp.unsettled`: every byte of every attempt
+    #: was placed or NACKed, every NACK was handled, and the reliability
+    #: transport has the ack of every attempt that rides it) unless the
+    #: NIC journals its sends or the put is lost.  Bounds initiator
     #: memory in million-put motif runs.
     put_window: int = 65536
 
@@ -84,12 +85,15 @@ class PutOp:
     #: puts the initiating NIC had issued, this one included; the put
     #: window evicts the op at put ``index + put_window`` if still held.
     index: int = 0
-    #: units left before the put settles: each byte of its first
-    #: attempt placed at the target (a zero-byte put is one unit), plus
-    #: the reliability transport's ack when the put rides it (an unacked
-    #: message is resent to a crash-restarted target, which may NACK
-    #: it).  None while it cannot settle: its send is journaled, or the
-    #: target NACKed any part of it.
+    #: units left before the put settles, counted over all attempts:
+    #: each attempt adds its bytes (a zero-byte put is one unit), plus
+    #: one for the reliability transport's ack when it rides the
+    #: transport (an unacked message is resent to a crash-restarted
+    #: target, which may NACK it).  Placed bytes and acks take units
+    #: off; a NACKed fragment's units come off only once this NIC has
+    #: handled the NACK, after any resend has added its own.  None while
+    #: it cannot settle: its send is journaled, it is lost, or a target
+    #: refused part of it without sending a NACK.
     unsettled: Optional[int] = None
     #: the initiating NIC's held-put table, left once the put settles.
     held: Optional[dict] = field(default=None, repr=False, compare=False)
@@ -486,11 +490,7 @@ class RvmaNic(BaseNic):
             self.stat("nic.rvma.put_window_evictions").add()
 
         def issue() -> None:
-            transport = self.transport
-            if transport is None or transport.journal is None:
-                # A journaled send never settles: a rejoin can replay it
-                # and the replay can be NACKed.
-                op.unsettled = (size or 1) + (transport is not None and dst != self.node_id)
+            op.unsettled = self._attempt_units(size, dst)
             hdr = RvmaPutHeader(
                 mailbox=mailbox, offset=offset, total_size=size, op_id=op.op_id, op=op
             )
@@ -501,6 +501,19 @@ class RvmaNic(BaseNic):
 
         self.sim.post(self.cfg.issue_latency(), issue)
         return op
+
+    def _attempt_units(self, size: int, dst: int) -> Optional[int]:
+        """Settle units one attempt of a put adds (see :attr:`PutOp.unsettled`).
+
+        None when the send is journaled: a rejoin can replay it and the
+        replay can be NACKed, so the put never settles.
+        """
+        transport = self.transport
+        if transport is None:
+            return size or 1
+        if transport.journal is not None:
+            return None
+        return (size or 1) + (dst != self.node_id)
 
     def hw_get(
         self,
@@ -547,27 +560,30 @@ class RvmaNic(BaseNic):
 
     # ------------------------------------------------------------------ receive path
 
-    def _resolve_target(self, hdr: RvmaPutHeader | RvmaGetHeader, src: int):
+    def _resolve_target(
+        self, hdr: RvmaPutHeader | RvmaGetHeader, src: int, units: int = 0
+    ):
         """LUT lookup with catch-all fallback; emits NACKs on failure.
 
         Returns (entry, buffer) or (None, None) when the op is discarded.
+        *units* are the refused put fragment's (see :meth:`_nack`).
         """
         entry = self.lut.lookup(hdr.mailbox)
         if entry is None:
             if self.lut.catch_all is not None and self.lut.catch_all.active is not None:
                 self.stat("nic.rvma.catch_all_hits").add()
                 return self.lut.catch_all, self.lut.catch_all.active
-            self._nack(src, hdr, NackReason.NO_MAILBOX)
+            self._nack(src, hdr, NackReason.NO_MAILBOX, units)
             return None, None
         if entry.closed:
-            self._nack(src, hdr, NackReason.CLOSED)
+            self._nack(src, hdr, NackReason.CLOSED, units)
             return None, None
         buf = entry.active
         if buf is None:
             if self.lut.catch_all is not None and self.lut.catch_all.active is not None:
                 self.stat("nic.rvma.catch_all_hits").add()
                 return self.lut.catch_all, self.lut.catch_all.active
-            self._nack(src, hdr, NackReason.NO_BUFFER)
+            self._nack(src, hdr, NackReason.NO_BUFFER, units)
             return None, None
         return entry, buf
 
@@ -623,7 +639,7 @@ class RvmaNic(BaseNic):
             # would duplicate its prefix on a client retry).
             self.stat("nic.rvma.quota_rejects").add()
             self.stat("nic.rvma.puts_discarded").add()
-            self._nack(src, hdr, NackReason.QUOTA)
+            self._nack(src, hdr, NackReason.QUOTA, nbytes or 1)
             return
         if self.active is not None:
             # Active-mailbox predicate filter: reject non-matching
@@ -652,7 +668,7 @@ class RvmaNic(BaseNic):
     def _place_admitted(
         self, hdr: RvmaPutHeader, src: int, frag_off: int, nbytes: int, data: bytes
     ) -> None:
-        entry, buf = self._resolve_target(hdr, src)
+        entry, buf = self._resolve_target(hdr, src, nbytes or 1)
         if entry is None:
             self.stat("nic.rvma.puts_discarded").add()
             return
@@ -663,7 +679,7 @@ class RvmaNic(BaseNic):
             return
         place_off = hdr.offset + frag_off
         if place_off + nbytes > buf.buffer.size:
-            self._nack(src, hdr, NackReason.OUT_OF_BOUNDS)
+            self._nack(src, hdr, NackReason.OUT_OF_BOUNDS, nbytes or 1)
             self.stat("nic.rvma.puts_discarded").add()
             return
         self._place(entry, buf, hdr, place_off, nbytes, data)
@@ -717,7 +733,7 @@ class RvmaNic(BaseNic):
             buf = entry.active
             if buf is None:
                 self.stat("nic.rvma.puts_discarded").add()
-                self._nack(src, hdr, NackReason.NO_BUFFER)
+                self._nack(src, hdr, NackReason.NO_BUFFER, 1)
                 return
             if hdr.op is not None:
                 hdr.op.settle(1)
@@ -732,8 +748,8 @@ class RvmaNic(BaseNic):
             if buf is None:
                 # Stream overran the posted bucket: remainder is lost.
                 self.stat("nic.rvma.puts_discarded").add()
-                self._nack(src, hdr, NackReason.NO_BUFFER)
-                return
+                self._nack(src, hdr, NackReason.NO_BUFFER, nbytes)
+                break
             room = buf.buffer.size - buf.bytes_received
             if buf.replay_boundary and entry.threshold_type is EpochType.EPOCH_BYTES:
                 # Rejoin replay: this buffer's epoch originally closed at
@@ -880,15 +896,31 @@ class RvmaNic(BaseNic):
 
     # --- NACKs -----------------------------------------------------------------------
 
-    def _nack(self, src: int, hdr, reason: NackReason) -> None:
+    def _nack(self, src: int, hdr, reason: NackReason, units: int = 0) -> None:
+        """Refuse an op.  For a put, *units* are the refused fragment's
+        settle units; the NACK hands them back to its initiator."""
+        send = self.cfg.send_nacks and src != self.node_id
         op = getattr(hdr, "op", None)
         if op is not None:
-            # Its initiator may match this NACK: the put must stay held
-            # until the put window evicts it.
-            op.unsettled = None
+            if not send:
+                # No NACK hands these units back: the put must stay held
+                # until the put window evicts it.
+                op.unsettled = None
+            elif op.unsettled is not None:
+                # The NACK in flight is a unit of its own, so the put
+                # stays held until its initiator has handled it, even
+                # when these bytes were also placed (a transport resend
+                # to a crash-restarted target).
+                op.unsettled += 1
+                units += 1
         self.stat(f"nic.rvma.nacks_{reason.value}").add()
-        if self.cfg.send_nacks and src != self.node_id:
-            self.send_control(src, RvmaNackHeader(op_id=hdr.op_id, mailbox=hdr.mailbox, reason=reason))
+        if send:
+            self.send_control(
+                src,
+                RvmaNackHeader(
+                    op_id=hdr.op_id, mailbox=hdr.mailbox, reason=reason, units=units
+                ),
+            )
 
     def _on_nack(self, delivery: Delivery) -> None:
         hdr: RvmaNackHeader = delivery.message.header
@@ -905,16 +937,26 @@ class RvmaNic(BaseNic):
             data, offset, mode, left = op.retry
             op.retry = (data, offset, mode, left - 1)
             self.stat("nic.rvma.put_retries").add()
+            if op.unsettled is not None:
+                # The resend's units go on before this NACK's come off,
+                # so the put cannot settle before the resend is counted.
+                units = self._attempt_units(op.size, op.dst)
+                op.unsettled = None if units is None else op.unsettled + units
             resend = RvmaPutHeader(
-                mailbox=op.mailbox, offset=offset, total_size=op.size, op_id=op.op_id
+                mailbox=op.mailbox, offset=offset, total_size=op.size, op_id=op.op_id,
+                op=op,
             )
             self.inject(
                 op.dst, op.size, resend, data, mode, after=self.cfg.put_retry_timeout
             )
+            op.settle(hdr.units)
             return
         if op.lost:
             return
         op.lost = True
+        # A lost put stays held: a NACK for its other packets must
+        # still find it and not count a new loss.
+        op.unsettled = None
         if (
             hdr.reason in (NackReason.NO_BUFFER, NackReason.NO_MAILBOX)
             and op.retry

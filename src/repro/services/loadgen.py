@@ -42,6 +42,35 @@ from .wire import (
 )
 
 
+def idle_poll_delay(now: float, poll: float, work_at: float) -> float:
+    """How long an idle worker that polls every *poll* ns sleeps.
+
+    No new work can appear before *work_at*, so every poll before then
+    would find nothing.  The worker skips them: it sleeps straight to
+    the last poll tick before ``work_at - 1`` and polls every *poll* ns
+    from there.  Ticks are the ones repeated ``now + poll`` additions
+    give, and the delay is nudged until ``now + delay`` lands exactly on
+    one, so every later tick, the one that finds work included, falls
+    where it always did.  With no tick to skip this is *poll*, and so it
+    is when rounding leaves the tick with no such delay: the worker
+    polls once and skips from the next tick instead.
+    """
+    limit = work_at - 1.0
+    tick = now + poll
+    if tick >= limit:
+        return poll
+    nxt = tick + poll
+    while nxt < limit:
+        tick = nxt
+        nxt = tick + poll
+    delay = tick - now
+    while now + delay < tick:
+        delay = math.nextafter(delay, math.inf)
+    while now + delay > tick:
+        delay = math.nextafter(delay, -math.inf)
+    return delay if now + delay == tick else poll
+
+
 class ZipfSampler:
     """Zipf(s) over ``n_keys`` ranks via inverse-CDF table lookup."""
 
@@ -84,7 +113,8 @@ class WorkloadConfig:
     batch: int = 1
     #: Mean exponential interarrival for open-loop mode.
     mean_interarrival_ns: float = 4000.0
-    #: Idle-client poll interval for the open-loop work queue.
+    #: Idle-client poll interval for the open-loop work queue (an idle
+    #: client skips the polls before the next drawn arrival).
     worker_poll_ns: float = 500.0
     #: Open-loop backlog cap: arrivals beyond this many queued ops are
     #: dropped (and counted) instead of growing the deque without bound
@@ -224,12 +254,19 @@ class LoadGenerator:
         cfg = self.config
         backlog: deque = deque()
         done = [False]
+        # When the arrival drawn last lands: no work appears before it.
+        arrival = [0.0]
         workers = [
-            spawn(self.sim, self._open_worker(client, backlog, done), name=f"kv-open{i}")
+            spawn(
+                self.sim, self._open_worker(client, backlog, done, arrival),
+                name=f"kv-open{i}",
+            )
             for i, client in enumerate(self.clients)
         ]
         for _ in range(cfg.n_ops):
-            yield self._interarrival()
+            gap = self._interarrival()
+            arrival[0] = self.sim.now + gap
+            yield gap
             self.stats.ops_issued += 1
             if len(backlog) >= cfg.max_backlog:
                 # Offered load has outrun the pool for max_backlog ops:
@@ -246,7 +283,9 @@ class LoadGenerator:
         done[0] = True
         yield AllOf(workers)
 
-    def _open_worker(self, client: KvClient, backlog: deque, done: list) -> Generator:
+    def _open_worker(
+        self, client: KvClient, backlog: deque, done: list, arrival: list
+    ) -> Generator:
         while True:
             if backlog:
                 (op, key, value), arrived = backlog.popleft()
@@ -257,4 +296,4 @@ class LoadGenerator:
             elif done[0]:
                 return
             else:
-                yield self.config.worker_poll_ns
+                yield idle_poll_delay(self.sim.now, self.config.worker_poll_ns, arrival[0])

@@ -35,7 +35,7 @@ from typing import Generator, Optional
 from ..core.addressing import stable_hash64
 from ..sim.process import AllOf, spawn
 from ..services.kv import KvClient
-from ..services.loadgen import LoadStats
+from ..services.loadgen import LoadStats, idle_poll_delay
 from ..services.wire import (
     OP_DELETE,
     OP_GET,
@@ -154,6 +154,8 @@ class TraceReplayer:
         queues: dict[int, deque] = {tc: deque() for tc in self.trace.clients()}
         queued = [0]
         done = [False]
+        # Rows the dispatch loop has handled (queued or dropped).
+        dispatched = [0]
         workers = []
         by_pool: dict[int, list[deque]] = {}
         for tc in self.trace.clients():
@@ -168,10 +170,11 @@ class TraceReplayer:
                 seen.add(id(client))
                 pools.append((client, by_pool[id(client)]))
         for i, (client, qs) in enumerate(pools):
+            mine = {tc for tc in self.trace.clients() if self._client_of[tc] is client}
             workers.append(
                 spawn(
                     self.sim,
-                    self._worker(client, qs, queued, done),
+                    self._worker(client, qs, queued, done, dispatched, mine),
                     name=f"kv-replay{i}",
                 )
             )
@@ -181,6 +184,7 @@ class TraceReplayer:
                 yield dt
             # dt <= 0: zero-gap row (or float noise) — dispatch now.
             self.stats.ops_issued += 1
+            dispatched[0] = index + 1
             if queued[0] >= self.max_backlog:
                 self.stats.ops_dropped += 1
                 self._dropped.add()
@@ -194,9 +198,13 @@ class TraceReplayer:
             spans.end(sp, replayed=self._replayed.value, dropped=self._dropped.value)
         return self.stats
 
-    def _worker(self, client: KvClient, queues: list[deque],
-                queued: list, done: list) -> Generator:
+    def _worker(self, client: KvClient, queues: list[deque], queued: list,
+                done: list, dispatched: list, mine: set) -> Generator:
         spans = self.sim.spans
+        rows = self.trace.rows
+        # First undispatched row of a trace client in *mine*
+        # (len(rows) when none is left).
+        nxt = 0
         while True:
             row_item = None
             src_queue = None
@@ -208,7 +216,14 @@ class TraceReplayer:
             if row_item is None:
                 if done[0]:
                     return
-                yield self.worker_poll_ns
+                # No work appears before the next row of this worker's
+                # trace clients (or, with none left, before the last
+                # row, when ``done`` is set): skip the polls until then.
+                nxt = max(nxt, dispatched[0])
+                while nxt < len(rows) and rows[nxt].client not in mine:
+                    nxt += 1
+                work_at = rows[min(nxt, len(rows) - 1)].timestamp_ns
+                yield idle_poll_delay(self.sim.now, self.worker_poll_ns, work_at)
                 continue
             index, row = row_item
             queued[0] -= 1

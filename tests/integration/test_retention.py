@@ -9,6 +9,11 @@ posted records and put handles.
 What a run lets go of is freed at once: no record made per wait, per
 put or per op is part of a reference cycle, so reference counting
 frees it without the cyclic collector, which ``Simulator.run`` pauses.
+
+Host memory backs only what was written: each allocation's backing ends
+at the highest byte ever written to it.  A put retried after a NACK
+settles once its retry is placed, so the incast cell, which NACKs and
+retries puts, ends holding none.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from repro import Cluster
 from repro.core import RvmaApi
 from repro.experiments.chaos import run_chaos, run_crash_restart
 from repro.experiments.kv_churn import run_kv_service
+from repro.memory import NodeMemory
 from repro.services import WorkloadConfig
 
 from tests.properties.test_cost_ledger import CELLS
@@ -66,10 +72,8 @@ ACYCLIC_CELLS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ACYCLIC_CELLS))
-def test_cell_leaves_no_cyclic_garbage(monkeypatch, name):
-    # A cluster is one big cycle by design: keep every one the cell
-    # builds alive, so that only what the run let go of is counted.
+def _keep_clusters(monkeypatch) -> list:
+    """Keep every cluster the cell builds (in the returned list) alive."""
     clusters = []
     build = Cluster.build
 
@@ -78,6 +82,14 @@ def test_cell_leaves_no_cyclic_garbage(monkeypatch, name):
         return clusters[-1]
 
     monkeypatch.setattr(Cluster, "build", classmethod(kept_build))
+    return clusters
+
+
+@pytest.mark.parametrize("name", sorted(ACYCLIC_CELLS))
+def test_cell_leaves_no_cyclic_garbage(monkeypatch, name):
+    # A cluster is one big cycle by design: keep every one the cell
+    # builds alive, so that only what the run let go of is counted.
+    clusters = _keep_clusters(monkeypatch)
     gc.collect()
     # Paused for the whole cell: a bounded drain leaves the collector
     # on, and a collection inside the cell would hide the garbage.
@@ -93,3 +105,40 @@ def test_cell_leaves_no_cyclic_garbage(monkeypatch, name):
         gc.enable()
     assert clusters
     assert unreachable == 0, f"{name} left {unreachable} objects in reference cycles: {kinds}"
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_cell_backs_only_written_bytes(monkeypatch, name):
+    allocations = []
+    highest = {}
+    alloc, write = NodeMemory.alloc, NodeMemory.write
+
+    def recording_alloc(self, *args, **kwargs):
+        allocations.append(alloc(self, *args, **kwargs))
+        return allocations[-1]
+
+    def recording_write(self, addr, data):
+        write(self, addr, data)
+        if data:
+            a = self.find(addr, len(data))
+            highest[a] = max(highest.get(a, 0), addr + len(data) - a.base)
+
+    monkeypatch.setattr(NodeMemory, "alloc", recording_alloc)
+    monkeypatch.setattr(NodeMemory, "write", recording_write)
+    CELLS[name]()
+    backed = [0 if a._data is None else len(a._data) for a in allocations]
+    written = [highest.get(a, 0) for a in allocations]
+    assert allocations and highest
+    assert backed == written, (
+        f"{name} backs {sum(backed):,} B for {sum(written):,} B written"
+    )
+
+
+def test_incast_cell_ends_holding_no_put(monkeypatch):
+    # Its puts are NACKed NO_BUFFER and retried until a buffer takes
+    # them: every retry lands, so every put settles.
+    clusters = _keep_clusters(monkeypatch)
+    CELLS["incast-pkt"]()
+    nics = [node.nic for cl in clusters for node in cl.nodes]
+    assert sum(nic.stat("nic.rvma.put_retries").value for nic in nics) > 0
+    assert sum(len(nic._puts) for nic in nics) == 0

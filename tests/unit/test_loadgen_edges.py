@@ -12,15 +12,20 @@ the trace work audited:
   cross-variant comparisons replay recorded traces instead;
 * the replayer dispatches first-row-at-now and zero-gap rows
   immediately (legal in traces, unreachable for the exponential
-  sampler), and its backlog cap drops deterministically.
+  sampler), and its backlog cap drops deterministically;
+* an idle worker of either skips the polls that cannot find work but
+  takes every row or arrival at the same instant, in the same order,
+  as one that polls every ``worker_poll_ns``.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.services import LoadGenerator, WorkloadConfig
-from repro.services.loadgen import LoadStats
+from repro.services.loadgen import LoadStats, idle_poll_delay
 from repro.services.wire import STATUS_OK
 from repro.sim import Simulator
 from repro.workloads import Trace, TraceReplayer, TraceRow
@@ -205,3 +210,97 @@ def test_loadstats_all_resolved_accounting():
     stats.note(1, STATUS_OK)
     stats.note(1, STATUS_OK)
     assert stats.all_resolved()
+
+
+# ------------------------------------------------------------ idle polling
+
+
+def test_idle_poll_delay_lands_on_the_last_skippable_tick():
+    rng = random.Random(11)
+    trials = last = 0
+    for _ in range(3000):
+        now = rng.choice([0.0, rng.uniform(0.0, 1e4), rng.uniform(1e6, 1e9)])
+        poll = rng.choice([500.0, 333.3, 0.7, rng.uniform(1.0, 1e3)])
+        work_at = now + rng.uniform(-2 * poll, 40 * poll)
+        ticks = [now + poll]
+        while ticks[-1] < work_at - 1.0:
+            ticks.append(ticks[-1] + poll)
+        # The poll ticks before work_at - 1, or the next one if none is.
+        skippable = ticks[:-1] or ticks
+        landing = now + idle_poll_delay(now, poll, work_at)
+        assert landing in skippable  # on the grid, never past the last
+        trials += len(skippable) > 1
+        last += len(skippable) > 1 and landing == skippable[-1]
+    # Rounding leaves an occasional tick out of reach; the rest land on
+    # the last skippable one.
+    assert trials > 2000 and last > 0.9 * trials
+
+
+class _TimedClient(_EchoClient):
+    """An echo client that logs when each batch reaches it."""
+
+    def __init__(self, sim, log, name):
+        super().__init__()
+        self.sim, self.log, self.name = sim, log, name
+
+    def execute_batch(self, ops, t0=None, deadline_ns=None):
+        self.log.append((self.sim.now, self.name, list(ops)))
+        return (yield from super().execute_batch(ops, t0, deadline_ns))
+
+
+def _idle_runs(monkeypatch, module, drive):
+    """*drive* (sim, log) run with idle polls skipped, then with every
+    poll kept; returns both (log, events) pairs."""
+    runs = []
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(module, "idle_poll_delay", lambda now, poll, at: poll)
+        sim = Simulator(seed=5)
+        log = []
+        drive(sim, log)
+        sim.run(until=50_000_000.0)
+        runs.append((log, sim.events_executed))
+    return runs
+
+
+def test_idle_replay_workers_take_rows_when_polling_workers_do(monkeypatch):
+    import repro.workloads.replayer as replayer
+    from repro.sim import spawn
+
+    rows = [
+        TraceRow(
+            timestamp_ns=ts, tenant=0, client=tc, op="get", key=f"k{i}", value_size=0
+        )
+        for i, (ts, tc) in enumerate([
+            (0.0, 5), (1_250.3, 6), (1_250.3, 5), (9_999.9, 5), (10_000.4, 6),
+            (10_501.0, 6), (47_313.7, 5), (47_314.0, 5), (120_000.0, 6),
+        ])
+    ]
+    trace = Trace.from_rows(rows, provenance={"seed": 0, "source": "unit"})
+
+    def drive(sim, log):
+        pool = [_TimedClient(sim, log, "a"), _TimedClient(sim, log, "b")]
+        spawn(sim, TraceReplayer(sim, pool, trace).run(), "replay")
+
+    (skipped, skipped_events), (polled, polled_events) = _idle_runs(
+        monkeypatch, replayer, drive
+    )
+    assert len(skipped) >= 7 and skipped == polled
+    assert skipped_events < polled_events
+
+
+def test_idle_open_loop_workers_take_arrivals_when_polling_workers_do(monkeypatch):
+    import repro.services.loadgen as loadgen
+    from repro.sim import spawn
+
+    cfg = WorkloadConfig(n_ops=40, mode="open", mean_interarrival_ns=3_000.0)
+
+    def drive(sim, log):
+        pool = [_TimedClient(sim, log, "a"), _TimedClient(sim, log, "b")]
+        spawn(sim, LoadGenerator(sim, pool, cfg).run(), "load")
+
+    (skipped, skipped_events), (polled, polled_events) = _idle_runs(
+        monkeypatch, loadgen, drive
+    )
+    assert len(skipped) == 40 and skipped == polled
+    assert skipped_events < polled_events

@@ -121,9 +121,60 @@ def test_watchpoint_removal():
 def test_lazy_backing_storage():
     mem = NodeMemory()
     a = mem.alloc(1 << 20)
-    assert a._data is None  # no bytearray until touched
+    assert a._data is None  # no bytearray until written
+    assert mem.read(a.base + 100, 8) == bytes(8)
+    assert a._data is None  # reads never create backing
     mem.write(a.base, b"x")
-    assert a._data is not None
+    assert len(a._data) == 1  # backed to the highest byte written
+    mem.write(a.base + 1, b"yz")  # an append at the mark
+    mem.write(a.base, b"X")  # an overwrite below it
+    assert len(a._data) == 3
+    assert mem.read(a.base, 3) == b"Xyz"
+
+
+def test_unwritten_and_partly_written_ranges_read_as_zeros():
+    mem = NodeMemory()
+    a = mem.alloc(64)
+    b = mem.alloc(64)
+    assert mem.read(a.base, 64) == bytes(64)
+    mem.write(b.base, b"abcd")
+    assert mem.read(b.base + 2, 6) == b"cd" + bytes(4)  # straddles the mark
+    assert mem.read(b.base + 10, 4) == bytes(4)  # wholly past it
+    assert mem.read_u64(b.base + 56) == 0
+    assert mem.bytes_read == 64 + 6 + 4 + 8
+    assert len(b._data) == 4 and a._data is None
+
+
+def test_gap_write_zero_fills_and_overlap_extends():
+    mem = NodeMemory()
+    a = mem.alloc(64)
+    mem.write(a.base + 10, b"ab")  # past the mark: zeros before it
+    assert bytes(a._data) == bytes(10) + b"ab"
+    mem.write(a.base + 11, b"XYZ")  # overlaps the mark and runs past it
+    assert bytes(a._data) == bytes(10) + b"aXYZ"
+    mem.write(a.base + 30, b"q")
+    assert len(a._data) == 31
+    assert mem.read(a.base, 32) == bytes(10) + b"aXYZ" + bytes(16) + b"q" + bytes(1)
+    mem.fill(a.base + 60, 4, 0xEE)  # up to the allocation's last byte
+    assert len(a._data) == 64 and mem.read(a.base + 56, 8) == bytes(4) + b"\xee" * 4
+    assert mem.bytes_written == 2 + 3 + 1 + 4
+    with pytest.raises(MemoryFault):
+        mem.write(a.base + 63, b"xy")  # bounds are the allocation's, not the backing's
+
+
+def test_watchpoints_fire_on_gap_writes_and_appends():
+    mem = NodeMemory()
+    a = mem.alloc(256)
+    hits = []
+    mem.add_watchpoint(a.base + 64, 8, lambda addr, data: hits.append((addr, data)))
+    mem.write(a.base, b"head")  # an append, below the range
+    mem.write(a.base + 66, b"gap")  # past the mark, inside the range
+    mem.write(a.base + 69, b"append")  # at the mark, straddling the range end
+    mem.write(a.base + 100, b"far")  # past the mark, above the range
+    mem.write(a.base + 60, b"straddle")  # below the mark, straddling the start
+    assert hits == [
+        (a.base + 66, b"gap"), (a.base + 69, b"append"), (a.base + 60, b"straddle")
+    ]
 
 
 def test_accounting_counters():
