@@ -172,17 +172,17 @@ CELLS = {
 
 #: One row per cell, as measured on CPython 3.11 (x86-64 Linux).
 LEDGER = {
-    "halo3d-fig8-rvma": {"events": 3526, "sim_ns": 7729.600000000008, "calls": 89444},
-    "halo3d-fig8-rdma": {"events": 12073, "sim_ns": 14161.439999999988, "calls": 179329},
-    "sweep3d-fig7-rvma": {"events": 4008, "sim_ns": 100284.57600000015, "calls": 103933},
-    "sweep3d-fig7-rdma": {"events": 15798, "sim_ns": 340844.2840000008, "calls": 242388},
-    "incast-pkt": {"events": 2659, "sim_ns": 25396.573333333334, "calls": 63962},
-    "kv-get-closed": {"events": 4002, "p50_ns": 3480.0, "p99_ns": 4500.0, "calls": 171150},
-    "kv-put-open": {"events": 10849, "p50_ns": 5897.4358974358975, "p99_ns": 13740.000000000002, "trace_id": "6a435915cd61", "digest": "ed185a447f1e6859", "calls": 275810},
-    "kv-noisy": {"events": 8834, "p50_ns": 5657.894736842105, "p99_ns": 269875.0, "calls": 302055},
-    "active-flash": {"events": 7329, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 247171},
-    "kv-trace": {"events": 8001, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 275652},
-    "chaos-crash": {"sim_ns": 398290.0, "calls": 41123},
+    "halo3d-fig8-rvma": {"events": 3526, "sim_ns": 7729.600000000008, "calls": 89012},
+    "halo3d-fig8-rdma": {"events": 12073, "sim_ns": 14161.439999999988, "calls": 179221},
+    "sweep3d-fig7-rvma": {"events": 4008, "sim_ns": 100284.57600000015, "calls": 103704},
+    "sweep3d-fig7-rdma": {"events": 15798, "sim_ns": 340844.2840000008, "calls": 242340},
+    "incast-pkt": {"events": 2659, "sim_ns": 25396.573333333334, "calls": 64386},
+    "kv-get-closed": {"events": 4002, "p50_ns": 3480.0, "p99_ns": 4500.0, "calls": 171171},
+    "kv-put-open": {"events": 6381, "p50_ns": 5897.4358974358975, "p99_ns": 13740.000000000002, "trace_id": "6a435915cd61", "digest": "ed185a447f1e6859", "calls": 242472},
+    "kv-noisy": {"events": 7751, "p50_ns": 5657.894736842105, "p99_ns": 269875.0, "calls": 281896},
+    "active-flash": {"events": 7064, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 245007},
+    "kv-trace": {"events": 7020, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 269210},
+    "chaos-crash": {"sim_ns": 398290.0, "calls": 40992},
 }
 
 
