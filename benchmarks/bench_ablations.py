@@ -7,7 +7,7 @@ and asserting the paper-implied ordering.
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.ablations import (
     run_ablation_completion,
     run_ablation_lut,
     run_ablation_pcie,
@@ -63,7 +63,7 @@ def test_ablation_pcie_generations(benchmark):
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_write_imm_ceiling(benchmark):
-    from repro.experiments import run_ablation_write_imm
+    from repro.experiments.ablations import run_ablation_write_imm
 
     result = benchmark.pedantic(run_ablation_write_imm, rounds=1, iterations=1)
     print()
@@ -80,7 +80,7 @@ def test_ablation_write_imm_ceiling(benchmark):
 
 @pytest.mark.benchmark(group="fault-tolerance")
 def test_fault_recovery_rewind_vs_restart(benchmark):
-    from repro.experiments import run_fault_recovery
+    from repro.experiments.fault_recovery import run_fault_recovery
 
     result = benchmark.pedantic(run_fault_recovery, rounds=1, iterations=1)
     print()

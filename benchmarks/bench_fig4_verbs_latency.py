@@ -7,7 +7,7 @@ messages in the paper's 55-70% band, and decays with size.
 
 import pytest
 
-from repro.experiments import run_fig4
+from repro.experiments.fig45 import run_fig4
 
 SIZES = [2 ** k for k in range(1, 17)]
 

@@ -8,7 +8,7 @@ path inflates both sides.
 
 import pytest
 
-from repro.experiments import run_fig4, run_fig5
+from repro.experiments.fig45 import run_fig4, run_fig5
 
 SIZES = [2 ** k for k in range(1, 17)]
 

@@ -9,7 +9,7 @@ latency is lower, so 3% of it is a tighter bar).
 
 import pytest
 
-from repro.experiments import run_fig6
+from repro.experiments.fig6 import run_fig6
 
 SIZES = [16, 256, 4096, 65536]
 

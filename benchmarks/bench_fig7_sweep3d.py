@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.experiments import run_fig7
+from repro.experiments.motif_sweep import run_fig7
 from repro.network.routing import RoutingMode
 
 N_NODES = int(os.environ.get("RVMA_BENCH_NODES", "64"))

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.experiments import run_fig7, run_fig8
+from repro.experiments.motif_sweep import run_fig7, run_fig8
 from repro.network.routing import RoutingMode
 
 N_NODES = int(os.environ.get("RVMA_BENCH_NODES", "64"))

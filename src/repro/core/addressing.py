@@ -13,7 +13,7 @@ colliding.  A bare ``int`` destination keeps meaning "node, PID 0".
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from dataclasses import dataclass
 
 #: Bits of the mailbox space reserved for the PID prefix.
@@ -31,7 +31,7 @@ def stable_hash64(data: bytes | str) -> int:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
 
 
 @dataclass(frozen=True)

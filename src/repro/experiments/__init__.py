@@ -1,51 +1,6 @@
-"""Experiment drivers: one per paper figure, plus ablations."""
+"""Experiment drivers: one per paper figure, plus ablations.
 
-from .ablations import (
-    run_ablation_completion,
-    run_ablation_lut,
-    run_ablation_pcie,
-    run_ablation_threshold,
-    run_ablation_write_imm,
-)
-from .chaos import ChaosOutcome, run_chaos, run_motif_under_chaos
-from .charts import bar_chart, chart_for_result
-from .fault_recovery import run_fault_recovery
-from .fig45 import run_fig4, run_fig5
-from .fig6 import FIG6_SIZES, run_fig6
-from .motif_sweep import (
-    DEFAULT_RATES,
-    DEFAULT_ROUTINGS,
-    DEFAULT_TOPOLOGIES,
-    MotifComparison,
-    run_fig7,
-    run_fig8,
-    run_motif_sweep,
-)
-from .report import ExperimentResult, format_table
-
-__all__ = [
-    "DEFAULT_RATES",
-    "DEFAULT_ROUTINGS",
-    "DEFAULT_TOPOLOGIES",
-    "ChaosOutcome",
-    "ExperimentResult",
-    "FIG6_SIZES",
-    "MotifComparison",
-    "bar_chart",
-    "chart_for_result",
-    "format_table",
-    "run_ablation_completion",
-    "run_ablation_lut",
-    "run_ablation_pcie",
-    "run_ablation_threshold",
-    "run_ablation_write_imm",
-    "run_chaos",
-    "run_fault_recovery",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_motif_sweep",
-    "run_motif_under_chaos",
-]
+Import each name from the module that defines it (``repro.experiments.fig45``,
+``repro.experiments.motif_sweep`` and so on): the package itself imports
+none of them, so a process that runs one driver loads only that one.
+"""

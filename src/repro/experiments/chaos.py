@@ -29,7 +29,7 @@ The same entry points back ``tests/integration/test_chaos.py`` /
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2s
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -125,7 +125,7 @@ def _state_fingerprint(name: str, motif: Motif, cluster: Cluster) -> tuple:
                 (
                     r.epoch,
                     r.length,
-                    hashlib.blake2s(
+                    blake2s(
                         r.buffer.buffer.read(0, r.length) if r.length else b"",
                         digest_size=8,
                     ).hexdigest(),

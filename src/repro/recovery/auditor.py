@@ -27,13 +27,13 @@ Invariants checked:
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2s
 from dataclasses import dataclass, field
 from typing import Optional
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.blake2s(data, digest_size=8).hexdigest()
+    return blake2s(data, digest_size=8).hexdigest()
 
 
 @dataclass(frozen=True)

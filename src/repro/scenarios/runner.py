@@ -37,7 +37,7 @@ JSON.  The document's ``engine`` field is accepted and ignored.
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2s
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,7 +71,7 @@ class FailureFingerprint:
 
     @property
     def digest(self) -> str:
-        return hashlib.blake2s(
+        return blake2s(
             "|".join(self.components).encode("utf-8"), digest_size=6
         ).hexdigest()
 
@@ -436,7 +436,7 @@ def _run_differential(scenario: Scenario, trace: bool) -> ScenarioOutcome:
     if divergences:
         # Digest over the *shape* of the divergence (which backend,
         # bytes vs counts) — stable while the shrinker trims channels.
-        digest = hashlib.blake2s(
+        digest = blake2s(
             "|".join(f"{k}:{n}" for k, n in sorted(divergences)).encode("utf-8"),
             digest_size=4,
         ).hexdigest()

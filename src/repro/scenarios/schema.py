@@ -20,9 +20,9 @@ files are named after it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+from _blake2 import blake2s
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -130,7 +130,7 @@ class Scenario:
     @property
     def scenario_id(self) -> str:
         """Stable short id: digest of the canonical serialization."""
-        return hashlib.blake2s(self.to_json().encode("utf-8"), digest_size=6).hexdigest()
+        return blake2s(self.to_json().encode("utf-8"), digest_size=6).hexdigest()
 
     # ------------------------------------------------------------- loading
 

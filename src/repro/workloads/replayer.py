@@ -27,8 +27,8 @@ suite pins across engines and backends.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from _blake2 import blake2s
 from collections import deque
 from typing import Generator, Optional
 
@@ -288,7 +288,7 @@ class TraceReplayer:
 
     def outcome_digest(self) -> str:
         """blake2s over the canonical outcome stream."""
-        h = hashlib.blake2s(digest_size=8)
+        h = blake2s(digest_size=8)
         for entry in self.outcome_stream():
             h.update(json.dumps(entry, separators=(",", ":")).encode("utf-8"))
             h.update(b"\n")

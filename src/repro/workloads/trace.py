@@ -30,9 +30,9 @@ ints) so transforms that multiply by 1.0 round-trip byte-identically.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+from _blake2 import blake2s
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -151,7 +151,7 @@ class TraceRow:
 
 
 def _rows_digest(schema: int, rows: Iterable[TraceRow]) -> str:
-    h = hashlib.blake2s(digest_size=6)
+    h = blake2s(digest_size=6)
     h.update(f"{TRACE_KIND}:{schema}\n".encode("utf-8"))
     for row in rows:
         h.update(row.to_line().encode("utf-8"))

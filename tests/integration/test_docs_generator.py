@@ -39,7 +39,7 @@ def test_render_figures_tool_fast_subset(tmp_path, monkeypatch):
     """The figure renderer produces valid SVG files (fast figures only)."""
     import xml.etree.ElementTree as ET
 
-    from repro.experiments import run_fig4
+    from repro.experiments.fig45 import run_fig4
     from repro.experiments.svgcharts import svg_for_result
 
     svg = svg_for_result(run_fig4(sizes=[2, 1024], iterations=3))

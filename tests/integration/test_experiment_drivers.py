@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.experiments import (
-    run_ablation_completion,
-    run_ablation_lut,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-)
+from repro.experiments.ablations import run_ablation_completion, run_ablation_lut
 from repro.experiments.cli import main as cli_main
+from repro.experiments.fig45 import run_fig4, run_fig5
+from repro.experiments.fig6 import run_fig6
+from repro.experiments.motif_sweep import run_fig7, run_fig8
 from repro.network.routing import RoutingMode
 
 
@@ -78,7 +73,7 @@ def test_cli_rejects_unknown_experiment():
 
 
 def test_fault_recovery_driver():
-    from repro.experiments import run_fault_recovery
+    from repro.experiments.fault_recovery import run_fault_recovery
 
     result = run_fault_recovery(n_steps=8, fail_at=5, step_bytes=4096,
                                 step_compute_ns=20_000.0)

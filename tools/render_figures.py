@@ -13,7 +13,9 @@ import argparse
 import time
 from pathlib import Path
 
-from repro.experiments import run_fig4, run_fig5, run_fig6, run_fig7, run_fig8
+from repro.experiments.fig45 import run_fig4, run_fig5
+from repro.experiments.fig6 import run_fig6
+from repro.experiments.motif_sweep import run_fig7, run_fig8
 from repro.experiments.svgcharts import svg_for_result
 
 OUT_DIR = Path(__file__).resolve().parents[1] / "docs" / "figures"
