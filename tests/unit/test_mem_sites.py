@@ -1,6 +1,7 @@
 """tools/mem_sites.py: a workload's traced peak and its allocation sites."""
 
 import importlib.util
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -46,6 +47,9 @@ def test_reports_the_traced_peak_and_its_largest_sites():
 
     header, leg_line, columns, *rows = tool.render(report).splitlines()
     assert header.startswith("halo3d-fig8 seed=20210517: traced peak ")
+    floor = report["import_floor_mb"]
+    assert 0.0 < floor <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert f" MB, import floor {floor:.2f} MB (ru_maxrss); snapshot at " in header
     assert leg_line.startswith("leg peaks: rvma ")
     assert leg_line.endswith(f"; snapshot in the {report['snapshot_leg']} leg")
     assert columns.split() == ["MB", "count", "avg", "B", "site"]

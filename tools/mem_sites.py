@@ -6,18 +6,21 @@ sites (file and line) of a snapshot taken at that peak::
 
     python tools/mem_sites.py --workload halo3d-fig8 [--top N] [--rvma-only]
 
-The warm repeat fills the simulator's memoized timing models, so the
-traced repeat sees only what a repeat allocates.  The snapshot is taken
-from inside the run: every ``Simulator.post`` and ``Simulator.wake``
-reads the traced total, and a new snapshot replaces the last one each
-time that total passes the last snapshot's by ``STEP``.  The run uses
-the bench seed and is deterministic, so one tree and workload give the
-same table in every fresh process.  The snapshot lies within ``STEP``
-of the highest total seen at those calls, and its share of the traced
-peak is printed with it.  For a motif workload each leg's own traced
-peak is printed too, with the leg the snapshot fell in.  A
-dataclass's generated ``__init__`` is charged to the line that called
-it.  ``bench/workloads.py`` and ``bench/config.json`` are only read.
+Next to the traced peak it prints the import floor: the process's
+``ru_maxrss`` once the workload's imports are done and before the warm
+repeat, in the MB of the bench's ``peak_rss_mb``.  The warm repeat fills
+the simulator's memoized timing models, so the traced repeat sees only
+what a repeat allocates.  The snapshot is taken from inside the run:
+every ``Simulator.post`` and ``Simulator.wake`` reads the traced total,
+and a new snapshot replaces the last one each time that total passes
+the last snapshot's by ``STEP``.  The run uses the bench seed and is
+deterministic, so one tree and workload give the same table in every
+fresh process.  The snapshot lies within ``STEP`` of the highest total
+seen at those calls, and its share of the traced peak is printed with
+it.  For a motif workload each leg's own traced peak is printed too,
+with the leg the snapshot fell in.  A dataclass's generated
+``__init__`` is charged to the line that called it.
+``bench/workloads.py`` and ``bench/config.json`` are only read.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import linecache
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -184,6 +188,7 @@ def measure(name: str, size: dict | None = None, rvma_only: bool = False,
     if rvma_only:
         size["legs"] = ["rvma"]
     fn = workloads.KINDS[spec["kind"]]
+    floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     fn(seed, size)
     peak, watcher, leg_peaks = trace_repeat(
         fn, seed, size, workloads if spec["kind"] == "motif" else None
@@ -195,6 +200,7 @@ def measure(name: str, size: dict | None = None, rvma_only: bool = False,
         "seed": seed,
         "size": size,
         "peak_bytes": peak,
+        "import_floor_mb": floor_mb,
         "snapshot_bytes": watcher.at_bytes,
         "snapshots": watcher.taken,
         "leg_peaks": leg_peaks,
@@ -207,7 +213,8 @@ def render(report: dict) -> str:
     mb = 1024.0 * 1024.0
     peak, at = report["peak_bytes"], report["snapshot_bytes"]
     lines = [
-        f"{report['workload']} seed={report['seed']}: traced peak {peak / mb:.2f} MB; "
+        f"{report['workload']} seed={report['seed']}: traced peak {peak / mb:.2f} MB, "
+        f"import floor {report['import_floor_mb']:.2f} MB (ru_maxrss); "
         f"snapshot at {at / mb:.2f} MB ({100.0 * at / peak:.1f} % of peak, "
         f"{report['snapshots']} taken)",
     ]
