@@ -172,6 +172,8 @@ class ChaosOutcome:
     #: observability snapshot (:class:`repro.observability.RunReport`),
     #: present when the run was invoked with ``observe=True``.
     run_report: Optional[object] = None
+    #: the faulted run's cluster, for callers that report on it themselves.
+    cluster: Optional[Cluster] = field(default=None, repr=False)
 
     @property
     def invariants_ok(self) -> bool:
@@ -209,7 +211,7 @@ def run_motif_under_chaos(
     schedule: Optional[ChaosSchedule] = None,
     routing: Optional[RoutingMode] = None,
     motif_params: Optional[dict] = None,
-    scenario_meta: Optional[dict] = None,
+    before_run: Optional[Callable[[Cluster], None]] = None,
 ) -> ChaosOutcome:
     """Run one motif under a generated chaos schedule and audit it.
 
@@ -235,8 +237,9 @@ def run_motif_under_chaos(
     The scenario fuzzer (:mod:`repro.scenarios`) drives this entry
     point with a fully pinned plan: ``schedule`` replaces the generated
     one, ``routing``/``motif_params`` pin the network mode and workload
-    shape, and ``scenario_meta`` stamps ``scenario.*`` counters plus a
-    ``scenario`` span so campaign reports can attribute the run.
+    shape, and ``before_run`` is called with the built cluster just
+    before the motif starts (the runner opens its ``scenario`` span
+    there).
     """
     nic_config = RvmaNicConfig(
         reliability=(reliability_config or CHAOS_RELIABILITY) if reliability else None
@@ -268,18 +271,8 @@ def run_motif_under_chaos(
     motif = _build_motif(motif_name, cluster, motif_params)
     if observe and trace:
         cluster.sim.spans.enable()
-    scenario_span = None
-    if scenario_meta is not None:
-        stats = cluster.sim.stats
-        stats.counter("scenario.runs").add()
-        stats.counter("scenario.faults_scheduled").add(len(schedule.events))
-        stats.counter("scenario.workload_ops").add(
-            int(scenario_meta.get("workload_ops", 0))
-        )
-        scenario_span = cluster.sim.spans.begin(
-            "scenario", scenario_meta.get("workload", motif_name),
-            id=scenario_meta.get("id", ""),
-        )
+    if before_run is not None:
+        before_run(cluster)
 
     error: Optional[str] = None
     result: Optional[MotifResult] = None
@@ -289,8 +282,6 @@ def run_motif_under_chaos(
     except RuntimeError as exc:  # deadlocked ranks or data-loss indicators
         error = str(exc)
     cluster.sim.spans.end(run_span, completed=error is None)
-    if scenario_span is not None:
-        cluster.sim.spans.end(scenario_span, completed=error is None)
 
     counters = MetricsRegistry.collect(cluster).counters
     fingerprint = _state_fingerprint if n_crashes > 0 else _fingerprint
@@ -343,6 +334,7 @@ def run_motif_under_chaos(
             if observe
             else None
         ),
+        cluster=cluster,
     )
 
 

@@ -11,7 +11,6 @@ scale at flow fidelity).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Type
 
@@ -99,6 +98,9 @@ def run_motif_sweep(
         for nic in ("rvma", "rdma")
     ]
     if jobs > 1:
+        # Imported here so a serial sweep never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             elapsed = list(pool.map(_run_one_star, tasks))
     else:

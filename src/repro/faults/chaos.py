@@ -46,6 +46,72 @@ class ChaosEvent:
         return f"{self.kind} {tgt} @ [{self.start:.0f}, {self.end:.0f})ns"
 
 
+#: Fault-window kinds a generated plan draws from by default.
+WINDOW_KINDS = ("link_flap", "switch_failure", "partition")
+#: Shortest fault window and the crash-restart shape every plan uses.
+MIN_WINDOW_NS = 5_000.0
+CRASH_MIN_START_NS = 40_000.0
+CRASH_WINDOW_NS = (15_000.0, 40_000.0)
+
+
+def sample_crashes(rng, stream: str, n_nodes: int, horizon_ns: float, n_crashes: int) -> list:
+    """*n_crashes* crash-restart events drawn from the ``{stream}.*`` streams.
+
+    A random node crash-stops no earlier than :data:`CRASH_MIN_START_NS`
+    (so recovery checkpoints have had time to exist) and restarts after
+    a down time drawn from :data:`CRASH_WINDOW_NS`.  Down times stay
+    inside the reliability layer's retry-budget coverage, like fabric
+    fault windows.
+    """
+    events = []
+    for _ in range(n_crashes):
+        node = rng.choice(f"{stream}.node", n_nodes)
+        lo, hi = CRASH_WINDOW_NS
+        down = lo + rng.random(f"{stream}.len") * (hi - lo)
+        span = max(horizon_ns - CRASH_MIN_START_NS - down, 0.0)
+        start = CRASH_MIN_START_NS + rng.random(f"{stream}.start") * span
+        events.append(
+            ChaosEvent(kind="crash_restart", start=start, end=start + down, params=(node,))
+        )
+    return events
+
+
+def sample_windows(
+    rng,
+    stream: str,
+    topology,
+    horizon_ns: float,
+    n_events: int,
+    max_window_ns: float,
+    kinds: tuple,
+) -> list:
+    """*n_events* fault windows against *topology*, from the ``{stream}.*`` streams.
+
+    Each window lasts between :data:`MIN_WINDOW_NS` and *max_window_ns*.
+    A kind the topology cannot host (no links, a single switch) falls
+    back to a one-node partition.
+    """
+    if max_window_ns < MIN_WINDOW_NS:
+        raise ValueError("max_window_ns must be >= MIN_WINDOW_NS")
+    links = sorted({tuple(sorted(l)) for l in topology.links()})
+    events = []
+    for _ in range(n_events):
+        kind = kinds[rng.choice(f"{stream}.kind", len(kinds))]
+        span = MIN_WINDOW_NS + rng.random(f"{stream}.len") * (max_window_ns - MIN_WINDOW_NS)
+        start = rng.random(f"{stream}.start") * max(horizon_ns - span, 0.0)
+        if kind == "link_flap" and links:
+            params = links[rng.choice(f"{stream}.link", len(links))]
+        elif kind == "switch_failure" and topology.n_switches > 1:
+            params = (rng.choice(f"{stream}.switch", topology.n_switches),)
+        else:
+            # Partition a single random node away from the rest: the
+            # smallest cut that still severs real traffic.
+            kind = "partition"
+            params = (rng.choice(f"{stream}.node", topology.n_nodes),)
+        events.append(ChaosEvent(kind=kind, start=start, end=start + span, params=params))
+    return events
+
+
 @dataclass
 class ChaosSchedule:
     """A composed fault plan applied through one :class:`FaultInjector`."""
@@ -60,57 +126,24 @@ class ChaosSchedule:
         horizon_ns: float,
         n_events: int = 4,
         max_window_ns: float = 60_000.0,
-        min_window_ns: float = 5_000.0,
         drop_prob: float = 0.0,
-        kinds: tuple = ("link_flap", "switch_failure", "partition"),
+        kinds: tuple = WINDOW_KINDS,
         stream: str = "chaos",
         n_crashes: int = 0,
-        crash_min_start_ns: float = 40_000.0,
-        crash_window_ns: tuple = (15_000.0, 40_000.0),
     ) -> "ChaosSchedule":
         """Draw a random schedule from the cluster's named RNG streams.
 
         Deterministic per (simulator seed, stream, parameters); the
-        same cluster seed always suffers the same chaos.
-
-        ``n_crashes`` adds crash-restart events: a random node
-        crash-stops no earlier than ``crash_min_start_ns`` (so recovery
-        checkpoints have had time to exist) and restarts after a down
-        time drawn from ``crash_window_ns``.  Down times stay inside
-        the reliability layer's retry-budget coverage, like fabric
-        fault windows.
+        same cluster seed always suffers the same chaos.  ``n_crashes``
+        adds crash-restart events (:func:`sample_crashes`, streams
+        ``{stream}.crash.*``) ahead of the fault windows
+        (:func:`sample_windows`, streams ``{stream}.*``).
         """
-        if max_window_ns < min_window_ns:
-            raise ValueError("max_window_ns must be >= min_window_ns")
         rng = cluster.sim.rng
-        topo = cluster.topology
-        links = sorted({tuple(sorted(l)) for l in topo.links()})
-        events: list[ChaosEvent] = []
-        for _ in range(n_crashes):
-            node = rng.choice(f"{stream}.crash.node", cluster.n_nodes)
-            lo, hi = crash_window_ns
-            down = lo + rng.random(f"{stream}.crash.len") * (hi - lo)
-            span = max(horizon_ns - crash_min_start_ns - down, 0.0)
-            start = crash_min_start_ns + rng.random(f"{stream}.crash.start") * span
-            events.append(
-                ChaosEvent(kind="crash_restart", start=start, end=start + down, params=(node,))
-            )
-        for _ in range(n_events):
-            kind = kinds[rng.choice(f"{stream}.kind", len(kinds))]
-            span = min_window_ns + rng.random(f"{stream}.len") * (
-                max_window_ns - min_window_ns
-            )
-            start = rng.random(f"{stream}.start") * max(horizon_ns - span, 0.0)
-            if kind == "link_flap" and links:
-                params = links[rng.choice(f"{stream}.link", len(links))]
-            elif kind == "switch_failure" and topo.n_switches > 1:
-                params = (rng.choice(f"{stream}.switch", topo.n_switches),)
-            else:
-                # Partition a single random node away from the rest: the
-                # smallest cut that still severs real traffic.
-                kind = "partition"
-                params = (rng.choice(f"{stream}.node", cluster.n_nodes),)
-            events.append(ChaosEvent(kind=kind, start=start, end=start + span, params=params))
+        events = sample_crashes(rng, f"{stream}.crash", cluster.n_nodes, horizon_ns, n_crashes)
+        events += sample_windows(
+            rng, stream, cluster.topology, horizon_ns, n_events, max_window_ns, kinds
+        )
         events.sort(key=lambda e: e.start)
         return cls(events=events, drop_prob=drop_prob)
 
@@ -129,10 +162,6 @@ class ChaosSchedule:
         if self.drop_prob:
             injector.drop_messages(self.drop_prob)
         return injector
-
-    @property
-    def longest_window_ns(self) -> float:
-        return max((e.end - e.start for e in self.events), default=0.0)
 
     def describe(self) -> list[str]:
         lines = [ev.describe() for ev in self.events]

@@ -30,7 +30,6 @@ from .schema import (
     MOTIF_KINDS,
     SCHEMA_VERSION,
     WORKLOAD_KINDS,
-    FaultEvent,
     Scenario,
     ScenarioError,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CORPUS_DIR",
     "CorpusEntry",
     "FailureFingerprint",
-    "FaultEvent",
     "MOTIF_KINDS",
     "ReplayVerdict",
     "SCHEMA_VERSION",

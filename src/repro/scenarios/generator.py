@@ -9,20 +9,22 @@ always yields the byte-identical scenario document.  Every nested seed
 in the document rather than re-derived at run time: the generator is
 the only consumer of the master seed.
 
-Fault windows are drawn against the actual topology (links and switch
-counts come from :func:`repro.network.topology.make_topology`), mirroring
-:meth:`repro.faults.chaos.ChaosSchedule.generate` but emitting explicit
-:class:`~repro.scenarios.schema.FaultEvent` rows the shrinker can drop
-one at a time.
+Fault rows are :class:`~repro.faults.chaos.ChaosEvent` values drawn by
+the chaos layer's own samplers (:func:`~repro.faults.chaos.sample_crashes`,
+:func:`~repro.faults.chaos.sample_windows`) from the ``gen.crash`` and
+``gen.fault`` streams, against the actual topology graph
+(:func:`repro.network.topology.make_topology`).  The document lists
+them explicitly, so the shrinker can drop them one at a time.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..faults.chaos import WINDOW_KINDS, sample_crashes, sample_windows
 from ..network.topology import make_topology
 from ..sim.rng import RngRegistry
-from .schema import BACKENDS, KV_OPS, MOTIF_KINDS, FaultEvent, Scenario
+from .schema import BACKENDS, KV_OPS, MOTIF_KINDS, Scenario
 
 #: Time horizons per workload kind (ns) — sized like the chaos/churn
 #: harnesses so retry budgets cover the longest schedulable window.
@@ -34,9 +36,6 @@ HORIZONS = {
 }
 
 MAX_WINDOW_NS = 50_000.0
-MIN_WINDOW_NS = 5_000.0
-CRASH_MIN_START_NS = 40_000.0
-CRASH_WINDOW_NS = (15_000.0, 40_000.0)
 
 #: Workload mix: motifs dominate (they exercise recovery), KV and the
 #: differential matrix keep the service and protocol-parity oracles hot.
@@ -59,41 +58,8 @@ def _weighted(rng: RngRegistry, stream: str, table) -> str:
     return table[-1][0]  # pragma: no cover - arithmetic guard
 
 
-def _sample_faults(
-    rng: RngRegistry,
-    topology: str,
-    n_nodes: int,
-    kinds: tuple,
-    horizon_ns: float,
-    n_events: int,
-    n_crashes: int,
-) -> tuple:
-    """Explicit fault-event rows against the real topology graph."""
-    topo = make_topology(topology, n_nodes)
-    links = sorted({tuple(sorted(l)) for l in topo.links()})
-    events = []
-    for _ in range(n_crashes):
-        node = rng.choice("gen.crash.node", n_nodes)
-        lo, hi = CRASH_WINDOW_NS
-        down = lo + rng.random("gen.crash.len") * (hi - lo)
-        span = max(horizon_ns - CRASH_MIN_START_NS - down, 0.0)
-        start = CRASH_MIN_START_NS + rng.random("gen.crash.start") * span
-        events.append(
-            FaultEvent(kind="crash_restart", start=start, end=start + down, params=(node,))
-        )
-    for _ in range(n_events):
-        kind = kinds[rng.choice("gen.fault.kind", len(kinds))]
-        span = MIN_WINDOW_NS + rng.random("gen.fault.len") * (MAX_WINDOW_NS - MIN_WINDOW_NS)
-        start = rng.random("gen.fault.start") * max(horizon_ns - span, 0.0)
-        if kind == "link_flap" and links:
-            params = links[rng.choice("gen.fault.link", len(links))]
-        elif kind == "switch_failure" and topo.n_switches > 1:
-            params = (rng.choice("gen.fault.switch", topo.n_switches),)
-        else:
-            kind = "partition"
-            params = (rng.choice("gen.fault.node", n_nodes),)
-        events.append(FaultEvent(kind=kind, start=start, end=start + span, params=params))
-    return tuple(sorted(events, key=lambda e: (e.start, e.kind, e.params)))
+def _fault_order(ev) -> tuple:
+    return (ev.start, ev.kind, ev.params)
 
 
 def _sample_kv_scripts(rng: RngRegistry, n_clients: int) -> list:
@@ -187,9 +153,9 @@ def generate(seed: int, known_bad: bool = False) -> Scenario:
     if kind == "kv":
         n_clients = 1 + rng.choice("gen.kv.clients", 3)  # 1..3
         n_nodes = 1 + n_clients + rng.choice("gen.kv.spare", 2)
-        faults = _sample_faults(
-            rng, topology, n_nodes, ("link_flap",), HORIZONS["kv"],
-            n_events=rng.choice("gen.kv.events", 4), n_crashes=0,
+        faults = sample_windows(
+            rng, "gen.fault", make_topology(topology, n_nodes), HORIZONS["kv"],
+            rng.choice("gen.kv.events", 4), MAX_WINDOW_NS, ("link_flap",),
         )
         workload = {
             "scripts": _sample_kv_scripts(rng, n_clients),
@@ -264,7 +230,7 @@ def generate(seed: int, known_bad: bool = False) -> Scenario:
             backend="rvma",
             reliability=True,
             cluster_seed=cluster_seed,
-            fault_events=faults,
+            fault_events=tuple(sorted(faults, key=_fault_order)),
             drop_prob=_DROP_PROBS[rng.choice("gen.kv.drop", len(_DROP_PROBS))],
             audit=False,            # the auditor shadows motif placement; the
             compare_clean=False,    # KV oracle is the linearizability check
@@ -274,12 +240,10 @@ def generate(seed: int, known_bad: bool = False) -> Scenario:
     n_nodes = _NODE_CHOICES[rng.choice("gen.nodes", len(_NODE_CHOICES))]
     reliability = not known_bad
     n_crashes = rng.choice("gen.crashes", 2) if reliability else 0
-    faults = _sample_faults(
-        rng, topology, n_nodes,
-        ("link_flap", "switch_failure", "partition"),
-        HORIZONS[kind],
-        n_events=1 + rng.choice("gen.events", 4),
-        n_crashes=n_crashes,
+    faults = sample_crashes(rng, "gen.crash", n_nodes, HORIZONS[kind], n_crashes)
+    faults += sample_windows(
+        rng, "gen.fault", make_topology(topology, n_nodes), HORIZONS[kind],
+        1 + rng.choice("gen.events", 4), MAX_WINDOW_NS, WINDOW_KINDS,
     )
     drop = _DROP_PROBS[rng.choice("gen.drop", len(_DROP_PROBS))]
     if known_bad:
@@ -310,7 +274,7 @@ def generate(seed: int, known_bad: bool = False) -> Scenario:
         backend="rvma",
         reliability=reliability,
         cluster_seed=cluster_seed,
-        fault_events=faults,
+        fault_events=tuple(sorted(faults, key=_fault_order)),
         drop_prob=drop,
         audit=n_crashes > 0,
         compare_clean=True,

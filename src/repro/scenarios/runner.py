@@ -23,8 +23,9 @@ owns the oracle adapters:
 Failures collapse to a :class:`FailureFingerprint` — a sorted tuple of
 *coarse* component strings (exception type, invariant name, auditor
 violation kind, differential divergence digest, ``stall``).  A KV
-cell's typed run outcome supplies ``stall`` and ``exception:<Type>``;
-no component is read out of error text.  Coarseness is load
+cell's typed run outcome supplies ``stall`` and ``exception:<Type>``,
+as does any oracle that raises; no component is read out of error
+text.  Coarseness is load
 bearing: the auto-shrinker must be able to shrink a scenario without
 the fingerprint drifting, so fingerprints never include payload bytes,
 node ids or timestamps.
@@ -39,12 +40,12 @@ from __future__ import annotations
 
 from _blake2 import blake2s
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..cluster.builder import Cluster
 from ..experiments.channels import run_channels
 from ..experiments.kv_cell import ClientGroup, Crashed, KvCellSpec, Stalled, run_kv_cell
-from ..faults.chaos import ChaosEvent, ChaosSchedule
+from ..faults.chaos import ChaosSchedule
 from ..network.routing import RoutingMode
 from ..nic.active import AtomicWordHandler
 from ..observability import RunReport, scrub_report
@@ -114,15 +115,26 @@ class ScenarioOutcome:
         return f"{self.scenario.describe()} -> {verdict} [{self.fingerprint.describe()}]"
 
 
-def _chaos_schedule(scenario: Scenario) -> ChaosSchedule:
-    """The scenario's pinned fault plan as an applicable schedule."""
-    return ChaosSchedule(
-        events=[
-            ChaosEvent(kind=ev.kind, start=ev.start, end=ev.end, params=tuple(ev.params))
-            for ev in scenario.fault_events
-        ],
-        drop_prob=scenario.drop_prob,
-    )
+class _Verdict(NamedTuple):
+    """What an oracle hands the epilogue in :func:`run_scenario`."""
+
+    components: list       # fingerprint components (empty: pass)
+    details: dict          # evidence for ScenarioOutcome.details
+    cluster: Cluster       # the run the scenario report describes
+    meta: dict = {}        # kind-specific report meta
+
+
+def _span_hook(scenario: Scenario, trace: bool, opened: list):
+    """A ``before_run`` hook that opens the run's ``scenario`` span."""
+
+    def before_run(cluster: Cluster) -> None:
+        if trace:
+            cluster.sim.spans.enable()
+        opened.append(
+            cluster.sim.spans.begin("scenario", scenario.workload_kind, id=scenario.scenario_id)
+        )
+
+    return before_run
 
 
 def _stamp_scenario_stats(cluster: Cluster, scenario: Scenario, failed: bool) -> None:
@@ -148,39 +160,25 @@ def _audit_kinds(audit_report: Optional[dict]) -> list:
 # ------------------------------------------------------------------ motif oracle
 
 
-def _run_motif(scenario: Scenario, trace: bool) -> ScenarioOutcome:
+def _run_motif(scenario: Scenario, trace: bool) -> _Verdict:
     from ..experiments.chaos import run_motif_under_chaos
 
-    schedule = _chaos_schedule(scenario)
-    try:
-        out = run_motif_under_chaos(
-            scenario.workload_kind,
-            seed=scenario.cluster_seed,
-            n_nodes=scenario.n_nodes,
-            topology=scenario.topology,
-            reliability=scenario.reliability,
-            drop_prob=scenario.drop_prob,
-            compare_clean=scenario.compare_clean,
-            n_crashes=scenario.crash_count,
-            audit=scenario.audit,
-            observe=True,
-            trace=trace,
-            schedule=schedule,
-            routing=_ROUTING[scenario.routing],
-            motif_params=dict(scenario.workload),
-            scenario_meta={
-                "id": scenario.scenario_id,
-                "workload": scenario.workload_kind,
-                "workload_ops": scenario.workload_size(),
-            },
-        )
-    except Exception as exc:
-        return ScenarioOutcome(
-            scenario=scenario,
-            failed=True,
-            fingerprint=FailureFingerprint.collect([f"exception:{type(exc).__name__}"]),
-            details={"error": str(exc)},
-        )
+    opened: list = []
+    out = run_motif_under_chaos(
+        scenario.workload_kind,
+        seed=scenario.cluster_seed,
+        n_nodes=scenario.n_nodes,
+        topology=scenario.topology,
+        reliability=scenario.reliability,
+        compare_clean=scenario.compare_clean,
+        n_crashes=scenario.crash_count,
+        audit=scenario.audit,
+        schedule=ChaosSchedule(list(scenario.fault_events), scenario.drop_prob),
+        routing=_ROUTING[scenario.routing],
+        motif_params=dict(scenario.workload),
+        before_run=_span_hook(scenario, trace, opened),
+    )
+    out.cluster.sim.spans.end(opened[0], completed=out.error is None)
 
     components = []
     if out.error is not None:
@@ -196,34 +194,15 @@ def _run_motif(scenario: Scenario, trace: bool) -> ScenarioOutcome:
     if out.put_window_evictions or out.put_giveups:
         components.append("invariant:giveups")
     components.extend(_audit_kinds(out.audit_report))
-    fp = FailureFingerprint.collect(components)
-    report = out.run_report
-    if report is not None:
-        # The chaos harness collects its report before the verdict is
-        # known; fold the failure counter in post hoc so campaign
-        # rollups carry scenario.failures.
-        if fp:
-            group = report.metrics.setdefault("scenario", {})
-            group["scenario.failures"] = group.get("scenario.failures", 0) + 1
-        report.meta.update(
-            scenario_id=scenario.scenario_id,
-            scenario_seed=scenario.seed,
-            fingerprint=fp.describe(),
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        failed=bool(fp),
-        fingerprint=fp,
-        details={
-            "error": out.error,
-            "retransmits": out.retransmits,
-            "gave_up": out.gave_up,
-            "identical_to_clean": out.identical_to_clean,
-            "audit_violations": out.audit_violations,
-            "crash_restarts": out.crash_restarts,
-        },
-        run_report=report,
-    )
+    details = {
+        "error": out.error,
+        "retransmits": out.retransmits,
+        "gave_up": out.gave_up,
+        "identical_to_clean": out.identical_to_clean,
+        "audit_violations": out.audit_violations,
+        "crash_restarts": out.crash_restarts,
+    }
+    return _Verdict(components, details, out.cluster)
 
 
 # --------------------------------------------------------------------- kv oracle
@@ -262,7 +241,7 @@ def _kv_tenancy(scenario: Scenario):
     return TenantDirectory(specs), [int(t) for t in workload["client_tenants"]]
 
 
-def _run_kv(scenario: Scenario, trace: bool) -> ScenarioOutcome:
+def _run_kv(scenario: Scenario, trace: bool) -> _Verdict:
     workload = scenario.workload
     scripts = workload["scripts"]
     value_scale = int(workload.get("value_scale", 24))
@@ -339,16 +318,14 @@ def _run_kv(scenario: Scenario, trace: bool) -> ScenarioOutcome:
         routing=_ROUTING[scenario.routing],
         reliability=scenario.reliability,
         n_nodes=scenario.n_nodes,
-        chaos=_chaos_schedule(scenario),
+        chaos=ChaosSchedule(list(scenario.fault_events), scenario.drop_prob),
         spans=trace,
         tenants=directory,
         placement_quota=directory is not None,
         deadline_ns=KV_DEADLINE_NS,
     )
-    spans: list = []
-    cell = run_kv_cell(spec, before_run=lambda cluster: spans.append(
-        cluster.sim.spans.begin("scenario", "kv", id=scenario.scenario_id)
-    ))
+    opened: list = []
+    cell = run_kv_cell(spec, before_run=_span_hook(scenario, trace, opened))
     components = _outcome_components(cell.outcome)
     if failures:
         components.append("kv:linearizability")
@@ -361,26 +338,9 @@ def _run_kv(scenario: Scenario, trace: bool) -> ScenarioOutcome:
     # beyond them indicate the transport actually dropped data.
     if cell.puts_lost - cell.puts_lost_quota > 0 and scenario.reliability:
         components.append("invariant:puts_lost")
-    fp = FailureFingerprint.collect(components)
-    cell.cluster.sim.spans.end(spans[0], completed=not fp)
-    _stamp_scenario_stats(cell.cluster, scenario, bool(fp))
-    report = RunReport.collect(
-        cell.cluster,
-        meta={
-            "harness": "scenario-fuzz",
-            "scenario_id": scenario.scenario_id,
-            "scenario_seed": scenario.seed,
-            "workload": "kv",
-            "fingerprint": fp.describe(),
-        },
-    )
-    return ScenarioOutcome(
-        scenario=scenario,
-        failed=bool(fp),
-        fingerprint=fp,
-        details={"kv_failures": failures[:10], "clients": len(scripts)},
-        run_report=report,
-    )
+    cell.cluster.sim.spans.end(opened[0], completed=not components)
+    details = {"kv_failures": failures[:10], "clients": len(scripts)}
+    return _Verdict(components, details, cell.cluster)
 
 
 # ------------------------------------------------------------- differential oracle
@@ -392,7 +352,7 @@ def _diff_payload(seed: int, src: int, dst: int, i: int, max_msg: int) -> bytes:
     return bytes((base + j) % 256 for j in range(size))
 
 
-def _run_differential(scenario: Scenario, trace: bool) -> ScenarioOutcome:
+def _run_differential(scenario: Scenario, trace: bool) -> _Verdict:
     seed = scenario.cluster_seed
     max_msg = int(scenario.workload.get("max_msg", 512))
     channels = [
@@ -403,32 +363,20 @@ def _run_differential(scenario: Scenario, trace: bool) -> ScenarioOutcome:
         )
     ]
     results = {}
-    primary_cluster = None
     components = []
-    try:
-        for backend in scenario.compare:
-            delivered, counts, stalled, cluster = run_channels(
-                backend, channels, scenario.n_nodes, scenario.topology, seed, max_msg,
-                DIFF_DEADLINE_NS,
-            )
-            results[backend] = (delivered, counts)
-            if stalled:
-                components.append("stall")
-            if backend == scenario.compare[0]:
-                primary_cluster = cluster
-    except Exception as exc:
-        return ScenarioOutcome(
-            scenario=scenario,
-            failed=True,
-            fingerprint=FailureFingerprint.collect([f"exception:{type(exc).__name__}"]),
-            details={"error": str(exc)},
+    for backend in scenario.compare:
+        delivered, counts, stalled, cluster = run_channels(
+            backend, channels, scenario.n_nodes, scenario.topology, seed, max_msg,
+            DIFF_DEADLINE_NS,
         )
+        results[backend] = (delivered, counts, cluster)
+        if stalled:
+            components.append("stall")
 
-    base_name = scenario.compare[0]
-    base_delivered, base_counts = results[base_name]
+    base_delivered, base_counts, cluster = results[scenario.compare[0]]
     divergences = []
     for name in scenario.compare[1:]:
-        got_delivered, got_counts = results[name]
+        got_delivered, got_counts, _cluster = results[name]
         if got_delivered != base_delivered:
             divergences.append(("bytes", name))
         if got_counts != base_counts:
@@ -441,38 +389,17 @@ def _run_differential(scenario: Scenario, trace: bool) -> ScenarioOutcome:
             digest_size=4,
         ).hexdigest()
         components.append(f"diff:{digest}")
-    fp = FailureFingerprint.collect(components)
-
-    report = None
-    if primary_cluster is not None:
-        _stamp_scenario_stats(primary_cluster, scenario, bool(fp))
-        report = RunReport.collect(
-            primary_cluster,
-            meta={
-                "harness": "scenario-fuzz",
-                "scenario_id": scenario.scenario_id,
-                "scenario_seed": scenario.seed,
-                "workload": "differential",
-                "backends": list(scenario.compare),
-                "fingerprint": fp.describe(),
-            },
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        failed=bool(fp),
-        fingerprint=fp,
-        details={
-            "backends": list(scenario.compare),
-            "divergences": [f"{k}:{n}" for k, n in sorted(divergences)],
-        },
-        run_report=report,
-    )
+    details = {
+        "backends": list(scenario.compare),
+        "divergences": [f"{k}:{n}" for k, n in sorted(divergences)],
+    }
+    return _Verdict(components, details, cluster, {"backends": list(scenario.compare)})
 
 
 # ------------------------------------------------------------------ trace oracle
 
 
-def _run_trace(scenario: Scenario, trace: bool) -> ScenarioOutcome:
+def _run_trace(scenario: Scenario, trace: bool) -> _Verdict:
     """Replay a committed exemplar trace (schema v4 workload kind).
 
     The offered load is pinned by the trace file, so the oracles here
@@ -484,25 +411,16 @@ def _run_trace(scenario: Scenario, trace: bool) -> ScenarioOutcome:
     from ..workloads import load_exemplar
 
     workload = scenario.workload
-    try:
-        exemplar = load_exemplar(workload["trace_ref"])
-        cell = replay_trace(
-            exemplar,
-            seed=scenario.cluster_seed,
-            qos=bool(workload.get("qos", False)),
-            active=bool(workload.get("active", False)),
-            audit=scenario.audit,
-            observe=trace,
-            topology=scenario.topology,
-        )
-    except Exception as exc:
-        return ScenarioOutcome(
-            scenario=scenario,
-            failed=True,
-            fingerprint=FailureFingerprint.collect([f"exception:{type(exc).__name__}"]),
-            details={"error": str(exc)},
-        )
-
+    exemplar = load_exemplar(workload["trace_ref"])
+    cell = replay_trace(
+        exemplar,
+        seed=scenario.cluster_seed,
+        qos=bool(workload.get("qos", False)),
+        active=bool(workload.get("active", False)),
+        audit=scenario.audit,
+        observe=trace,
+        topology=scenario.topology,
+    )
     components = _outcome_components(cell.outcome)
     if not cell.stats.all_resolved():
         components.append("stall")
@@ -514,51 +432,64 @@ def _run_trace(scenario: Scenario, trace: bool) -> ScenarioOutcome:
         components.append("invariant:puts_lost")
     if not cell.audit_ok:
         components.append("audit:violations")
-    fp = FailureFingerprint.collect(components)
+    details = {
+        "error": cell.error,
+        "trace_ref": workload["trace_ref"],
+        "outcome_digest": cell.outcome_digest,
+        "safety_failures": cell.safety_failures[:5],
+        "gave_up": cell.gave_up,
+        "audit_violations": cell.audit_violations,
+    }
+    meta = {"trace_ref": workload["trace_ref"], "trace_id": exemplar.trace_id}
+    return _Verdict(components, details, cell.cluster, meta)
 
-    _stamp_scenario_stats(cell.cluster, scenario, bool(fp))
+
+# -------------------------------------------------------------------- entry point
+
+
+_ORACLES = {"kv": _run_kv, "differential": _run_differential, "trace": _run_trace}
+
+
+def run_scenario(scenario: Scenario, trace: bool = False) -> ScenarioOutcome:
+    """Execute *scenario* under its oracles.
+
+    Every kind ends here: an oracle that raises fingerprints as
+    ``exception:<Type>`` with no report; otherwise the run's cluster is
+    stamped with the ``scenario.*`` counters and reported with the
+    shared meta (``harness``, ``workload``, ``scenario_id``,
+    ``scenario_seed``, ``fingerprint``) plus the oracle's own keys.
+
+    The schema's ``engine`` field is validated but ignored: the
+    simulator has a single engine mode.
+    """
+    scenario.validate()
+    oracle = _ORACLES.get(scenario.workload_kind, _run_motif)
+    try:
+        verdict = oracle(scenario, trace)
+    except Exception as exc:
+        return ScenarioOutcome(
+            scenario=scenario,
+            failed=True,
+            fingerprint=FailureFingerprint.collect([f"exception:{type(exc).__name__}"]),
+            details={"error": str(exc)},
+        )
+    fp = FailureFingerprint.collect(verdict.components)
+    _stamp_scenario_stats(verdict.cluster, scenario, bool(fp))
     report = RunReport.collect(
-        cell.cluster,
+        verdict.cluster,
         meta={
             "harness": "scenario-fuzz",
+            "workload": scenario.workload_kind,
             "scenario_id": scenario.scenario_id,
             "scenario_seed": scenario.seed,
-            "workload": "trace",
-            "trace_ref": workload["trace_ref"],
-            "trace_id": exemplar.trace_id,
             "fingerprint": fp.describe(),
+            **verdict.meta,
         },
     )
     return ScenarioOutcome(
         scenario=scenario,
         failed=bool(fp),
         fingerprint=fp,
-        details={
-            "error": cell.error,
-            "trace_ref": workload["trace_ref"],
-            "outcome_digest": cell.outcome_digest,
-            "safety_failures": cell.safety_failures[:5],
-            "gave_up": cell.gave_up,
-            "audit_violations": cell.audit_violations,
-        },
+        details=verdict.details,
         run_report=report,
     )
-
-
-# -------------------------------------------------------------------- entry point
-
-
-def run_scenario(scenario: Scenario, trace: bool = False) -> ScenarioOutcome:
-    """Execute *scenario* under its oracles.
-
-    The schema's ``engine`` field is validated but ignored: the
-    simulator has a single engine mode.
-    """
-    scenario.validate()
-    if scenario.workload_kind == "kv":
-        return _run_kv(scenario, trace)
-    if scenario.workload_kind == "differential":
-        return _run_differential(scenario, trace)
-    if scenario.workload_kind == "trace":
-        return _run_trace(scenario, trace)
-    return _run_motif(scenario, trace)

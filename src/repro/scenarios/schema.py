@@ -2,9 +2,9 @@
 
 A :class:`Scenario` pins *everything* a run needs — topology, routing
 mode, protocol backend(s), the full fault plan as explicit
-events (not a seed that regenerates them), the workload shape, and
-every nested seed — into one schema-versioned JSON document.  Two
-properties follow:
+:class:`~repro.faults.chaos.ChaosEvent` rows (not a seed that
+regenerates them), the workload shape, and every nested seed — into
+one schema-versioned JSON document.  Two properties follow:
 
 * **bit-identical replay** — the runner rebuilds the run from the
   document alone, so a scenario file reproduces its failure exactly on
@@ -25,6 +25,8 @@ import os
 from _blake2 import blake2s
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
+
+from ..faults.chaos import WINDOW_KINDS, ChaosEvent
 
 #: Bump when the document layout changes; the loader accepts every
 #: version in :data:`SUPPORTED_SCHEMAS` and preserves the document's
@@ -56,28 +58,12 @@ class ScenarioError(ValueError):
     """A scenario document failed validation."""
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One pinned fault: a window, or a crash/restart pair.
-
-    ``kind`` matches :class:`repro.faults.chaos.ChaosEvent`; ``params``
-    are kind-specific (link endpoints, switch id, node ids).
-    """
-
-    kind: str  # "link_flap" | "switch_failure" | "partition" | "crash_restart"
-    start: float
-    end: float
-    params: tuple
-
-    def to_list(self) -> list:
-        return [self.kind, self.start, self.end, list(self.params)]
-
-    @classmethod
-    def from_list(cls, row: list) -> "FaultEvent":
-        if not isinstance(row, (list, tuple)) or len(row) != 4:
-            raise ScenarioError(f"malformed fault event {row!r}")
-        kind, start, end, params = row
-        return cls(kind=str(kind), start=float(start), end=float(end), params=tuple(params))
+def _fault_event(row) -> ChaosEvent:
+    """One ``[kind, start, end, params]`` document row as a chaos event."""
+    if not isinstance(row, (list, tuple)) or len(row) != 4:
+        raise ScenarioError(f"malformed fault event {row!r}")
+    kind, start, end, params = row
+    return ChaosEvent(kind=str(kind), start=float(start), end=float(end), params=tuple(params))
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,7 @@ class Scenario:
     compare: tuple = ()            # backends the differential oracle compares
     reliability: bool = True       # ARQ transport armed (False = known-bad)
     cluster_seed: int = 1          # simulator/RNG seed for the run itself
-    fault_events: tuple = ()       # tuple[FaultEvent, ...]
+    fault_events: tuple = ()       # tuple[ChaosEvent, ...]
     drop_prob: float = 0.0         # background i.i.d. loss
     audit: bool = True             # attach the InvariantAuditor
     compare_clean: bool = True     # diff against a fault-free reference run
@@ -117,7 +103,9 @@ class Scenario:
             "compare": list(self.compare),
             "reliability": self.reliability,
             "cluster_seed": self.cluster_seed,
-            "fault_events": [ev.to_list() for ev in self.fault_events],
+            "fault_events": [
+                [ev.kind, ev.start, ev.end, list(ev.params)] for ev in self.fault_events
+            ],
             "drop_prob": self.drop_prob,
             "audit": self.audit,
             "compare_clean": self.compare_clean,
@@ -157,9 +145,7 @@ class Scenario:
                 compare=tuple(doc.get("compare", ())),
                 reliability=bool(doc.get("reliability", True)),
                 cluster_seed=int(doc.get("cluster_seed", 1)),
-                fault_events=tuple(
-                    FaultEvent.from_list(row) for row in doc.get("fault_events", ())
-                ),
+                fault_events=tuple(_fault_event(row) for row in doc.get("fault_events", ())),
                 drop_prob=float(doc.get("drop_prob", 0.0)),
                 audit=bool(doc.get("audit", True)),
                 compare_clean=bool(doc.get("compare_clean", True)),
@@ -243,7 +229,7 @@ class Scenario:
         if self.workload_kind == "trace":
             self._validate_trace()
         for ev in self.fault_events:
-            if ev.kind not in ("link_flap", "switch_failure", "partition", "crash_restart"):
+            if ev.kind not in WINDOW_KINDS + ("crash_restart",):
                 raise ScenarioError(f"unknown fault kind {ev.kind!r}")
             if ev.end <= ev.start:
                 raise ScenarioError(f"fault event {ev.kind} has end <= start")

@@ -18,6 +18,8 @@ from repro.scenarios.cli import fuzz_main
 PASSING_SEED = 1
 #: Seeds a known-bad motif (reliability disarmed, hard loss): must fail.
 KNOWN_BAD_SEED = 7
+#: One master seed per oracle.
+SEED_KINDS = {1: "differential", 3: "halo3d", 9: "kv", 18: "trace"}
 
 
 def test_replay_twice_is_bit_identical():
@@ -28,6 +30,41 @@ def test_replay_twice_is_bit_identical():
     assert first.fingerprint == second.fingerprint
     assert first.report_json() is not None
     assert first.report_json() == second.report_json()
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_KINDS))
+def test_every_oracle_reports_the_shared_meta(seed):
+    scenario = generate(seed)
+    assert scenario.workload_kind == SEED_KINDS[seed]
+    out = run_scenario(scenario)
+    meta = out.report_dict()["meta"]
+    assert meta["harness"] == "scenario-fuzz"
+    assert meta["workload"] == scenario.workload_kind
+    assert meta["scenario_id"] == scenario.scenario_id
+    assert meta["scenario_seed"] == seed
+    assert meta["fingerprint"] == out.fingerprint.describe()
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_KINDS))
+def test_traced_replay_twice_is_bit_identical(seed):
+    first = run_scenario(generate(seed), trace=True)
+    second = run_scenario(generate(seed), trace=True)
+    assert not first.failed
+    assert first.report_json() == second.report_json()
+
+
+def test_an_oracle_exception_fingerprints_as_its_type(monkeypatch):
+    import repro.scenarios.runner as runner
+
+    def refuse(*_args, **_kw):
+        raise ValueError("cell refused")
+
+    monkeypatch.setattr(runner, "run_kv_cell", refuse)
+    out = run_scenario(generate(9))
+    assert out.failed
+    assert out.fingerprint.components == ("exception:ValueError",)
+    assert out.details == {"error": "cell refused"}
+    assert out.run_report is None
 
 
 def test_seed_alone_reconstructs_the_same_run():

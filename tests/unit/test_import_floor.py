@@ -8,7 +8,9 @@ anything.  Two costs no run uses are kept off that path:
   exports), so ``_hashlib`` and libcrypto never load.
 - Every experiment driver.  ``repro.experiments`` imports none of its
   modules, so running the KV drivers does not load the figure sweeps'
-  process pool (``multiprocessing``, ``concurrent.futures``).
+  process pool (``multiprocessing``, ``concurrent.futures``).  The
+  figure sweeps import it only when they fan out (``jobs > 1``), so
+  loading the experiments CLI does not either.
 
 The checks run in a fresh interpreter because the test process has
 imported all of these already, and they count only what the imports
@@ -65,6 +67,12 @@ def test_the_benchmark_imports_load_no_openssl_and_no_process_pool():
         "import repro\nimport repro.experiments.kv_churn\nimport repro.experiments.trace_replay"
     )
     assert "repro.experiments.kv_churn" in loaded
+    assert [name for name in UNUSED if name in loaded] == []
+
+
+def test_the_experiments_cli_loads_no_openssl_and_no_process_pool():
+    loaded = _loaded_by("import repro.experiments.cli")
+    assert "repro.experiments.motif_sweep" in loaded
     assert [name for name in UNUSED if name in loaded] == []
 
 

@@ -9,15 +9,16 @@ The runner/shrinker/corpus end-to-end paths live in
 from __future__ import annotations
 
 import json
+from _blake2 import blake2s
 
 import pytest
 
+from repro.faults.chaos import ChaosEvent
 from repro.scenarios import (
     MOTIF_KINDS,
     SCHEMA_VERSION,
     WORKLOAD_KINDS,
     FailureFingerprint,
-    FaultEvent,
     Scenario,
     ScenarioError,
     generate,
@@ -36,7 +37,7 @@ def _motif_scenario(**kw) -> Scenario:
         topology="star",
         n_nodes=4,
         fault_events=(
-            FaultEvent(kind="partition", start=1_000.0, end=5_000.0, params=(1,)),
+            ChaosEvent(kind="partition", start=1_000.0, end=5_000.0, params=(1,)),
         ),
         drop_prob=0.05,
     )
@@ -88,11 +89,11 @@ def test_loader_rejects_other_schema_versions():
         (dict(n_nodes=1), "at least 2"),
         (dict(drop_prob=1.5), "drop_prob"),
         (
-            dict(fault_events=(FaultEvent("partition", 5_000.0, 1_000.0, (0,)),)),
+            dict(fault_events=(ChaosEvent("partition", 5_000.0, 1_000.0, (0,)),)),
             "end <= start",
         ),
         (
-            dict(fault_events=(FaultEvent("gremlin", 0.0, 1_000.0, (0,)),)),
+            dict(fault_events=(ChaosEvent("gremlin", 0.0, 1_000.0, (0,)),)),
             "fault kind",
         ),
     ],
@@ -182,10 +183,13 @@ def test_kv_tenant_mix_requires_schema_v2():
 
 
 def test_fault_event_row_round_trip_and_malformed_rows():
-    ev = FaultEvent(kind="link_flap", start=10.0, end=20.0, params=(1, 2))
-    assert FaultEvent.from_list(ev.to_list()) == ev
+    ev = ChaosEvent(kind="link_flap", start=10.0, end=20.0, params=(1, 2))
+    doc = _motif_scenario(fault_events=(ev,)).to_dict()
+    assert doc["fault_events"] == [["link_flap", 10.0, 20.0, [1, 2]]]
+    assert Scenario.from_dict(doc).fault_events == (ev,)
+    doc["fault_events"] = [["link_flap", 10.0, 20.0]]  # missing params
     with pytest.raises(ScenarioError):
-        FaultEvent.from_list(["link_flap", 10.0, 20.0])  # missing params
+        Scenario.from_dict(doc)
 
 
 # -------------------------------------------------------------------- generator
@@ -206,6 +210,24 @@ def test_generator_output_always_validates_and_spans_kinds():
     # The weighted mix actually exercises multiple oracle paths.
     assert len(kinds) >= 3
     assert len({s.scenario_id for s in scenarios}) == len(scenarios)
+
+
+#: blake2s over ``to_json()`` + newline of each generated document,
+#: pinned when the generator still kept its own copy of the fault
+#: sampler: drawing fault rows through the chaos layer's samplers must
+#: not move one byte of any document.
+GENERATED_DIGESTS = {
+    (1, 400, False): "ac657202007304aa15470f2458a7808cb0c2a77ffc20b8ee369833c65def1687",
+    (1, 100, True): "823189a45c273975e095ce68f572c43705306b10c5f3845d29c377e9e5a7693f",
+}
+
+
+@pytest.mark.parametrize("start,count,known_bad", sorted(GENERATED_DIGESTS))
+def test_generated_documents_match_their_pinned_digest(start, count, known_bad):
+    h = blake2s()
+    for scenario in generate_many(start, count, known_bad=known_bad):
+        h.update(scenario.to_json().encode("utf-8") + b"\n")
+    assert h.hexdigest() == GENERATED_DIGESTS[(start, count, known_bad)]
 
 
 def test_known_bad_scenarios_are_shaped_to_fail():
