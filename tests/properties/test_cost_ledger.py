@@ -182,7 +182,7 @@ LEDGER = {
     "kv-noisy": {"events": 7751, "p50_ns": 5657.894736842105, "p99_ns": 269875.0, "calls": 281896},
     "active-flash": {"events": 7064, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 245007},
     "kv-trace": {"events": 7020, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 269210},
-    "chaos-crash": {"sim_ns": 398290.0, "calls": 40992},
+    "chaos-crash": {"sim_ns": 398290.0, "calls": 40988},
 }
 
 
