@@ -324,10 +324,15 @@ class FaultInjector:
     # --- filter installation ----------------------------------------------------------
 
     def _apply(self, delivery: Delivery) -> bool:
-        """This injector's verdict on one delivery (True = drop)."""
-        now = self.sim.now
+        """This injector's verdict on one delivery (True = drop).
+
+        The fabric asks at the end of the receiving NIC's pipeline, but
+        a window is judged at the wire arrival: a window that closes
+        between the two still drops the delivery.
+        """
+        arrival = delivery.info.arrival_time
         for window in self._windows:
-            if window.matches(now, delivery):
+            if window.matches(arrival, delivery):
                 self.log.messages_dropped += 1
                 self.log.count_window_drop(window.kind)
                 self.sim.stats.counter(f"faults.drops_{window.kind}").add()

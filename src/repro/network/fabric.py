@@ -10,8 +10,13 @@ adaptive routes with :meth:`BaseFabric._select_route`.
 
 Both fabrics present the same interface to NICs::
 
-    fabric.attach(node_id, handler)          # handler(Delivery)
+    fabric.attach(node_id, handler, pipeline_ns)   # handler(Delivery)
     fabric.send(src, dst, size, header=..., data=..., mode=...)
+
+Each arrival costs the receiver one engine event: :meth:`BaseFabric._deliver`
+runs ``pipeline_ns`` after the wire arrival (the receiving NIC's
+per-arrival pipeline time) and applies the fault filter, takes the
+latency sample and calls the handler.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Any, Callable, Optional
 from ..sim.component import Component
 from ..sim.engine import Simulator
 from .config import NetworkConfig
-from .message import Delivery, DeliveryInfo, Message, MTU, PACKET_HEADER_BYTES
+from .message import Delivery, DeliveryInfo, Message, MTU, PACKET_HEADER_BYTES, _msg_ids
 from .routing import RoutingMode
 from .topology.base import Topology
 
@@ -45,6 +50,8 @@ class BaseFabric(Component):
 
         # Channel index space: [injection per node][ejection per node][switch links]
         n = topology.n_nodes
+        #: per-node delay from wire arrival to the handler (:meth:`attach`).
+        self._pipeline_ns = [0.0] * n
         self._inj_base = 0
         self._eje_base = n
         self._link_base = 2 * n
@@ -85,14 +92,22 @@ class BaseFabric(Component):
 
     # --- endpoints ---------------------------------------------------------------
 
-    def attach(self, node_id: int, handler: DeliveryHandler) -> None:
-        """Register *handler* to receive Deliveries addressed to *node_id*."""
+    def attach(self, node_id: int, handler: DeliveryHandler, pipeline_ns: float = 0.0) -> None:
+        """Register *handler* to receive Deliveries addressed to *node_id*.
+
+        The handler runs *pipeline_ns* after each wire arrival: a NIC
+        passes its per-arrival pipeline time, so parsing an arrival
+        costs no engine event of its own.
+        """
         self.topology.check_node(node_id)
         if node_id in self._handlers:
             raise ValueError(f"node {node_id} already attached")
         self._handlers[node_id] = handler
+        self._pipeline_ns[node_id] = pipeline_ns
 
     def _deliver(self, node_id: int, delivery: Delivery) -> None:
+        """The one receiver event of an arrival, at ``arrival_time +
+        pipeline_ns``: fault filter, latency sample, handler."""
         if self.fault_filter is not None and self.fault_filter(delivery):
             self.deliveries_dropped.value += 1
             return
@@ -230,10 +245,16 @@ class BaseFabric(Component):
     # --- routing ----------------------------------------------------------------
 
     def _pair_routes(self, src: int, dst: int) -> tuple:
-        """Cached channel sequences for every route of a node pair."""
+        """Cached channel sequences for every route of a node pair.
+
+        Node ids are checked here, on a cache miss: a cached pair is
+        valid.
+        """
         key = (src, dst)
         cached = self._route_cache.get(key)
         if cached is None:
+            self.topology.check_node(src)
+            self.topology.check_node(dst)
             s_sw = self.topology.node_switch(src)
             d_sw = self.topology.node_switch(dst)
             static_path = self.topology.static_path(s_sw, d_sw)
@@ -304,10 +325,9 @@ class BaseFabric(Component):
         raise NotImplementedError
 
     def _mk_message(self, src: int, dst: int, size: int, header: Any, data: bytes) -> Message:
-        self.topology.check_node(src)
-        self.topology.check_node(dst)
-        msg = Message(src=src, dst=dst, size=size, header=header, data=data)
-        msg.send_time = self.sim.now
+        """Build and count the message of one send (after its route lookup
+        has checked both node ids)."""
+        msg = Message(src, dst, size, header, data, next(_msg_ids), self.sim.now)
         self.messages_sent.value += 1
         self.bytes_sent.value += size
         return msg
@@ -334,12 +354,16 @@ class FlowFabric(BaseFabric):
         data: bytes = b"",
         mode: Optional[RoutingMode] = None,
     ) -> Message:
-        """Send a whole message with virtual-cut-through channel reservation."""
-        mode = mode or self.config.routing
+        """Send a whole message with virtual-cut-through channel reservation.
+
+        One engine event per message: :meth:`_deliver` at the arrival
+        time plus the destination's pipeline delay.
+        """
+        routes = self._route_cache.get((src, dst)) or self._pair_routes(src, dst)
         msg = self._mk_message(src, dst, size, header, data)
-        chans, hops, idx = self._select_route(self._pair_routes(src, dst), mode, True)
+        chans, hops, idx = self._select_route(routes, mode or self.config.routing, True)
         free = self.free_at
-        now = self.sim.now
+        now = msg.send_time
         # msg.wire_size, inlined (two property hops per send add up).
         n_pkts = -(-size // MTU) if size else 1
         wire = size + n_pkts * PACKET_HEADER_BYTES
@@ -356,21 +380,13 @@ class FlowFabric(BaseFabric):
             bytes_acc[ch] += wire
         t_deliver = t_head + ser
 
-        info = DeliveryInfo(
-            send_time=msg.send_time,
-            arrival_time=t_deliver,
-            hops=hops,
-            path_index=idx,
-        )
+        delivery = Delivery(msg, DeliveryInfo(now, t_deliver, hops, idx))
         sim = self.sim
+        sim.post_at(t_deliver + self._pipeline_ns[dst], self._deliver, dst, delivery)
         spans = sim.spans
         if spans.active and spans.wants("fabric"):
             sp = spans.begin("fabric", "msg_flight", src=src, dst=dst, size=size, hops=hops)
             if sp is not None:
-                # Delivery and span-end land at the same arrival time,
-                # delivery first.
-                sim.post_at(t_deliver, self._deliver, dst, Delivery(msg, info))
+                # The flight ends at the wire arrival, not at pipeline exit.
                 sim.post_at(t_deliver, spans.end, sp)
-                return msg
-        sim.post_at(t_deliver, self._deliver, dst, Delivery(msg, info))
         return msg

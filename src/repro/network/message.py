@@ -33,7 +33,7 @@ class Message:
     size: int  # payload bytes
     header: Any = None  # protocol header interpreted by the receiving NIC
     data: bytes = b""  # actual payload contents ("" => size-only modelling)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_msg_ids.__next__)
     send_time: float = -1.0
 
     def __post_init__(self) -> None:
@@ -96,7 +96,7 @@ class Packet:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DeliveryInfo:
     """Metadata handed to the receiving NIC along with traffic."""
 

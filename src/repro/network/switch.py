@@ -114,6 +114,7 @@ class PacketFabric(BaseFabric):
         adaptive scoring and rng draws follow the per-packet order.
         """
         mode = mode or self.config.routing
+        routes = self._pair_routes(src, dst)
         msg = self._mk_message(src, dst, size, header, data)
         sim = self.sim
         now = sim.now
@@ -121,7 +122,6 @@ class PacketFabric(BaseFabric):
         sw_lat = cfg.switch_latency
         xbar_bw = cfg.crossbar_bw
         inv_bw = self._inv_link_bw
-        routes = self._pair_routes(src, dst)
         select = self._select_route
         inj = self.injection_channel(src)
         inj_lat = self._wire_latency[inj]
@@ -234,12 +234,14 @@ class PacketFabric(BaseFabric):
                     batch.append(slot)
 
     def _deliver_batch(self, when: float) -> None:
-        """Deliver every packet whose ejection completes at *when*.
+        """Hand over every packet whose ejection completes at *when*.
 
         Per slot: count the packet, close the message's flight span
-        with its last packet, build the DeliveryInfo, and recycle the
-        slot.  Runs at PRIORITY_HIGH like any cable arrival, so
-        arrivals at T are visible to normal-priority work at T.
+        with its last packet, build the DeliveryInfo, recycle the slot
+        and post the packet's :meth:`_deliver` at ``when`` plus the
+        destination's pipeline delay, in slot order.  Runs at
+        PRIORITY_HIGH like any cable arrival, so arrivals at T are
+        visible to normal-priority work at T.
         """
         slots = self._del_due.pop(when)
         pkts = self._fp_pkt
@@ -248,7 +250,9 @@ class PacketFabric(BaseFabric):
         spans = self.sim.spans
         msg_spans = self._msg_spans
         free_slots = self._fp_free
+        post_at = self.sim.post_at
         deliver = self._deliver
+        pipeline_ns = self._pipeline_ns
         for slot in slots:
             pkt = pkts[slot]
             msg = pkt.message
@@ -259,13 +263,9 @@ class PacketFabric(BaseFabric):
                 if entry[1] <= 0:
                     spans.end(entry[0])
                     del msg_spans[id(msg)]
-            info = DeliveryInfo(
-                send_time=msg.send_time,
-                arrival_time=when,
-                hops=len(chans_arr[slot]) - 1,
-                path_index=pidx_arr[slot],
-            )
+            info = DeliveryInfo(msg.send_time, when, len(chans_arr[slot]) - 1, pidx_arr[slot])
             pkts[slot] = None
             chans_arr[slot] = None
             free_slots.append(slot)
-            deliver(msg.dst, Delivery(msg, info, packet=pkt))
+            dst = msg.dst
+            post_at(when + pipeline_ns[dst], deliver, dst, Delivery(msg, info, pkt))

@@ -96,7 +96,13 @@ class BaseNic(Component):
         if self.config.reliability is not None:
             self.transport = ReliableTransport(self, self.config.reliability)
             self.detector = FailureDetector(self, self.transport, self.config.reliability)
-        fabric.attach(node_id, self._on_delivery)
+        #: ``tx_messages``/``tx_control`` counters, resolved on first use
+        #: (a counter is registered, and reported, from its first use).
+        self._tx_messages = None
+        self._tx_control = None
+        # The fabric runs the receive entry once the NIC pipeline has
+        # processed an arrival (packet or whole message).
+        fabric.attach(node_id, self._on_delivery, self.config.nic_proc)
 
     # --- receive path ------------------------------------------------------------
 
@@ -145,26 +151,25 @@ class BaseNic(Component):
         """Subclass hook: wipe NIC-resident state lost in a crash."""
 
     def _on_delivery(self, delivery: Delivery) -> None:
+        """The receive entry, ``nic_proc`` after an arrival: a failed
+        NIC drops it, a live one dispatches it."""
         if self.failed:
             self.stat(f"{self.metric_group}.rx_dropped_failed").add()
             return
-        # NIC pipeline processes each arrival (packet or whole message).
-        self.sim.post(self.config.nic_proc, self._handle, delivery)
+        self.dispatch_inner(delivery)
 
-    def _handle(self, delivery: Delivery) -> None:
+    def dispatch_inner(self, delivery: Delivery) -> None:
+        """Dispatch a delivery to the handler of its header type.
+
+        The reliability transport calls this for the traffic it
+        unwraps: the NIC pipeline cost was already charged on arrival
+        of the enveloped traffic, so this is a plain handler lookup.
+        """
         fn = self._dispatch.get(type(delivery.message.header))
         if fn is None:
             self.stat(f"{self.metric_group}.rx_unknown_header").add()
             return
         fn(delivery)
-
-    def dispatch_inner(self, delivery: Delivery) -> None:
-        """Dispatch a delivery the reliability transport has unwrapped.
-
-        The NIC pipeline cost was already charged on arrival of the
-        enveloped traffic, so this is a plain handler lookup.
-        """
-        self._handle(delivery)
 
     def flow_ordered(self, flow: int) -> bool:
         """Whether the reliability transport must deliver *flow* in
@@ -210,7 +215,10 @@ class BaseNic(Component):
         self.sim.post(after, self._inject_now, dst, size, header, data, mode)
 
     def _inject_now(self, dst: int, size: int, header: Any, data: bytes, mode) -> Message:
-        self.stat(f"{self.metric_group}.tx_messages").add()
+        counter = self._tx_messages
+        if counter is None:
+            counter = self._tx_messages = self.stat(f"{self.metric_group}.tx_messages")
+        counter.value += 1
         if (
             self.transport is not None
             and dst != self.node_id
@@ -221,7 +229,10 @@ class BaseNic(Component):
 
     def send_control(self, dst: int, header: Any, mode: Optional[RoutingMode] = None) -> None:
         """Emit a small control message (ack/NACK/read request)."""
-        self.stat(f"{self.metric_group}.tx_control").add()
+        counter = self._tx_control
+        if counter is None:
+            counter = self._tx_control = self.stat(f"{self.metric_group}.tx_control")
+        counter.value += 1
         if (
             self.transport is not None
             and dst != self.node_id

@@ -27,7 +27,7 @@ class CqKind(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CqEntry:
     kind: CqKind
     op_id: int

@@ -5,6 +5,11 @@ the receiving NIC what to do with the payload.  The split mirrors the
 paper's Figure 1 vs Figure 3: RDMA headers carry raw remote addresses
 and rkeys; RVMA headers carry only a mailbox virtual address and an
 offset.
+
+Every header is a plain slotted record (``@dataclass(slots=True)``),
+not a frozen one: a frozen ``__init__`` sets each field through
+``object.__setattr__``, and a header is built for nearly every message.
+Nothing hashes or mutates a header once it is sent.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ def next_op_id() -> int:
 # --- RVMA -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RvmaPutHeader:
     """RVMA put: mailbox address + offset into the *active* buffer.
 
@@ -33,7 +38,7 @@ class RvmaPutHeader:
     mailbox: int
     offset: int
     total_size: int
-    op_id: int = field(default_factory=next_op_id)
+    op_id: int = field(default_factory=_op_ids.__next__)
     #: Simulator-side link to the initiator's :class:`repro.nic.rvma.PutOp`
     #: on every attempt (the first and each NACK retry), so the target
     #: can report placement and the initiator can drop a put no NACK
@@ -42,17 +47,17 @@ class RvmaPutHeader:
     op: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RvmaGetHeader:
     """RVMA get: read ``length`` bytes at ``offset`` of the active buffer."""
 
     mailbox: int
     offset: int
     length: int
-    op_id: int = field(default_factory=next_op_id)
+    op_id: int = field(default_factory=_op_ids.__next__)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RvmaGetReply:
     op_id: int
     ok: bool
@@ -76,7 +81,7 @@ class NackReason(Enum):
     FILTERED = "filtered"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RvmaNackHeader:
     """Negative acknowledgement for a discarded RVMA operation.
 
@@ -103,7 +108,7 @@ class RvmaNackHeader:
 # carries RVMA and RDMA headers alike.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SeqHeader:
     """Reliable-delivery envelope around an application header.
 
@@ -119,7 +124,7 @@ class SeqHeader:
     attempt: int = 0  # retransmission attempt (0 = first transmission)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReliAckHeader:
     """Cumulative + selective acknowledgement for one flow.
 
@@ -133,7 +138,7 @@ class ReliAckHeader:
     sacks: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HeartbeatHeader:
     """Failure-detector probe.  ``ping`` requests an immediate ``pong``."""
 
@@ -151,7 +156,7 @@ class HeartbeatHeader:
 # fabric.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RejoinHello:
     """Restarted node -> peer: "here is what I still know".
 
@@ -167,7 +172,7 @@ class RejoinHello:
     epochs: tuple = ()  # ((mailbox, epoch), ...) restored local windows
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RejoinReply:
     """Peer -> restarted node: "here is what I have from you".
 
@@ -184,7 +189,7 @@ class RejoinReply:
 # --- RDMA --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RdmaWriteHeader:
     """RDMA write/put: raw target virtual address + protection key."""
 
@@ -192,35 +197,35 @@ class RdmaWriteHeader:
     rkey: int
     total_size: int
     imm: int | None = None  # write-with-immediate payload (target CQE)
-    op_id: int = field(default_factory=next_op_id)
+    op_id: int = field(default_factory=_op_ids.__next__)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RdmaReadHeader:
     """RDMA read/get request."""
 
     raddr: int
     rkey: int
     length: int
-    op_id: int = field(default_factory=next_op_id)
+    op_id: int = field(default_factory=_op_ids.__next__)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RdmaReadReply:
     op_id: int
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RdmaSendHeader:
     """Two-sided send; consumes a posted receive at the target."""
 
     total_size: int
     tag: int = 0
-    op_id: int = field(default_factory=next_op_id)
+    op_id: int = field(default_factory=_op_ids.__next__)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckHeader:
     """Transport-level acknowledgement (RC semantics, coalesced per op)."""
 

@@ -376,9 +376,7 @@ class RdmaNic(BaseNic):
         self.sim.post(
             self.cfg.completion_pipeline_gap,
             self.cq.push,
-            CqEntry(
-                CqKind.RECV, hdr.op_id, size=hdr.total_size, wr_id=wr_id, time=self.sim.now
-            ),
+            CqEntry(CqKind.RECV, hdr.op_id, hdr.total_size, None, wr_id, self.sim.now),
         )
 
     def _on_read(self, delivery: Delivery) -> None:
@@ -449,13 +447,13 @@ class RdmaNic(BaseNic):
             return
         self._pending.pop(hdr.op_id, None)
         kind = op.kind if hdr.ok else CqKind.ERROR
-        entry = CqEntry(
-            kind, op.op_id, size=op.size, wr_id=op.wr_id, time=self.sim.now, ok=hdr.ok
-        )
+        entry = CqEntry(kind, op.op_id, op.size, None, op.wr_id, self.sim.now, hdr.ok)
         # CQ entry is DMAed to host memory before software can observe it.
-        def finish() -> None:
-            if op.signaled:
-                self.cq.push(entry)
-            op.done.resolve(entry)
+        self.sim.post(self.pcie.latency, self._complete, op, entry)
 
-        self.sim.post(self.pcie.latency, finish)
+    def _complete(self, op: RdmaOp, entry: CqEntry) -> None:
+        """An acked op's completion reaches the host: CQ entry (when
+        signaled), then ``op.done``."""
+        if op.signaled:
+            self.cq.push(entry)
+        op.done.resolve(entry)

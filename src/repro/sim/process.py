@@ -152,10 +152,11 @@ class SimProcess:
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            self.sim.post(float(yielded), self._advance, None)
-        elif isinstance(yielded, Future):
+        # Futures first: completions are what most yields wait on.
+        if isinstance(yielded, Future):
             yielded.add_callback(self._advance)
+        elif isinstance(yielded, (int, float)):
+            self.sim.post(float(yielded), self._advance, None)
         elif isinstance(yielded, AllOf):
             wait = _AllOfWait(yielded.futures, self._advance)
             if not wait.remaining:

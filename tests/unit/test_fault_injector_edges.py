@@ -21,9 +21,10 @@ from tests.helpers import run_gens
 MAILBOX = 0xAB
 
 
-def _delivery(src: int, dst: int, data: bytes = b"\x42" * 8) -> Delivery:
+def _delivery(src: int, dst: int, data: bytes = b"\x42" * 8, at: float = 0.0) -> Delivery:
+    """A delivery that reached the wire at *at* (windows judge it there)."""
     msg = Message(src=src, dst=dst, size=len(data), data=data)
-    return Delivery(msg, DeliveryInfo(send_time=0.0, arrival_time=0.0, hops=1))
+    return Delivery(msg, DeliveryInfo(send_time=0.0, arrival_time=at, hops=1))
 
 
 # ----------------------------------------------- overlapping flap windows
@@ -55,15 +56,14 @@ def test_overlapping_link_flap_windows_drop_once_per_delivery():
     assert [(w[1], w[2]) for w in flaps] == [(1_000.0, 5_000.0), (3_000.0, 8_000.0)]
 
     fault_filter = cl.fabric.fault_filter
-    cl.sim.now = 4_000.0  # inside both windows
-    assert fault_filter(_delivery(0, 2)) is True
+    assert fault_filter(_delivery(0, 2, at=4_000.0)) is True  # inside both windows
     assert inj.log.messages_dropped == 1  # one drop, despite two matches
     assert inj.log.window_drops == {"link_flap": 1}
-    assert fault_filter(_delivery(0, 1)) is False  # same-switch: no link crossed
-    cl.sim.now = 6_000.0  # first window closed, second still open
-    assert fault_filter(_delivery(0, 2)) is True
-    cl.sim.now = 9_000.0  # both closed: the link is healthy again
-    assert fault_filter(_delivery(0, 2)) is False
+    assert fault_filter(_delivery(0, 1, at=4_000.0)) is False  # same-switch: no link crossed
+    # First window closed, second still open.
+    assert fault_filter(_delivery(0, 2, at=6_000.0)) is True
+    # Both closed: the link is healthy again.
+    assert fault_filter(_delivery(0, 2, at=9_000.0)) is False
     assert inj.log.messages_dropped == 2
     assert cl.sim.stats.counter("faults.drops_link_flap").value == 2
 

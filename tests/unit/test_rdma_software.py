@@ -282,6 +282,34 @@ def test_demux_claims_kept_entries_in_arrival_order(rdma_pair):
     assert disp.entries_dispatched == 4
 
 
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_demux_recv_wait_behind_kept_send_done_entries(rdma_pair, n):
+    """Kept entries are indexed by (wr_id, kind): a RECV wait behind *n*
+    SEND_DONE entries of its wr_id takes the earliest RECV, and a
+    ``kind=None`` wait the earliest entry of any kind."""
+    sim, cq, disp, d = _demux(rdma_pair)
+    seen = []
+    _waiter(sim, 0.0, lambda: disp.wait_wr(9), seen, "w9")
+    kinds = [CqKind.SEND_DONE] * n + [CqKind.RECV, CqKind.SEND_DONE, CqKind.RECV]
+    for op_id, kind in enumerate(kinds, start=1):
+        _push_at(sim, cq, 10.0 * op_id, kind, op_id, 4)
+    _push_at(sim, cq, 10.0 * (len(kinds) + 1), CqKind.RECV, 99, 9)
+    t = 10.0 * len(kinds) + 1_000.0
+    _waiter(sim, t, lambda: disp.wait_wr(4, CqKind.RECV), seen, "recv1")
+    _waiter(sim, t + 100, lambda: disp.wait_wr(4), seen, "any1")
+    _waiter(sim, t + 200, lambda: disp.wait_wr(4, CqKind.RECV), seen, "recv2")
+    _waiter(sim, t + 300, lambda: disp.wait_wr(4), seen, "any2")
+    sim.run()
+    assert seen[0][:2] == ("w9", 99)
+    assert seen[1:] == [
+        ("recv1", n + 1, t + d),
+        ("any1", 1, t + 100 + d),
+        ("recv2", n + 3, t + 200 + d),
+        ("any2", 2 if n > 1 else n + 2, t + 300 + d),
+    ]
+    assert disp.entries_dispatched == len(kinds) + 1
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_demux_backlog_dispatches_one_poll_apart(rdma_pair, k):
     sim, cq, disp, d = _demux(rdma_pair)
