@@ -9,6 +9,8 @@ sender process per channel, a bounded run, and the delivered bytes.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from ..cluster.builder import Cluster
 from ..motifs import RdmaProtocol, RvmaProtocol, UcxProtocol
 from ..network.routing import RoutingMode
@@ -29,6 +31,7 @@ def run_channels(
     seed: int,
     max_msg: int,
     deadline_ns: float,
+    before_run: Optional[Callable] = None,
 ) -> tuple:
     """Drive *channels* through *backend*; returns ``(delivered, counts, stalled, cluster)``.
 
@@ -36,7 +39,9 @@ def run_channels(
     maps ``(key, i)`` to the i-th payload's received bytes, ``counts``
     maps *key* to the messages the receiver endpoint counted, and
     ``stalled`` is true when some endpoint had not finished by
-    *deadline_ns*.
+    *deadline_ns*.  *before_run*, when given, is called with the built
+    cluster just before the simulator starts (the scenario runner turns
+    spans on and opens its scenario span there).
     """
     proto = BACKENDS[backend](mode=RoutingMode.STATIC)
     cluster = Cluster.build(
@@ -60,5 +65,7 @@ def run_channels(
     for key, src, dst, tag, payloads in channels:
         procs.append(spawn(cluster.sim, receiver(key, src, dst, tag, payloads), f"r{src}-{dst}"))
         procs.append(spawn(cluster.sim, sender(src, dst, tag, payloads), f"s{src}-{dst}"))
+    if before_run is not None:
+        before_run(cluster)
     cluster.sim.run(until=deadline_ns)
     return delivered, counts, not all(p.finished for p in procs), cluster

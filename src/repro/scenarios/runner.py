@@ -364,11 +364,13 @@ def _run_differential(scenario: Scenario, trace: bool) -> _Verdict:
     ]
     results = {}
     components = []
+    opened: list = []
     for backend in scenario.compare:
         delivered, counts, stalled, cluster = run_channels(
             backend, channels, scenario.n_nodes, scenario.topology, seed, max_msg,
-            DIFF_DEADLINE_NS,
+            DIFF_DEADLINE_NS, before_run=_span_hook(scenario, trace, opened),
         )
+        cluster.sim.spans.end(opened[-1], completed=not stalled)
         results[backend] = (delivered, counts, cluster)
         if stalled:
             components.append("stall")

@@ -53,6 +53,13 @@ def test_traced_replay_twice_is_bit_identical(seed):
     assert first.report_json() == second.report_json()
 
 
+def test_traced_differential_scenario_records_spans():
+    scenario = generate(PASSING_SEED)
+    assert scenario.workload_kind == "differential"
+    categories = run_scenario(scenario, trace=True).report_dict()["spans"]["categories"]
+    assert "scenario" in categories and "fabric" in categories
+
+
 def test_an_oracle_exception_fingerprints_as_its_type(monkeypatch):
     import repro.scenarios.runner as runner
 
