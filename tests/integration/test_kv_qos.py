@@ -53,7 +53,7 @@ def _qos_cluster(tenants, n_nodes=2, server_config=None, qos=True):
     return cluster, shard_map, server
 
 
-def test_admission_sheds_storm_with_rc_overload(fabric_impl):
+def test_admission_sheds_storm_with_rc_overload():
     """A metered tenant's burst past its bucket resolves as RC_OVERLOAD."""
     tenants = TenantDirectory(
         (TenantSpec(1, admit_rate_bytes_per_us=1.0, admit_burst_bytes=512.0),)
@@ -85,7 +85,7 @@ def test_admission_sheds_storm_with_rc_overload(fabric_impl):
     assert MetricsRegistry.collect(cluster.sim).undocumented() == []
 
 
-def test_deadline_resolves_against_a_drowning_server(fabric_impl):
+def test_deadline_resolves_against_a_drowning_server():
     """Requests to a server busy for longer than the deadline resolve
     client-side as DEADLINE_EXCEEDED — no op stalls forever."""
     tenants = TenantDirectory((TenantSpec(1),))
@@ -118,7 +118,7 @@ def test_deadline_resolves_against_a_drowning_server(fabric_impl):
     assert counters["service.kv.tenant.deadline_misses.t1"] == 3
 
 
-def test_nic_quota_rejects_into_counter_without_transport_stall(fabric_impl):
+def test_nic_quota_rejects_into_counter_without_transport_stall():
     """Placement-quota rejects are terminal and accounted: every lost put
     is a quota loss, and the retry-less client resolves by deadline."""
     tenants = TenantDirectory(
@@ -159,7 +159,7 @@ def test_nic_quota_rejects_into_counter_without_transport_stall(fabric_impl):
     assert reg.undocumented() == []
 
 
-def test_open_loop_backlog_cap_sheds_and_counts(fabric_impl):
+def test_open_loop_backlog_cap_sheds_and_counts():
     """Offered load past the backlog cap is dropped at the generator —
     counted, resolved, and bounded instead of queueing without limit."""
     tenants = TenantDirectory((TenantSpec(1),))
@@ -195,7 +195,7 @@ def test_open_loop_backlog_cap_sheds_and_counts(fabric_impl):
     assert counters["service.kv.client.backlog_dropped"] == stats.ops_dropped
 
 
-def test_noisy_neighbor_experiment_isolates_victim(fabric_impl):
+def test_noisy_neighbor_experiment_isolates_victim():
     """Downsized noisy-neighbor cell: with QoS armed, invariants hold,
     every op resolves, and the QoS mechanisms actually engaged."""
     outcome = run_noisy_neighbor(
