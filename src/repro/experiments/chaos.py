@@ -167,7 +167,6 @@ class ChaosOutcome:
     audit_report: Optional[dict] = None
     #: initiator give-up accounting (satellite visibility: silent loss
     #: paths that used to vanish into ``puts_lost``).
-    put_window_evictions: int = 0
     put_giveups: int = 0
     #: observability snapshot (:class:`repro.observability.RunReport`),
     #: present when the run was invoked with ``observe=True``.
@@ -184,7 +183,6 @@ class ChaosOutcome:
             and self.identical_to_clean is not False
             and self.replay_holes == 0
             and not self.audit_violations
-            and self.put_window_evictions == 0
             and self.put_giveups == 0
         )
 
@@ -316,7 +314,6 @@ def run_motif_under_chaos(
         replay_holes=len(manager.report.replay_holes) if manager is not None else 0,
         audit_violations=len(auditor.violations) if auditor is not None else None,
         audit_report=auditor.report() if auditor is not None else None,
-        put_window_evictions=counters.get("nic.rvma.put_window_evictions", 0),
         put_giveups=counters.get("nic.rvma.put_giveups", 0),
         run_report=(
             RunReport.collect(
@@ -425,7 +422,7 @@ def run_crash_restart(
                 out.rejoins,
                 out.retransmits,
                 out.audit_violations if out.audit_violations is not None else "-",
-                out.put_window_evictions + out.put_giveups,
+                out.put_giveups,
                 "yes" if out.completed else "NO",
                 {True: "yes", False: "NO", None: "-"}[out.identical_to_clean],
             ])

@@ -40,10 +40,9 @@ class RvmaPutHeader:
     total_size: int
     op_id: int = field(default_factory=_op_ids.__next__)
     #: Simulator-side link to the initiator's :class:`repro.nic.rvma.PutOp`
-    #: on every attempt (the first and each NACK retry), so the target
-    #: can report placement and the initiator can drop a put no NACK
-    #: can name any more.  Not on the wire; active-mailbox replies carry
-    #: None.
+    #: on every attempt (the first and each NACK retry), so a NACK can
+    #: hand the put back to its initiator without a lookup table.  Not
+    #: on the wire; active-mailbox replies carry None.
     op: object = field(default=None, compare=False, repr=False)
 
 
@@ -92,11 +91,10 @@ class RvmaNackHeader:
     op_id: int
     mailbox: int
     reason: NackReason
-    #: Simulator-side: the refused fragment's settle units (its bytes,
-    #: 1 for an empty put), handed back to the put once its initiator
-    #: has handled this NACK (:attr:`repro.nic.rvma.PutOp.unsettled`).
-    #: Not on the wire.
-    units: int = field(default=0, compare=False, repr=False)
+    #: Simulator-side link to the refused put's
+    #: :class:`repro.nic.rvma.PutOp`, taken from its header (None for a
+    #: get or an unlinked put).  Not on the wire.
+    op: object = field(default=None, compare=False, repr=False)
 
 
 # --- reliability envelope -----------------------------------------------------

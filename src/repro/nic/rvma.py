@@ -15,7 +15,7 @@ completion semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..memory.address import RVMA_ADDR_MASK
@@ -56,20 +56,17 @@ class RvmaNicConfig(NicConfig):
     #: to IB RNR retry.
     put_retry_timeout: float = 2000.0
     put_retries: int = 64
-    #: Put handles kept for NACK matching, counted in puts issued: a put
-    #: still held ``put_window`` puts after its own is evicted (a NACK
-    #: for it can no longer be retried).  A put leaves earlier once it
-    #: is settled (:attr:`PutOp.unsettled`: every byte of every attempt
-    #: was placed or NACKed, every NACK was handled, and the reliability
-    #: transport has the ack of every attempt that rides it) unless the
-    #: NIC journals its sends or the put is lost.  Bounds initiator
-    #: memory in million-put motif runs.
-    put_window: int = 65536
 
 
 @dataclass(slots=True)
 class PutOp:
-    """Initiator-side handle for an RVMA put."""
+    """Initiator-side handle for an RVMA put.
+
+    No table holds it: each attempt's header and each NACK links it
+    (:attr:`repro.nic.headers.RvmaPutHeader.op`), so it lives exactly
+    as long as a message in flight, an unacked transport record or a
+    send-journal entry can still name it.
+    """
 
     op_id: int
     dst: int
@@ -82,31 +79,12 @@ class PutOp:
     #: abandoned for good; later NACKs for its other packets are not
     #: new losses.
     lost: bool = False
-    #: puts the initiating NIC had issued, this one included; the put
-    #: window evicts the op at put ``index + put_window`` if still held.
+    #: puts the initiating NIC had issued, this one included; a put
+    #: issued before its target was last suspected is not retried.
     index: int = 0
-    #: units left before the put settles, counted over all attempts:
-    #: each attempt adds its bytes (a zero-byte put is one unit), plus
-    #: one for the reliability transport's ack when it rides the
-    #: transport (an unacked message is resent to a crash-restarted
-    #: target, which may NACK it).  Placed bytes and acks take units
-    #: off; a NACKed fragment's units come off only once this NIC has
-    #: handled the NACK, after any resend has added its own.  None while
-    #: it cannot settle: its send is journaled, it is lost, or a target
-    #: refused part of it without sending a NACK.
-    unsettled: Optional[int] = None
-    #: the initiating NIC's held-put table, left once the put settles.
-    held: Optional[dict] = field(default=None, repr=False, compare=False)
-
-    def settle(self, units: int) -> None:
-        """Count *units* as done.  At zero the put is settled: no NACK
-        can name it any more, so the initiator stops holding it."""
-        left = self.unsettled
-        if left is not None:
-            left -= units
-            self.unsettled = left
-            if left <= 0:
-                self.held.pop(self.op_id, None)
+    #: the initiating NIC's incarnation at issue; a NACK for a put from
+    #: before a crash-restart is not acted on.
+    incarnation: int = 0
 
 
 @dataclass
@@ -145,10 +123,9 @@ class RvmaNic(BaseNic):
         #: bytes received so far per in-flight multi-packet op (op counting).
         self._op_bytes: dict[int, int] = {}
         self._gets: dict[int, GetOp] = {}
-        #: held put handles in issue order (a dict keeps insertion order,
-        #: so the oldest held put is the first entry).
-        self._puts: dict[int, PutOp] = {}
         self._puts_issued = 0
+        #: peer -> ``_puts_issued`` when it was last suspected.
+        self._suspected_at: dict[int, int] = {}
         #: crash-restart recovery: duck-typed host-side journal of
         #: window-structure commands (:class:`repro.recovery.checkpoint.OpJournal`).
         #: None (the default) costs one attribute check per command.
@@ -189,7 +166,6 @@ class RvmaNic(BaseNic):
             if not op.done.done:
                 op.done.resolve(False)
         self._gets.clear()
-        self._puts.clear()
         self._op_bytes.clear()
         self.lut = MailboxLUT(
             max_entries=self.cfg.lut_entries,
@@ -466,7 +442,6 @@ class RvmaNic(BaseNic):
         """Initiate an RVMA put.  ``local_done`` resolves when the payload
         has fully left this NIC (send buffer reusable)."""
         self._puts_issued += 1
-        puts = self._puts
         op = PutOp(
             op_id=next_op_id(),
             dst=dst,
@@ -475,22 +450,10 @@ class RvmaNic(BaseNic):
             local_done=self.future(),
             retry=(data, offset, mode, self.cfg.put_retries),
             index=self._puts_issued,
-            held=puts,
+            incarnation=self.incarnation,
         )
-        puts[op.op_id] = op
-        stale = self._puts_issued - self.cfg.put_window
-        while stale > 0 and puts:
-            oldest = next(iter(puts.values()))
-            if oldest.index > stale:
-                break
-            # The op can no longer be matched to a late NACK: its retry
-            # state is gone.  Settled puts have left already, so this
-            # counts only puts a NACK could still name.
-            del puts[oldest.op_id]
-            self.stat("nic.rvma.put_window_evictions").add()
 
         def issue() -> None:
-            op.unsettled = self._attempt_units(size, dst)
             hdr = RvmaPutHeader(
                 mailbox=mailbox, offset=offset, total_size=size, op_id=op.op_id, op=op
             )
@@ -501,19 +464,6 @@ class RvmaNic(BaseNic):
 
         self.sim.post(self.cfg.issue_latency(), issue)
         return op
-
-    def _attempt_units(self, size: int, dst: int) -> Optional[int]:
-        """Settle units one attempt of a put adds (see :attr:`PutOp.unsettled`).
-
-        None when the send is journaled: a rejoin can replay it and the
-        replay can be NACKed, so the put never settles.
-        """
-        transport = self.transport
-        if transport is None:
-            return size or 1
-        if transport.journal is not None:
-            return None
-        return (size or 1) + (dst != self.node_id)
 
     def hw_get(
         self,
@@ -543,9 +493,10 @@ class RvmaNic(BaseNic):
         """Fail outstanding ops targeting a suspected-dead peer.
 
         Gets would otherwise hang forever waiting for a reply that can
-        never come; put retry state is dropped so NACK-driven resends to
-        a corpse stop.  The application-level signal is the
-        ``PeerFailed`` completion surfaced through the API/detector.
+        never come; puts issued so far are not retried on a NACK, so
+        resends to a corpse stop (even after a reinstate).  The
+        application-level signal is the ``PeerFailed`` completion
+        surfaced through the API/detector.
         """
         super().on_peer_suspected(record)
         peer = record.peer
@@ -554,36 +505,31 @@ class RvmaNic(BaseNic):
             self._op_bytes.pop(-op_id, None)
             self.stat("nic.rvma.gets_failed_peer_death").add()
             op.done.resolve(False)
-        for op in self._puts.values():
-            if op.dst == peer and op.retry is not None:
-                op.retry = None
+        self._suspected_at[peer] = self._puts_issued
 
     # ------------------------------------------------------------------ receive path
 
-    def _resolve_target(
-        self, hdr: RvmaPutHeader | RvmaGetHeader, src: int, units: int = 0
-    ):
+    def _resolve_target(self, hdr: RvmaPutHeader | RvmaGetHeader, src: int):
         """LUT lookup with catch-all fallback; emits NACKs on failure.
 
         Returns (entry, buffer) or (None, None) when the op is discarded.
-        *units* are the refused put fragment's (see :meth:`_nack`).
         """
         entry = self.lut.lookup(hdr.mailbox)
         if entry is None:
             if self.lut.catch_all is not None and self.lut.catch_all.active is not None:
                 self.stat("nic.rvma.catch_all_hits").add()
                 return self.lut.catch_all, self.lut.catch_all.active
-            self._nack(src, hdr, NackReason.NO_MAILBOX, units)
+            self._nack(src, hdr, NackReason.NO_MAILBOX)
             return None, None
         if entry.closed:
-            self._nack(src, hdr, NackReason.CLOSED, units)
+            self._nack(src, hdr, NackReason.CLOSED)
             return None, None
         buf = entry.active
         if buf is None:
             if self.lut.catch_all is not None and self.lut.catch_all.active is not None:
                 self.stat("nic.rvma.catch_all_hits").add()
                 return self.lut.catch_all, self.lut.catch_all.active
-            self._nack(src, hdr, NackReason.NO_BUFFER, units)
+            self._nack(src, hdr, NackReason.NO_BUFFER)
             return None, None
         return entry, buf
 
@@ -639,7 +585,7 @@ class RvmaNic(BaseNic):
             # would duplicate its prefix on a client retry).
             self.stat("nic.rvma.quota_rejects").add()
             self.stat("nic.rvma.puts_discarded").add()
-            self._nack(src, hdr, NackReason.QUOTA, nbytes or 1)
+            self._nack(src, hdr, NackReason.QUOTA)
             return
         if self.active is not None:
             # Active-mailbox predicate filter: reject non-matching
@@ -668,7 +614,7 @@ class RvmaNic(BaseNic):
     def _place_admitted(
         self, hdr: RvmaPutHeader, src: int, frag_off: int, nbytes: int, data: bytes
     ) -> None:
-        entry, buf = self._resolve_target(hdr, src, nbytes or 1)
+        entry, buf = self._resolve_target(hdr, src)
         if entry is None:
             self.stat("nic.rvma.puts_discarded").add()
             return
@@ -679,7 +625,7 @@ class RvmaNic(BaseNic):
             return
         place_off = hdr.offset + frag_off
         if place_off + nbytes > buf.buffer.size:
-            self._nack(src, hdr, NackReason.OUT_OF_BOUNDS, nbytes or 1)
+            self._nack(src, hdr, NackReason.OUT_OF_BOUNDS)
             self.stat("nic.rvma.puts_discarded").add()
             return
         self._place(entry, buf, hdr, place_off, nbytes, data)
@@ -715,8 +661,6 @@ class RvmaNic(BaseNic):
         aud = self.auditor
         if aud is not None:
             aud.on_place(self, entry, buf, place_off, nbytes, data)
-        if hdr.op is not None:
-            hdr.op.settle(nbytes or 1)
         if buf.counter >= buf.threshold > 0:
             self._complete_active(entry)
 
@@ -733,10 +677,8 @@ class RvmaNic(BaseNic):
             buf = entry.active
             if buf is None:
                 self.stat("nic.rvma.puts_discarded").add()
-                self._nack(src, hdr, NackReason.NO_BUFFER, 1)
+                self._nack(src, hdr, NackReason.NO_BUFFER)
                 return
-            if hdr.op is not None:
-                hdr.op.settle(1)
             if entry.threshold_type is EpochType.EPOCH_OPS and hdr.total_size == 0:
                 buf.counter += 1
                 if buf.counter >= buf.threshold > 0:
@@ -748,7 +690,7 @@ class RvmaNic(BaseNic):
             if buf is None:
                 # Stream overran the posted bucket: remainder is lost.
                 self.stat("nic.rvma.puts_discarded").add()
-                self._nack(src, hdr, NackReason.NO_BUFFER, nbytes)
+                self._nack(src, hdr, NackReason.NO_BUFFER)
                 break
             room = buf.buffer.size - buf.bytes_received
             if buf.replay_boundary and entry.threshold_type is EpochType.EPOCH_BYTES:
@@ -792,8 +734,6 @@ class RvmaNic(BaseNic):
                 or (buf.replay_boundary and buf.counter >= buf.threshold)
             ):
                 self._complete_active(entry)
-        if hdr.op is not None:
-            hdr.op.settle(consumed)
 
     def _complete_active(self, entry: MailboxEntry) -> RetiredBuffer:
         """Threshold reached (or epoch pre-empted): retire and notify."""
@@ -896,39 +836,27 @@ class RvmaNic(BaseNic):
 
     # --- NACKs -----------------------------------------------------------------------
 
-    def _nack(self, src: int, hdr, reason: NackReason, units: int = 0) -> None:
-        """Refuse an op.  For a put, *units* are the refused fragment's
-        settle units; the NACK hands them back to its initiator."""
-        send = self.cfg.send_nacks and src != self.node_id
-        op = getattr(hdr, "op", None)
-        if op is not None:
-            if not send:
-                # No NACK hands these units back: the put must stay held
-                # until the put window evicts it.
-                op.unsettled = None
-            elif op.unsettled is not None:
-                # The NACK in flight is a unit of its own, so the put
-                # stays held until its initiator has handled it, even
-                # when these bytes were also placed (a transport resend
-                # to a crash-restarted target).
-                op.unsettled += 1
-                units += 1
+    def _nack(self, src: int, hdr, reason: NackReason) -> None:
+        """Refuse an op.  A put's NACK links its :class:`PutOp`."""
         self.stat(f"nic.rvma.nacks_{reason.value}").add()
-        if send:
+        if self.cfg.send_nacks and src != self.node_id:
             self.send_control(
                 src,
                 RvmaNackHeader(
-                    op_id=hdr.op_id, mailbox=hdr.mailbox, reason=reason, units=units
+                    op_id=hdr.op_id, mailbox=hdr.mailbox, reason=reason,
+                    op=getattr(hdr, "op", None),
                 ),
             )
 
     def _on_nack(self, delivery: Delivery) -> None:
         hdr: RvmaNackHeader = delivery.message.header
         self.stat("nic.rvma.nacks_received").add()
-        op = self._puts.get(hdr.op_id)
-        if op is None:
+        op = hdr.op
+        if op is None or op.incarnation != self.incarnation:
             return
         op.nacked = hdr.reason
+        if op.index <= self._suspected_at.get(op.dst, 0):
+            op.retry = None
         if (
             hdr.reason in (NackReason.NO_BUFFER, NackReason.NO_MAILBOX)
             and op.retry
@@ -937,11 +865,6 @@ class RvmaNic(BaseNic):
             data, offset, mode, left = op.retry
             op.retry = (data, offset, mode, left - 1)
             self.stat("nic.rvma.put_retries").add()
-            if op.unsettled is not None:
-                # The resend's units go on before this NACK's come off,
-                # so the put cannot settle before the resend is counted.
-                units = self._attempt_units(op.size, op.dst)
-                op.unsettled = None if units is None else op.unsettled + units
             resend = RvmaPutHeader(
                 mailbox=op.mailbox, offset=offset, total_size=op.size, op_id=op.op_id,
                 op=op,
@@ -949,14 +872,10 @@ class RvmaNic(BaseNic):
             self.inject(
                 op.dst, op.size, resend, data, mode, after=self.cfg.put_retry_timeout
             )
-            op.settle(hdr.units)
             return
         if op.lost:
             return
         op.lost = True
-        # A lost put stays held: a NACK for its other packets must
-        # still find it and not count a new loss.
-        op.unsettled = None
         if (
             hdr.reason in (NackReason.NO_BUFFER, NackReason.NO_MAILBOX)
             and op.retry

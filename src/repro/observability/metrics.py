@@ -61,7 +61,6 @@ CATALOG: dict[str, MetricSpec] = {
         _c("nic.rvma.puts_lost", "ops", "Puts abandoned for good after NACK retry exhaustion."),
         _c("nic.rvma.put_retries", "ops", "Sender-side put retries triggered by receiver NACKs."),
         _c("nic.rvma.put_giveups", "ops", "Puts that exhausted their NACK retry budget."),
-        _c("nic.rvma.put_window_evictions", "ops", "Unsettled puts evicted from the put window, losing their retry state (settled puts leave without counting)."),
         _c("nic.rvma.catch_all_hits", "ops", "Puts landing in a catch-all mailbox instead of a targeted one."),
         _c("nic.rvma.spilled_completions", "events", "Completions spilled to the overflow queue (completion FIFO full)."),
         _c("nic.rvma.nacks_received", "msgs", "NACK control messages received by the sending NIC."),

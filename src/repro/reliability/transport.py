@@ -261,11 +261,6 @@ class ReliableTransport:
             attempts.add(rec.attempts + 1)
             if rec.span is not None:
                 spans.end(rec.span, outcome="acked", attempts=rec.attempts + 1)
-            # A first-attempt RVMA put links its PutOp, which needs this
-            # ack to settle (see repro.nic.rvma.PutOp.unsettled).
-            op = getattr(rec.env.inner, "op", None)
-            if op is not None:
-                op.settle(1)
 
     def unacked(self, dst: Optional[int] = None) -> int:
         """Outstanding unacknowledged messages (optionally to one peer)."""

@@ -191,7 +191,7 @@ def _run_motif(scenario: Scenario, trace: bool) -> _Verdict:
         components.append("invariant:not_identical")
     if out.replay_holes:
         components.append("invariant:replay_holes")
-    if out.put_window_evictions or out.put_giveups:
+    if out.put_giveups:
         components.append("invariant:giveups")
     components.extend(_audit_kinds(out.audit_report))
     details = {

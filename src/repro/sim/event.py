@@ -50,7 +50,7 @@ class Event:
         #: engine backref while the event sits in a queue; the engine
         #: clears it once the event executes, so late cancels of an
         #: already-fired handle (common in the ARQ transport) are no-ops
-        #: for the live/garbage accounting.
+        #: for the pending-events accounting.
         self.owner = None
 
     def cancel(self) -> None:

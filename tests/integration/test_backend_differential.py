@@ -95,7 +95,7 @@ def _run_pattern(factory, pattern: str, seed: int):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_backends_deliver_identical_bytes(seed, fabric_impl):
+def test_backends_deliver_identical_bytes(seed):
     """All three backends: byte-identical payloads, identical counts."""
     results = {}
     for name, factory in BACKENDS.items():

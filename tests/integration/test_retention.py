@@ -2,17 +2,17 @@
 
 Every consumed posting releases its record, a re-posted buffer reuses
 its notification line, a stream recycles chunks that have left the
-NIC's rewind ring and a settled put leaves its NIC's put window, so a
-KV cell run twice as long ends holding exactly the same allocations,
-posted records and put handles.
+NIC's rewind ring and a put handle lives only while a message names
+it, so a KV cell run twice as long ends holding exactly the same
+allocations, posted records and put handles.
 
 What a run lets go of is freed at once: no record made per wait, per
 put or per op is part of a reference cycle, so reference counting
 frees it without the cyclic collector, which ``Simulator.run`` pauses.
 
 Host memory backs only what was written: each allocation's backing ends
-at the highest byte ever written to it.  A put retried after a NACK
-settles once its retry is placed, so the incast cell, which NACKs and
+at the highest byte ever written to it.  A put retried after a NACK is
+freed once its retry is placed, so the incast cell, which NACKs and
 retries puts, ends holding none.
 """
 
@@ -29,6 +29,7 @@ from repro.core import RvmaApi
 from repro.experiments.chaos import run_chaos, run_crash_restart
 from repro.experiments.kv_churn import run_kv_service
 from repro.memory import NodeMemory
+from repro.nic.rvma import PutOp
 from repro.services import WorkloadConfig
 
 from tests.properties.test_cost_ledger import CELLS
@@ -51,8 +52,14 @@ def _retained(monkeypatch, n_ops: int):
     assert cell.completed, cell.error
     allocations = [node.memory.allocation_count for node in cell.cluster.nodes]
     posted = sorted((win.virtual_addr, len(win.posted)) for win in windows)
-    put_handles = [len(node.nic._puts) for node in cell.cluster.nodes]
+    put_handles = _live_puts()
     return allocations, posted, put_handles, sum(win.consumed for win in windows)
+
+
+def _live_puts() -> int:
+    """Put handles still reachable (the caller keeps its clusters alive)."""
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, PutOp))
 
 
 def test_kv_retention_does_not_grow_with_op_count(monkeypatch):
@@ -136,9 +143,9 @@ def test_cell_backs_only_written_bytes(monkeypatch, name):
 
 def test_incast_cell_ends_holding_no_put(monkeypatch):
     # Its puts are NACKed NO_BUFFER and retried until a buffer takes
-    # them: every retry lands, so every put settles.
+    # them: every retry lands, so no message names a put any more.
     clusters = _keep_clusters(monkeypatch)
     CELLS["incast-pkt"]()
     nics = [node.nic for cl in clusters for node in cl.nodes]
     assert sum(nic.stat("nic.rvma.put_retries").value for nic in nics) > 0
-    assert sum(len(nic._puts) for nic in nics) == 0
+    assert _live_puts() == 0

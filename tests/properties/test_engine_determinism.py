@@ -1,7 +1,7 @@
 """Determinism properties of the event engine.
 
-The optimized scheduler (tuple payloads, the next-event slot,
-compaction, GC pausing) must be *invisible*: a fixed seed yields the
+The optimized scheduler (tuple payloads, the next-event slot, lazy
+cancellation, GC pausing) must be *invisible*: a fixed seed yields the
 identical event order, timestamps and metrics every run, whether the heap is
 drained by ``run()``, in bounded windows, or single-stepped, and on
 both the vectorized and the reference packet fabric.
@@ -61,13 +61,13 @@ def _run_storm(step: bool = False) -> tuple:
     return log, sim.now, sim.events_executed, sim.pending_events
 
 
-def test_same_seed_same_event_order(fabric_impl):
+def test_same_seed_same_event_order():
     a = _run_storm()
     b = _run_storm()
     assert a == b
 
 
-def test_run_vs_step_identical(fabric_impl):
+def test_run_vs_step_identical():
     drained = _run_storm(step=False)
     stepped = _run_storm(step=True)
     assert drained == stepped

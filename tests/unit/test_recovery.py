@@ -244,27 +244,6 @@ def test_auditor_flags_transport_double_dispatch():
 # ---------------------------------------------------------------------- give-up counters
 
 
-def test_put_window_eviction_is_counted():
-    cl = _cluster(put_window=2)
-    api0 = RvmaApi(cl.node(0))
-
-    def producer():
-        yield 100.0
-        ops = []
-        for _ in range(5):  # window keeps 2: three ops must be evicted
-            op = yield from api0.put(1, 0x9, data=b"x" * 16)
-            ops.append(op)
-        yield ops[-1].local_done
-
-    def consumer():
-        win = yield from RvmaApi(cl.node(1)).init_window(0x9, epoch_threshold=80)
-        yield from RvmaApi(cl.node(1)).post_buffer(win, size=80)
-        yield 1.0
-
-    run_gens(cl.sim, producer(), consumer())
-    assert cl.node(0).nic.stat("nic.rvma.put_window_evictions").value == 3
-
-
 def test_put_retry_budget_exhaustion_counts_as_giveup():
     # No window ever initialised: every put NACKs NO_MAILBOX and the
     # initiator retries until its budget dies -> one put_giveup.

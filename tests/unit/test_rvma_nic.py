@@ -442,24 +442,6 @@ def test_managed_window_ignores_put_offsets(rvma_pair):
     assert contents == b"ABCDEFGH"  # pure append, offsets ignored
 
 
-def test_put_handle_window_bounds_memory(rvma_pair):
-    cl = rvma_pair
-    nic = cl.node(0).nic
-    nic.cfg.put_window = 8
-
-    def receiver():
-        yield from _arm(cl.node(1), 0x23, 8, threshold=8)
-
-    def sender():
-        yield 2000.0
-        for _ in range(50):
-            op = nic.hw_put(1, 0x23, 0)  # zero-byte signals
-            yield op.local_done
-
-    run_gens(cl.sim, receiver(), sender())
-    assert len(nic._puts) <= 8
-
-
 def test_zero_byte_put_counts_op_on_managed_window(rvma_pair):
     cl = rvma_pair
 

