@@ -330,7 +330,7 @@ class FaultInjector:
         a window is judged at the wire arrival: a window that closes
         between the two still drops the delivery.
         """
-        arrival = delivery.info.arrival_time
+        arrival = delivery.arrival_time
         for window in self._windows:
             if window.matches(arrival, delivery):
                 self.log.messages_dropped += 1

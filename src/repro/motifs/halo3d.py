@@ -162,10 +162,10 @@ class Halo3D(Motif):
             procs = []
             for offset, send_ep in st.sends.items():
                 size = self._offset_bytes(offset)
-                procs.append(spawn(self.sim, send_ep.send(size), f"tx{offset}"))
+                procs.append(spawn(self.sim, send_ep.send(size), "tx"))
                 self.count_send(size)
             for offset, recv_ep in st.recvs.items():
-                procs.append(spawn(self.sim, recv_ep.recv(), f"rx{offset}"))
+                procs.append(spawn(self.sim, recv_ep.recv(), "rx"))
             yield AllOf(procs)
             if self.compute_ns > 0:
                 yield self.compute_ns

@@ -30,7 +30,6 @@ from typing import Generator, Optional
 from ..cluster.node import Node
 from ..core.api import RvmaApi
 from ..memory.buffer import HostBuffer
-from ..nic.cq import CqKind
 from ..nic.lut import BufferMode, EpochType
 from ..network.routing import RoutingMode
 from ..rdma.completion_modes import CompletionMode, check_mode_safety
@@ -207,7 +206,7 @@ class _RdmaRecv(RecvEndpoint):
             mode=self.mode, wr_id=_wr(self.tag, 1),
         )
         if self.completion is CompletionMode.SEND_RECV:
-            entry = yield from self.verbs.wait_cq(_wr(self.tag, 2), CqKind.RECV)
+            entry = yield from self.verbs.wait_cq(_wr(self.tag, 2))
         else:
             routing = self.mode or self.verbs.node.nic.fabric.config.routing
             entry = yield from self.verbs.wait_write_completion(
@@ -243,7 +242,7 @@ class _RdmaSend(SendEndpoint):
         if size > self.region.length:
             raise ValueError(f"message of {size}B exceeds negotiated region")
         # Wait for the receiver's green light, then re-arm for the next one.
-        yield from self.verbs.wait_cq(_wr(self.tag, 1), CqKind.RECV)
+        yield from self.verbs.wait_cq(_wr(self.tag, 1))
         yield from self.verbs.post_recv(self.ready_buf, wr_id=_wr(self.tag, 1), tag=_wr(self.tag, 1))
         op = yield from self.verbs.rdma_write(
             self.dst, self.region, size, data, mode=self.mode, wr_id=_wr(self.tag, 2)
@@ -310,7 +309,7 @@ class RdmaProtocol(TransferProtocol):
         # Arm the first "ready" recv before learning the region so the
         # receiver's first green light can never RNR.
         yield from verbs.post_recv(ep.ready_buf, wr_id=_wr(tag, 1), tag=_wr(tag, 1))
-        yield from verbs.wait_cq(_wr(tag, 0), CqKind.RECV)
+        yield from verbs.wait_cq(_wr(tag, 0))
         ep.region = unpack_region(desc_buf.read(), node_id=dst)
         return ep
 

@@ -6,7 +6,6 @@ from .message import (
     MTU,
     PACKET_HEADER_BYTES,
     Delivery,
-    DeliveryInfo,
     Message,
     Packet,
 )
@@ -26,7 +25,6 @@ from .topology import (
 __all__ = [
     "BaseFabric",
     "Delivery",
-    "DeliveryInfo",
     "Dragonfly",
     "FatTree",
     "FlowFabric",

@@ -26,11 +26,13 @@ from typing import Any, Callable, Optional
 from ..sim.component import Component
 from ..sim.engine import Simulator
 from .config import NetworkConfig
-from .message import Delivery, DeliveryInfo, Message, MTU, PACKET_HEADER_BYTES, _msg_ids
+from .message import Delivery, Message, MTU, PACKET_HEADER_BYTES, _msg_ids
 from .routing import RoutingMode
 from .topology.base import Topology
 
 DeliveryHandler = Callable[[Delivery], None]
+
+_INF = float("inf")
 
 
 class BaseFabric(Component):
@@ -66,8 +68,9 @@ class BaseFabric(Component):
         #: per-channel crossing latency, precomputed (hot path).
         self._chan_latency = [self.channel_latency(ch) for ch in range(idx)]
         #: (src, dst) -> ((static_chans, static_hops),
-        #: ((chans, penalty, hops), ...), allowed) — topology routes are
-        #: immutable, so cache them per pair.
+        #: ((chans, penalty, hops), ...) or None, allowed or None) —
+        #: topology routes are immutable, so cache them per pair
+        #: (:meth:`_pair_routes`).
         self._route_cache: dict[tuple[int, int], tuple] = {}
         #: fault-state marks pushed by the fault injector: element ->
         #: outstanding down-window count.  Counters (not booleans) so
@@ -111,8 +114,7 @@ class BaseFabric(Component):
         if self.fault_filter is not None and self.fault_filter(delivery):
             self.deliveries_dropped.value += 1
             return
-        info = delivery.info
-        self._lat_summary.add(info.arrival_time - info.send_time)
+        self._lat_summary.add(delivery.arrival_time - delivery.message.send_time)
         handler = self._handlers.get(node_id)
         if handler is None:
             raise RuntimeError(f"no handler attached for node {node_id}")
@@ -244,28 +246,34 @@ class BaseFabric(Component):
 
     # --- routing ----------------------------------------------------------------
 
-    def _pair_routes(self, src: int, dst: int) -> tuple:
-        """Cached channel sequences for every route of a node pair.
+    def _pair_routes(self, src: int, dst: int, mode: RoutingMode = RoutingMode.ADAPTIVE) -> tuple:
+        """Cached channel routes of a node pair: ``(static, cands, allowed)``.
 
-        Node ids are checked here, on a cache miss: a cached pair is
-        valid.
+        ``static`` is ``(chans, hops)`` of the topology's static route,
+        built on the pair's first lookup.  The adaptive candidates
+        (``((chans, penalty, hops), ...)``) and the indices of those
+        crossing no down element are built on its first lookup in a
+        mode other than STATIC; until then both are None, so statically
+        routed traffic never builds them.  Node ids are checked here,
+        on a cache miss: a cached pair is valid.
         """
         key = (src, dst)
         cached = self._route_cache.get(key)
+        topo = self.topology
         if cached is None:
-            self.topology.check_node(src)
-            self.topology.check_node(dst)
-            s_sw = self.topology.node_switch(src)
-            d_sw = self.topology.node_switch(dst)
-            static_path = self.topology.static_path(s_sw, d_sw)
-            static = (tuple(self.channels_for(static_path, src, dst)), len(static_path))
+            topo.check_node(src)
+            topo.check_node(dst)
+            path = topo.static_path(topo.node_switch(src), topo.node_switch(dst))
+            cached = ((tuple(self.channels_for(path, src, dst)), len(path)), None, None)
+            self._route_cache[key] = cached
+        if cached[1] is None and mode is not RoutingMode.STATIC:
             hop = self.config.hop_latency
-            paths = self.topology.candidate_paths(s_sw, d_sw)
+            paths = topo.candidate_paths(topo.node_switch(src), topo.node_switch(dst))
             cands = tuple(
                 (tuple(self.channels_for(p, src, dst)), len(p) * hop, len(p))
                 for p in paths
             )
-            cached = (static, cands, self._allowed_candidates(paths))
+            cached = (cached[0], cands, self._allowed_candidates(paths))
             self._route_cache[key] = cached
         return cached
 
@@ -280,6 +288,11 @@ class BaseFabric(Component):
         uniformly among those within 5 % or 1 ns of the best.  The flow
         fabric scores every channel; the packet fabric leaves the
         ejection channel out (``score_ejection=False``).
+
+        A candidate whose hop penalty alone exceeds the best score so
+        far plus its slack is not scored: its score could only be
+        higher, and the final best and threshold can only be lower, so
+        it is neither the best nor near it.
         """
         (static_chans, static_hops), cands, allowed = routes
         if mode is RoutingMode.STATIC:
@@ -292,15 +305,20 @@ class BaseFabric(Component):
         free = self.free_at
         now = self.sim.now
         scores = []
+        best = limit = _INF
         for chans, backlog, _hops in use:
+            if backlog > limit:
+                scores.append(_INF)
+                continue
             for ch in chans[:stop]:
                 wait = free[ch] - now
                 if wait > 0:
                     backlog += wait
             scores.append(backlog)
-        best = min(scores)
-        slack = best * 0.05 if best * 0.05 > 1.0 else 1.0
-        near = [i for i, sc in enumerate(scores) if sc <= best + slack]
+            if backlog < best:
+                best = backlog
+                limit = best + (best * 0.05 if best * 0.05 > 1.0 else 1.0)
+        near = [i for i, sc in enumerate(scores) if sc <= limit]
         if len(near) == 1:
             idx = near[0]
         else:
@@ -359,9 +377,12 @@ class FlowFabric(BaseFabric):
         One engine event per message: :meth:`_deliver` at the arrival
         time plus the destination's pipeline delay.
         """
-        routes = self._route_cache.get((src, dst)) or self._pair_routes(src, dst)
+        mode = mode or self.config.routing
+        routes = self._route_cache.get((src, dst))
+        if routes is None or (routes[1] is None and mode is not RoutingMode.STATIC):
+            routes = self._pair_routes(src, dst, mode)
         msg = self._mk_message(src, dst, size, header, data)
-        chans, hops, idx = self._select_route(routes, mode or self.config.routing, True)
+        chans, hops, idx = self._select_route(routes, mode, True)
         free = self.free_at
         now = msg.send_time
         # msg.wire_size, inlined (two property hops per send add up).
@@ -380,7 +401,7 @@ class FlowFabric(BaseFabric):
             bytes_acc[ch] += wire
         t_deliver = t_head + ser
 
-        delivery = Delivery(msg, DeliveryInfo(now, t_deliver, hops, idx))
+        delivery = Delivery(msg, t_deliver, hops, idx)
         sim = self.sim
         sim.post_at(t_deliver + self._pipeline_ns[dst], self._deliver, dst, delivery)
         spans = sim.spans

@@ -97,26 +97,19 @@ class Packet:
 
 
 @dataclass(slots=True)
-class DeliveryInfo:
-    """Metadata handed to the receiving NIC along with traffic."""
-
-    send_time: float
-    arrival_time: float
-    hops: int
-    path_index: int = 0  # which candidate path carried it (diagnostics)
-
-
-@dataclass(slots=True)
 class Delivery:
-    """What a fabric hands the destination NIC.
+    """What a fabric hands the destination NIC: one arrival.
 
     ``packet is None`` means the whole message arrived at once (flow
     fidelity); otherwise exactly this fragment arrived (packet fidelity)
-    and the NIC must place/count it individually.
+    and the NIC must place/count it individually.  The send time is the
+    message's own (:attr:`Message.send_time`).
     """
 
     message: Message
-    info: DeliveryInfo
+    arrival_time: float
+    hops: int
+    path_index: int = 0  # which candidate path carried it (diagnostics)
     packet: Optional[Packet] = None
 
     @property

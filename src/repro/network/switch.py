@@ -38,7 +38,7 @@ from ..sim.engine import Simulator
 from ..sim.event import PRIORITY_HIGH
 from .config import NetworkConfig
 from .fabric import BaseFabric
-from .message import Delivery, DeliveryInfo, Message, PACKET_HEADER_BYTES
+from .message import Delivery, Message, PACKET_HEADER_BYTES
 from .routing import RoutingMode
 from .topology.base import Topology
 
@@ -114,7 +114,7 @@ class PacketFabric(BaseFabric):
         adaptive scoring and rng draws follow the per-packet order.
         """
         mode = mode or self.config.routing
-        routes = self._pair_routes(src, dst)
+        routes = self._pair_routes(src, dst, mode)
         msg = self._mk_message(src, dst, size, header, data)
         sim = self.sim
         now = sim.now
@@ -237,7 +237,7 @@ class PacketFabric(BaseFabric):
         """Hand over every packet whose ejection completes at *when*.
 
         Per slot: count the packet, close the message's flight span
-        with its last packet, build the DeliveryInfo, recycle the slot
+        with its last packet, build the Delivery, recycle the slot
         and post the packet's :meth:`_deliver` at ``when`` plus the
         destination's pipeline delay, in slot order.  Runs at
         PRIORITY_HIGH like any cable arrival, so arrivals at T are
@@ -263,9 +263,9 @@ class PacketFabric(BaseFabric):
                 if entry[1] <= 0:
                     spans.end(entry[0])
                     del msg_spans[id(msg)]
-            info = DeliveryInfo(msg.send_time, when, len(chans_arr[slot]) - 1, pidx_arr[slot])
+            delivery = Delivery(msg, when, len(chans_arr[slot]) - 1, pidx_arr[slot], pkt)
             pkts[slot] = None
             chans_arr[slot] = None
             free_slots.append(slot)
             dst = msg.dst
-            post_at(when + pipeline_ns[dst], deliver, dst, Delivery(msg, info, pkt))
+            post_at(when + pipeline_ns[dst], deliver, dst, delivery)

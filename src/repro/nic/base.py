@@ -152,11 +152,16 @@ class BaseNic(Component):
 
     def _on_delivery(self, delivery: Delivery) -> None:
         """The receive entry, ``nic_proc`` after an arrival: a failed
-        NIC drops it, a live one dispatches it."""
+        NIC drops it, a live one dispatches it to the handler of its
+        header type (:meth:`dispatch_inner`, in this frame)."""
         if self.failed:
             self.stat(f"{self.metric_group}.rx_dropped_failed").add()
             return
-        self.dispatch_inner(delivery)
+        fn = self._dispatch.get(type(delivery.message.header))
+        if fn is None:
+            self.stat(f"{self.metric_group}.rx_unknown_header").add()
+            return
+        fn(delivery)
 
     def dispatch_inner(self, delivery: Delivery) -> None:
         """Dispatch a delivery to the handler of its header type.

@@ -65,7 +65,7 @@ class CompletionQueue:
             if consumer.__class__ is Future:
                 consumer.resolve(entry)
             else:
-                self.sim.wake(consumer, entry)
+                consumer(entry)
             return
         if len(self.entries) >= self.capacity:
             self.overflows += 1
@@ -91,11 +91,13 @@ class CompletionQueue:
     def consume(self, cb: Callable[[CqEntry], None]) -> None:
         """Hand the next entry to ``cb``: now if one is queued, else on arrival.
 
-        Either way ``cb(entry)`` is scheduled as a resolved future's
-        waiter would be (:meth:`Simulator.wake`).
+        Either way ``cb(entry)`` runs directly, inside this call or inside
+        the :meth:`push` that deposits the entry, without an engine event
+        of its own: a consumer charges its own delay (the dispatcher posts
+        its routing one CQ poll later).
         """
         if self.entries:
-            self.sim.wake(cb, self.entries.pop(0))
+            cb(self.entries.pop(0))
         else:
             self._consumers.append(cb)
 

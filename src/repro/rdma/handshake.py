@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..memory.buffer import HostBuffer, MemoryRegion
-from ..nic.cq import CqKind
 from .verbs import VerbsEndpoint
 
 #: wire format: u64 addr, u64 length, u64 rkey
@@ -62,7 +61,7 @@ def client_request_region(verbs: VerbsEndpoint, server: int, size: int) -> Gener
     entry = yield op.done
     if not entry.ok:
         raise RuntimeError("handshake request failed (server not listening?)")
-    yield from verbs.wait_cq(WR_HANDSHAKE_REP, CqKind.RECV)
+    yield from verbs.wait_cq(WR_HANDSHAKE_REP)
     region = unpack_region(reply_buf.read(), node_id=server)
     return HandshakeResult(region=region, elapsed=verbs.sim.now - t0)
 
@@ -76,7 +75,7 @@ def server_serve_region(verbs: VerbsEndpoint, client: int) -> Generator:
     """
     req_buf = HostBuffer.allocate(verbs.node.memory, _REQ.size, label="hs-req")
     yield from verbs.post_recv(req_buf, wr_id=WR_HANDSHAKE_REQ, tag=WR_HANDSHAKE_REQ)
-    yield from verbs.wait_cq(WR_HANDSHAKE_REQ, CqKind.RECV)
+    yield from verbs.wait_cq(WR_HANDSHAKE_REQ)
     size, _tag = _REQ.unpack(req_buf.read())
     buffer = HostBuffer.allocate(verbs.node.memory, int(size), label="rdma-region")
     region = yield from verbs.reg_mr(buffer)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..memory.buffer import HostBuffer, MemoryRegion
-from ..nic.cq import CqKind
 from ..nic.rdma import RdmaNic, RdmaOp
 from ..network.routing import RoutingMode
 from ..sim.process import AllOf
@@ -115,6 +114,6 @@ class UcpEndpoint:
 
     def tag_recv_wait(self, tag: int = 0) -> Generator:
         """Progress the worker until the tagged message lands."""
-        entry = yield self.dispatcher.wait_wr(tag, CqKind.RECV)
+        entry = yield self.dispatcher.wait_wr(tag)
         yield self.costs.progress
         return entry

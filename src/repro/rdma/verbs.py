@@ -13,7 +13,6 @@ from typing import Generator, Optional
 
 from ..memory.buffer import HostBuffer, MemoryRegion
 from ..memory.mwait import POLL, WakeupModel
-from ..nic.cq import CqKind
 from ..nic.rdma import RdmaNic, RdmaOp
 from ..network.routing import RoutingMode
 from .completion_modes import CompletionMode, check_mode_safety
@@ -101,9 +100,10 @@ class VerbsEndpoint:
         yield self.costs.post_send
         return self.nic.hw_send(dst, size, data, tag, mode, wr_id, signaled=signaled)
 
-    def wait_cq(self, wr_id: int, kind: Optional[CqKind] = None) -> Generator:
-        """Poll the shared CQ until the matching entry is harvested."""
-        entry = yield self.dispatcher.wait_wr(wr_id, kind)
+    def wait_cq(self, wr_id: int) -> Generator:
+        """Poll the shared CQ until the next receive completion of *wr_id*
+        is harvested."""
+        entry = yield self.dispatcher.wait_wr(wr_id)
         yield self.costs.poll_cq
         return entry
 
@@ -159,5 +159,5 @@ class VerbsEndpoint:
             return addr
         if ctl_buffer is None:
             raise ValueError("SEND_RECV completion needs a posted control buffer")
-        entry = yield from self.wait_cq(wr_id, CqKind.RECV)
+        entry = yield from self.wait_cq(wr_id)
         return entry

@@ -313,7 +313,9 @@ class ReliableTransport:
             )
         part.offsets.add(frag_key)
         part.bytes_got += got
-        item = Delivery(part.inner_msg, delivery.info, packet=inner_pkt)
+        item = Delivery(
+            part.inner_msg, delivery.arrival_time, delivery.hops, delivery.path_index, inner_pkt
+        )
         ordered = self.nic.flow_ordered(env.flow)
         if ordered:
             # Receiver-Managed flows: appends must land in stream order,

@@ -16,10 +16,12 @@ invisible to scheduling semantics — the conformance suite in
 ``tests/unit/test_engine_conformance.py`` pins this engine
 event-for-event to the reference pure-heap implementation:
 
-* **One heap entry per event** — ``(time, priority, seq, payload)``
-  tuples, compared at C speed.  ``post*``/``wake`` queue a plain
-  ``(fn, args)`` payload with nothing to allocate or cancel;
-  ``schedule*`` queues the :class:`Event` handle it returns.
+* **One flat heap entry per event** — ``(time, priority, seq, fn,
+  args)`` tuples, compared at C speed (``seq`` is unique, so a
+  comparison never reaches ``fn``).  ``post*``/``wake`` queue the
+  callback and its argument tuple with nothing else to allocate or
+  cancel; ``schedule*`` queues the :class:`Event` handle it returns
+  as ``(time, priority, seq, event, None)``.
 * **O(1) ``pending_events``** — derived as created − executed −
   slot runs − cancelled from four monotonic counters, so the post/run
   hot paths carry no extra bookkeeping (a queued :class:`Event`
@@ -98,7 +100,8 @@ class Simulator:
 
     def __init__(self, seed: int = 0xC0FFEE) -> None:
         self.now: float = 0.0
-        #: heap of (time, priority, seq, (fn, args)-or-Event) tuples.
+        #: heap of (time, priority, seq, fn, args) tuples; an Event is
+        #: queued as (time, priority, seq, event, None).
         self._heap: list[tuple] = []
         self._seq = 0
         self.events_executed = 0
@@ -142,14 +145,14 @@ class Simulator:
         self._seq += 1
         ev = Event(time, priority, self._seq, fn, args)
         ev.owner = self
-        heapq.heappush(self._heap, (time, priority, self._seq, ev))
+        heapq.heappush(self._heap, (time, priority, self._seq, ev, None))
         return ev
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget ``fn(*args)`` in ``delay`` ns (normal priority).
 
-        The fast-scheduling hot path: handle-free.  The heap payload is
-        a plain ``(fn, args)`` tuple — no Event object exists, so there
+        The fast-scheduling hot path: handle-free.  The heap entry holds
+        ``fn`` and ``args`` themselves — no Event object exists, so there
         is nothing to allocate or cancel.  Use for the overwhelmingly
         common schedule-and-never-cancel case; use :meth:`schedule`
         when a cancellation handle is needed.
@@ -157,9 +160,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         seq = self._seq = self._seq + 1
-        heapq.heappush(
-            self._heap, (self.now + delay, PRIORITY_NORMAL, seq, (fn, args))
-        )
+        heapq.heappush(self._heap, (self.now + delay, PRIORITY_NORMAL, seq, fn, args))
 
     def wake(self, fn: Callable[[Any], Any], arg: Any) -> None:
         """``post(0.0, fn, arg)`` for a waiter, through the next-event slot.
@@ -170,7 +171,7 @@ class Simulator:
         runs it as soon as the event ends if it is still the next event.
         """
         seq = self._seq = self._seq + 1
-        entry = (self.now, PRIORITY_NORMAL, seq, (fn, (arg,)))
+        entry = (self.now, PRIORITY_NORMAL, seq, fn, (arg,))
         if self._next is None:
             self._next = entry
         else:
@@ -187,7 +188,7 @@ class Simulator:
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, (fn, args)))
+        heapq.heappush(self._heap, (time, priority, seq, fn, args))
 
     # --- live accounting -----------------------------------------------------
 
@@ -197,18 +198,18 @@ class Simulator:
 
     # --- execution ----------------------------------------------------------
 
-    def _halt(self, time: float, prio: int, seq: int, payload: Any, until: float) -> None:
-        """Re-queue the live entry a bounded drain stopped at.
+    def _halt(self, entry: tuple, until: float) -> None:
+        """Re-queue the live heap entry a bounded drain stopped at.
 
         If it lies beyond ``until``, ``now`` advances to exactly
         ``until`` (SST-style run-window semantics).  Cancelled entries
         never get here, so a window with only cancelled events beyond
         it leaves ``now`` at the last executed event.
         """
-        if type(payload) is not tuple:
-            payload.owner = self  # queued again: cancels count
-        heapq.heappush(self._heap, (time, prio, seq, payload))
-        if time > until:
+        if entry[4] is None:
+            entry[3].owner = self  # an Event queued again: cancels count
+        heapq.heappush(self._heap, entry)
+        if entry[0] > until:
             self.now = until
 
     def _drain(self, until: float, budget: int) -> None:
@@ -245,22 +246,20 @@ class Simulator:
                 self._next = None
                 if not heap or nxt < heap[0]:
                     self._woken += 1
-                    fn, args = nxt[3]
-                    fn(*args)
+                    nxt[3](*nxt[4])
                     continue
                 push(heap, nxt)
             elif not heap:
                 return
-            time, prio, seq, ev = pop(heap)
-            if type(ev) is tuple:
-                fn, args = ev
-            elif ev.cancelled:
-                continue
-            else:
-                fn, args = ev.fn, ev.args
-                ev.owner = None
+            entry = pop(heap)
+            time, _prio, _seq, fn, args = entry
+            if args is None:
+                if fn.cancelled:
+                    continue
+                fn.owner = None
+                fn, args = fn.fn, fn.args
             if time > until or not budget:
-                self._halt(time, prio, seq, ev, until)
+                self._halt(entry, until)
                 return
             budget -= 1
             self.now = time

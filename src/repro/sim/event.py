@@ -7,7 +7,8 @@ deterministic order: lower priority value first, then insertion order.
 Only ``Simulator.schedule*`` creates one, returning it as a handle the
 caller may :meth:`cancel`; while queued it carries an :attr:`owner`
 backref that keeps the engine's counters O(1)-exact.  Fire-and-forget
-posts and wakes queue a plain ``(fn, args)`` tuple instead.
+posts and wakes queue their callback and argument tuple in the heap
+entry itself instead.
 """
 
 from __future__ import annotations

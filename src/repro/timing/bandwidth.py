@@ -18,7 +18,6 @@ from typing import Generator
 
 from ..core.api import RvmaApi
 from ..memory.buffer import HostBuffer
-from ..nic.cq import CqKind
 from ..nic.lut import EpochType
 from ..network.routing import RoutingMode
 from ..rdma.handshake import client_request_region, server_serve_region
@@ -126,7 +125,7 @@ def rdma_bandwidth(
         done = 0
         while done < n_messages:
             yield from v1.post_recv(ctl, wr_id=WR_SIG, tag=WR_SIG)
-            yield from v1.wait_cq(WR_SIG, CqKind.RECV)
+            yield from v1.wait_cq(WR_SIG)
             done += 1
             if done + window <= n_messages:
                 yield from v1.send(0, 16, b"", tag=WR_READY, wr_id=WR_READY, signaled=False)
@@ -140,7 +139,7 @@ def rdma_bandwidth(
         yield 5000.0
         marks["start"] = cl.sim.now
         for i in range(n_messages):
-            yield from v0.wait_cq(WR_READY, CqKind.RECV)
+            yield from v0.wait_cq(WR_READY)
             if i + window < n_messages:
                 yield from v0.post_recv(ready_buf, wr_id=WR_READY, tag=WR_READY)
             op = yield from v0.rdma_write(1, hs.region, size, signaled=False)

@@ -182,7 +182,7 @@ def rdma_verbs_latency(
             yield from v1.post_recv(ctl, wr_id=WR_CTL, tag=WR_CTL)
         for i in range(total):
             if completion is CompletionMode.SEND_RECV:
-                yield from v1.wait_cq(WR_CTL, CqKind.RECV)
+                yield from v1.wait_cq(WR_CTL)
                 samples.append(cl.sim.now - starts[i])
                 yield from v1.post_recv(ctl, wr_id=WR_CTL, tag=WR_CTL)
             elif completion is CompletionMode.WRITE_IMM:
@@ -226,7 +226,7 @@ def rdma_verbs_latency(
                     1, hs.region, size, bytes(data), signaled=False
                 )
                 yield op.done
-            yield from v0.wait_cq(WR_PONG, CqKind.RECV)
+            yield from v0.wait_cq(WR_PONG)
             yield from v0.post_recv(pong_buf, wr_id=WR_PONG, tag=WR_PONG)
 
     spawn(cl.sim, server(), "rdma-rx")

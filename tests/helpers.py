@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.network.fabric import BaseFabric
-from repro.network.message import Delivery, DeliveryInfo, Message, Packet
+from repro.network.message import Delivery, Message, Packet
 from repro.network.routing import RoutingMode
 from repro.sim import SimProcess, Simulator, spawn
 from repro.sim.engine import SimulationError
@@ -257,14 +257,14 @@ class ReferencePacketFabric(BaseFabric):
             if entry[1] <= 0:
                 self.sim.spans.end(entry[0])
                 del self._msg_spans[id(msg)]
-        info = DeliveryInfo(
-            send_time=msg.send_time,
+        # The receiver's pipeline runs before its handler, as on every fabric.
+        delivery = Delivery(
+            msg,
             arrival_time=self.sim.now,
             hops=len(env.route),
             path_index=env.path_index,
+            packet=env.packet,
         )
-        # The receiver's pipeline runs before its handler, as on every fabric.
-        delivery = Delivery(msg, info, packet=env.packet)
         self.sim.post(self._pipeline_ns[msg.dst], self._deliver, msg.dst, delivery)
 
 

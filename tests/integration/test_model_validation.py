@@ -45,7 +45,7 @@ def test_adaptive_routing_beats_static_under_hotspot():
         fab = FlowFabric(sim, topo, NetworkConfig(routing=routing, link_bw=gbps(100)))
         last = [0.0]
         for n in range(16):
-            fab.attach(n, lambda d: last.__setitem__(0, max(last[0], d.info.arrival_time)))
+            fab.attach(n, lambda d: last.__setitem__(0, max(last[0], d.arrival_time)))
         # Hotspot: 6 senders in other pods blast one destination's pod.
         for src in (4, 6, 8, 10, 12, 14):
             for _ in range(4):

@@ -14,6 +14,12 @@ Host memory backs only what was written: each allocation's backing ends
 at the highest byte ever written to it.  A put retried after a NACK is
 freed once its retry is placed, so the incast cell, which NACKs and
 retries puts, ends holding none.
+
+The RDMA baseline's CQ demultiplexer keeps only receive completions
+nobody has claimed yet: initiator completions are pulled, charged and
+dropped, so the Halo3D RDMA leg ends with an empty demultiplexer at any
+iteration count.  The only CQ entries left are the few still queued on
+the CQs, pushed after their node's last wait, which no software polls.
 """
 
 from __future__ import annotations
@@ -29,10 +35,14 @@ from repro.core import RvmaApi
 from repro.experiments.chaos import run_chaos, run_crash_restart
 from repro.experiments.kv_churn import run_kv_service
 from repro.memory import NodeMemory
+from repro.motifs import Halo3D
+from repro.network.routing import RoutingMode
+from repro.nic.cq import CqEntry
 from repro.nic.rvma import PutOp
+from repro.rdma.dispatch import CqDispatcher
 from repro.services import WorkloadConfig
 
-from tests.properties.test_cost_ledger import CELLS
+from tests.properties.test_cost_ledger import CELLS, _motif
 
 
 def _retained(monkeypatch, n_ops: int):
@@ -149,3 +159,27 @@ def test_incast_cell_ends_holding_no_put(monkeypatch):
     nics = [node.nic for cl in clusters for node in cl.nodes]
     assert sum(nic.stat("nic.rvma.put_retries").value for nic in nics) > 0
     assert _live_puts() == 0
+
+
+@pytest.mark.parametrize("iterations", [2, 4])
+def test_rdma_halo3d_leg_ends_with_an_empty_cq_demux(monkeypatch, iterations):
+    # The cost ledger's 27-node Halo3D RDMA leg, at two lengths.
+    clusters = _keep_clusters(monkeypatch)
+    dispatchers = []
+    init = CqDispatcher.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        dispatchers.append(self)
+
+    monkeypatch.setattr(CqDispatcher, "__init__", recording_init)
+    _motif(Halo3D, "rdma", 27, "hyperx", RoutingMode.STATIC, "400Gbps", "flow",
+           iterations=iterations, msg_bytes=8192, compute_ns=1000.0)()
+    assert clusters and dispatchers
+    assert sum(d.entries_dispatched for d in dispatchers) > 0
+    assert all(not d._unclaimed and not d._waiters and not d._pulling for d in dispatchers)
+    gc.collect()
+    live = sum(1 for o in gc.get_objects() if isinstance(o, CqEntry))
+    queued = sum(len(node.nic.cq) for cl in clusters for node in cl.nodes)
+    # Every live entry is still on a CQ: fewer than one per rank and face.
+    assert live == queued < 27 * 6

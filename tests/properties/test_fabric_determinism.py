@@ -95,10 +95,10 @@ def _run(
                     d.packet.seq,
                     d.packet.size,
                     d.packet.data,
-                    d.info.send_time,
-                    d.info.arrival_time,
-                    d.info.hops,
-                    d.info.path_index,
+                    d.message.send_time,
+                    d.arrival_time,
+                    d.hops,
+                    d.path_index,
                 )
             )
 

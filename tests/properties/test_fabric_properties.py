@@ -43,7 +43,7 @@ def test_flow_fabric_conserves_every_message(kind, routing, sends, seed):
     assert got_ids == sorted(sent_ids)
     for n, d in got:
         assert d.message.dst == n
-        assert d.info.arrival_time >= d.info.send_time
+        assert d.arrival_time >= d.message.send_time
         assert d.message.size == sends[sent_ids.index(d.message.msg_id)][2]
 
 

@@ -76,7 +76,7 @@ def test_flow_delivery_time_matches_model():
     d = got[0]
     ser = msg.wire_size / gbps(80)
     # inj(10+100 switch) + eject(10) then serialization once (cut-through).
-    assert d.info.arrival_time == pytest.approx(120.0 + ser)
+    assert d.arrival_time == pytest.approx(120.0 + ser)
 
 
 def test_flow_injection_serializes_back_to_back_sends():
@@ -86,7 +86,7 @@ def test_flow_injection_serializes_back_to_back_sends():
     fab.send(0, 1, 1000)
     fab.send(0, 1, 1000)
     sim.run()
-    t1, t2 = [d.info.arrival_time for d in got]
+    t1, t2 = [d.arrival_time for d in got]
     wire = 1000 + 30  # + header
     # The second message queues behind the first's serialization (plus
     # at most the re-charged channel latency of the queueing point).
@@ -100,7 +100,7 @@ def test_flow_distinct_sources_do_not_serialize_on_injection():
     fab.send(0, 3, 1000)
     fab.send(1, 3, 1000)
     sim.run()
-    t1, t2 = sorted(d.info.arrival_time for d in got)
+    t1, t2 = sorted(d.arrival_time for d in got)
     # They collide only on node 3's ejection channel, so the gap is one
     # serialization (plus at most the re-charged ejection latency) —
     # NOT two serializations as same-source sends would pay.

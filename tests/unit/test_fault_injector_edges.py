@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.cluster import Cluster
 from repro.core import RvmaApi
 from repro.faults import ChaosEvent, ChaosSchedule, FaultInjector
-from repro.network.message import Delivery, DeliveryInfo, Message
+from repro.network.message import Delivery, Message
 from repro.recovery import CheckpointDaemon
 
 from tests.helpers import run_gens
@@ -24,7 +24,7 @@ MAILBOX = 0xAB
 def _delivery(src: int, dst: int, data: bytes = b"\x42" * 8, at: float = 0.0) -> Delivery:
     """A delivery that reached the wire at *at* (windows judge it there)."""
     msg = Message(src=src, dst=dst, size=len(data), data=data)
-    return Delivery(msg, DeliveryInfo(send_time=0.0, arrival_time=at, hops=1))
+    return Delivery(msg, arrival_time=at, hops=1)
 
 
 # ----------------------------------------------- overlapping flap windows

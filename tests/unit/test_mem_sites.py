@@ -69,3 +69,22 @@ def test_rvma_only_drops_the_rdma_leg():
 def test_a_run_without_legs_reports_none():
     peak, _, legs = _mem_sites().trace_repeat(lambda seed, size: bytearray(1 << 20), 1, {})
     assert legs == {} and peak >= 1 << 20
+
+
+def test_params_merge_into_the_workload_params():
+    tool = _mem_sites()
+    params = tool.parse_params(["iterations=10", "compute_ns=1e3", "label=x=y", "flag=true"])
+    assert params == {"iterations": 10, "compute_ns": 1000.0, "label": "x=y", "flag": True}
+    base = {"n_nodes": 512, "legs": ["rvma", "rdma"],
+            "params": {"iterations": 2, "msg_bytes": 98304, "compute_ns": 1000.0}}
+    size = tool.workload_size(base, params={"iterations": 10})
+    assert size["params"] == {"iterations": 10, "msg_bytes": 98304, "compute_ns": 1000.0}
+    assert base["params"]["iterations"] == 2  # the config is not edited
+    size = tool.workload_size(base, size={"n_nodes": 27}, params={"iterations": 3}, rvma_only=True)
+    assert size == {"n_nodes": 27, "legs": ["rvma"],
+                    "params": {"iterations": 3, "msg_bytes": 98304, "compute_ns": 1000.0}}
+    no_params = tool.workload_size({"n_ops": 8}, params={"batch": 4})
+    assert no_params == {"n_ops": 8, "params": {"batch": 4}}
+    for bad in (["iterations"], ["=3"]):
+        with pytest.raises(ValueError):
+            tool.parse_params(bad)

@@ -6,7 +6,6 @@ from repro.network.message import (
     MTU,
     PACKET_HEADER_BYTES,
     Delivery,
-    DeliveryInfo,
     Message,
 )
 
@@ -68,6 +67,5 @@ def test_message_ids_unique():
 
 def test_delivery_whole_message_flag():
     msg = Message(src=0, dst=1, size=8)
-    info = DeliveryInfo(send_time=0.0, arrival_time=1.0, hops=2)
-    assert Delivery(msg, info).is_whole_message
-    assert not Delivery(msg, info, packet=msg.fragment()[0]).is_whole_message
+    assert Delivery(msg, arrival_time=1.0, hops=2).is_whole_message
+    assert not Delivery(msg, 1.0, 2, packet=msg.fragment()[0]).is_whole_message

@@ -29,7 +29,7 @@ def _pair(fidelity: str = "flow"):
     cl = Cluster.build(n_nodes=2, topology="star", nic_type="rvma", fidelity=fidelity)
     seen: list = []
     nic = cl.node(1).nic
-    nic.register_handler(_Probe, lambda d: seen.append((cl.sim.now, d.info.arrival_time)))
+    nic.register_handler(_Probe, lambda d: seen.append((cl.sim.now, d.arrival_time)))
     return cl, nic, seen
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import RvmaApi
 from repro.faults import FaultInjector
-from repro.network.message import Delivery, DeliveryInfo, Message
+from repro.network.message import Delivery, Message
 from repro.nic.headers import ReliAckHeader, SeqHeader
 from repro.nic.rvma import RvmaNicConfig
 from repro.observability import MetricsRegistry
@@ -41,7 +41,7 @@ def _cluster(cfg: ReliabilityConfig = None, fidelity: str = "flow", seed: int = 
 
 def _delivery(src: int, dst: int, data: bytes = b"\x42" * 8) -> Delivery:
     msg = Message(src=src, dst=dst, size=len(data), data=data)
-    return Delivery(msg, DeliveryInfo(send_time=0.0, arrival_time=0.0, hops=1))
+    return Delivery(msg, arrival_time=0.0, hops=1)
 
 
 # --------------------------------------------------------------- transport

@@ -30,7 +30,7 @@ def test_crossbar_adds_traversal_latency():
     ser = wire / cfg.link_bw
     xbar = wire / cfg.crossbar_bw
     expect = (10.0 + ser) + (50.0 + xbar) + (10.0 + ser)
-    assert got[0].info.arrival_time == pytest.approx(expect)
+    assert got[0].arrival_time == pytest.approx(expect)
 
 
 def test_switch_tracks_forwarded_packets_per_hop():
@@ -69,7 +69,7 @@ def test_routed_packet_hop_progression():
     msg = fab.send(0, 1, 64)
     sim.run()
     assert captured[0].message is msg
-    assert captured[0].info.hops == 1  # one switch on the star
+    assert captured[0].hops == 1  # one switch on the star
 
 
 def test_deliveries_share_message_object_across_fragments():

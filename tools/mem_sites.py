@@ -5,6 +5,12 @@ under ``tracemalloc``, and prints the traced peak and the top allocation
 sites (file and line) of a snapshot taken at that peak::
 
     python tools/mem_sites.py --workload halo3d-fig8 [--top N] [--rvma-only]
+                              [--param KEY=VALUE ...]
+
+``--param iterations=10`` sets one entry of the workload's ``params``
+(the motif's own parameters) and keeps the others; it may be repeated.
+A VALUE is read as JSON where it parses (``10``, ``1e3``, ``true``) and
+as a string otherwise.
 
 Next to the traced peak it prints the import floor: the process's
 ``ru_maxrss`` once the workload's imports are done and before the warm
@@ -168,13 +174,40 @@ def top_sites(snapshot, top: int) -> list[dict]:
     return rows
 
 
+def parse_params(pairs: list[str]) -> dict:
+    """``["KEY=VALUE", ...]`` as a dict, each VALUE read as JSON if it parses."""
+    params = {}
+    for pair in pairs:
+        key, sep, value = pair.partition("=")
+        if not sep or not key:
+            raise ValueError(f"expected KEY=VALUE, got {pair!r}")
+        try:
+            params[key] = json.loads(value)
+        except ValueError:
+            params[key] = value
+    return params
+
+
+def workload_size(base: dict, size: dict | None = None, params: dict | None = None,
+                  rvma_only: bool = False) -> dict:
+    """The size a run uses: *base* (a ``bench/config.json`` size) with
+    *size*'s fields replacing its own, *params* merged into its
+    ``params`` entry, and only the RVMA leg when *rvma_only*."""
+    out = dict(base, **(size or {}))
+    if params:
+        out["params"] = dict(out.get("params", {}), **params)
+    if rvma_only:
+        out["legs"] = ["rvma"]
+    return out
+
+
 def measure(name: str, size: dict | None = None, rvma_only: bool = False,
-            top: int = 20) -> dict:
+            top: int = 20, params: dict | None = None) -> dict:
     """Warm repeat, then traced repeat of workload *name* at the bench seed.
 
     Returns the report as a dict.  *size* overrides fields of the
-    workload's ``bench/config.json`` size; *rvma_only* drops a motif
-    workload's RDMA leg.
+    workload's ``bench/config.json`` size, *params* entries of its
+    ``params``; *rvma_only* drops a motif workload's RDMA leg.
     """
     for path in (str(ROOT / "src"), str(BENCH)):
         if path not in sys.path:
@@ -184,9 +217,7 @@ def measure(name: str, size: dict | None = None, rvma_only: bool = False,
     config = json.loads((BENCH / "config.json").read_text(encoding="utf-8"))
     spec = config["workloads"][name]
     seed = config["seed"]
-    size = dict(spec["size"], **(size or {}))
-    if rvma_only:
-        size["legs"] = ["rvma"]
+    size = workload_size(spec["size"], size, params, rvma_only)
     fn = workloads.KINDS[spec["kind"]]
     floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     fn(seed, size)
@@ -239,8 +270,14 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=20, help="allocation sites to print")
     parser.add_argument("--rvma-only", action="store_true",
                         help="motif workloads: run the RVMA leg only")
+    parser.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+                        help="set one entry of the workload's params (repeatable)")
     args = parser.parse_args(argv)
-    report = measure(args.workload, rvma_only=args.rvma_only, top=args.top)
+    try:
+        params = parse_params(args.param)
+    except ValueError as exc:
+        parser.error(str(exc))
+    report = measure(args.workload, rvma_only=args.rvma_only, top=args.top, params=params)
     print(render(report))
     return 0
 
