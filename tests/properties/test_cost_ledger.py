@@ -172,17 +172,17 @@ CELLS = {
 
 #: One row per cell, as measured on CPython 3.11 (x86-64 Linux).
 LEDGER = {
-    "halo3d-fig8-rvma": {"events": 3310, "sim_ns": 7729.600000000008, "calls": 85637},
-    "halo3d-fig8-rdma": {"events": 10433, "sim_ns": 14161.439999999988, "calls": 162464},
-    "sweep3d-fig7-rvma": {"events": 3624, "sim_ns": 100284.57600000015, "calls": 97736},
-    "sweep3d-fig7-rdma": {"events": 13386, "sim_ns": 340844.2840000008, "calls": 217132},
-    "incast-pkt": {"events": 2659, "sim_ns": 25396.573333333334, "calls": 61476},
-    "kv-get-closed": {"events": 3154, "p50_ns": 3480.0, "p99_ns": 4500.0, "calls": 159699},
-    "kv-put-open": {"events": 5577, "p50_ns": 5897.4358974358975, "p99_ns": 13740.000000000002, "trace_id": "6a435915cd61", "digest": "ed185a447f1e6859", "calls": 233295},
-    "kv-noisy": {"events": 7179, "p50_ns": 5657.894736842105, "p99_ns": 269875.0, "calls": 277876},
-    "active-flash": {"events": 6072, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 233025},
-    "kv-trace": {"events": 6080, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 258187},
-    "chaos-crash": {"sim_ns": 398290.0, "calls": 39453},
+    "halo3d-fig8-rvma": {"events": 3310, "sim_ns": 7729.600000000008, "calls": 80309},
+    "halo3d-fig8-rdma": {"events": 9925, "sim_ns": 14161.439999999988, "calls": 149940},
+    "sweep3d-fig7-rvma": {"events": 3624, "sim_ns": 100284.57600000015, "calls": 97096},
+    "sweep3d-fig7-rdma": {"events": 13305, "sim_ns": 340844.2840000008, "calls": 206494},
+    "incast-pkt": {"events": 2659, "sim_ns": 25396.573333333334, "calls": 60764},
+    "kv-get-closed": {"events": 3154, "p50_ns": 3480.0, "p99_ns": 4500.0, "calls": 157811},
+    "kv-put-open": {"events": 5577, "p50_ns": 5897.4358974358975, "p99_ns": 13740.000000000002, "trace_id": "6a435915cd61", "digest": "ed185a447f1e6859", "calls": 231623},
+    "kv-noisy": {"events": 7179, "p50_ns": 5657.894736842105, "p99_ns": 269875.0, "calls": 276250},
+    "active-flash": {"events": 6072, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 230665},
+    "kv-trace": {"events": 6080, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 256023},
+    "chaos-crash": {"sim_ns": 398290.0, "calls": 39267},
 }
 
 
