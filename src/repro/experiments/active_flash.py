@@ -20,28 +20,18 @@ re-runs the active-on flash crowd under link flaps with the
 :class:`~repro.recovery.auditor.InvariantAuditor` armed — handler
 effects must stay byte-identical through retransmits and replay.
 
-Also the home of the ``active`` CLI subcommand
-(``rvma-experiments active --help``).
+Also the home of the ``active`` CLI subcommand, one cell
+(``rvma-experiments active --help``); the sweep is the
+``active-flash`` experiment.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..services import ClientRobustnessConfig, WorkloadConfig
-from .kv_cell import (
-    COSTED_SERVICE,
-    ClientGroup,
-    FlapPlan,
-    KvCellResult,
-    KvCellSpec,
-    add_seed_arguments,
-    print_sweep,
-    run_kv_cell,
-    sweep_seeds,
-)
+from .kv_cell import COSTED_SERVICE, ClientGroup, FlapPlan, KvCellResult, KvCellSpec, run_kv_cell
 from .report import ExperimentResult
 
 #: Hot-key count; ranks 0..N-1 of the Zipf popularity order, which is
@@ -267,33 +257,24 @@ def run_flash_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
 # ---------------------------------------------------------------- active CLI
 
 
-def active_main(argv: Optional[list] = None) -> int:
-    """``rvma-experiments active``: run the flash-crowd cell or sweep."""
-    parser = argparse.ArgumentParser(
-        prog="rvma-experiments active",
+def add_active_command(sub, parents: list) -> None:
+    """Add ``rvma-experiments active``: run one flash-crowd cell."""
+    parser = sub.add_parser(
+        "active", parents=parents, help="run one hot-key flash-crowd cell",
         description="Hot-key flash-crowd cell for NIC-side active mailboxes",
-    )
-    add_seed_arguments(parser, "--sweep")
-    parser.add_argument(
-        "--sweep", action="store_true",
-        help="run the on/off contrast sweep (flash + incast + chaos) and assert it",
     )
     parser.add_argument(
         "--variant", choices=("flash", "incast"), default="flash",
-        help="single-cell workload shape (ignored with --sweep)",
+        help="workload shape of the contrast cell",
     )
     parser.add_argument(
         "--chaos", action="store_true",
-        help="single cell only: active-on under link flaps with the auditor armed",
+        help="active-on under link flaps with the auditor armed",
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(handler=_active)
 
-    if args.sweep:
-        return print_sweep(
-            run_flash_sweep(seeds=sweep_seeds(args)),
-            "all_invariants_ok", "contrast_ok", "chaos_ok",
-        )
 
+def _active(args) -> int:
     seed = args.seed if args.seed is not None else 1
     if args.chaos:
         chaos = run_flash_chaos(seed=seed)

@@ -335,6 +335,10 @@ def run_motif_under_chaos(
     )
 
 
+#: The ``exact`` column: identical to the fault-free run, or not compared.
+_EXACT = {True: "yes", False: "NO", None: "-"}
+
+
 def run_chaos(
     seeds: tuple = (1, 2, 3),
     motifs: tuple = ("allreduce", "incast", "halo3d"),
@@ -342,45 +346,37 @@ def run_chaos(
     **kw,
 ) -> ExperimentResult:
     """The chaos sweep: every motif x every seed, invariants audited."""
-    rows = []
-    all_ok = True
-    total_retx = 0
-    reports = []
-    for motif in motifs:
-        for seed in seeds:
-            out = run_motif_under_chaos(motif, seed=seed, n_nodes=n_nodes, **kw)
-            all_ok = all_ok and out.invariants_ok
-            total_retx += out.retransmits
-            if out.run_report is not None:
-                reports.append(out.run_report)
-            rows.append([
-                motif,
-                seed,
-                out.deliveries_dropped,
-                out.retransmits,
-                out.dups_suppressed,
-                "yes" if out.completed else "NO",
-                {True: "yes", False: "NO", None: "-"}[out.identical_to_clean],
-            ])
+    outs = [
+        run_motif_under_chaos(motif, seed=seed, n_nodes=n_nodes, **kw)
+        for motif in motifs
+        for seed in seeds
+    ]
     return ExperimentResult(
         name="chaos",
         title=f"Chaos harness: motifs under composed fault schedules ({n_nodes} nodes)",
         headers=["motif", "seed", "drops", "retransmits", "dups", "completed", "exact"],
-        rows=rows,
+        rows=[
+            [
+                out.motif,
+                out.seed,
+                out.deliveries_dropped,
+                out.retransmits,
+                out.dups_suppressed,
+                "yes" if out.completed else "NO",
+                _EXACT[out.identical_to_clean],
+            ]
+            for out in outs
+        ],
         summary={
-            "all_invariants_ok": all_ok,
-            "total_retransmits": total_retx,
+            "all_invariants_ok": all(out.invariants_ok for out in outs),
+            "total_retransmits": sum(out.retransmits for out in outs),
             "seeds": list(seeds),
         },
         paper_claims={
             "observation": "reliability owned in the transport lets RVMA traffic "
             "survive lossy fabrics end-to-end (RAMC-style layering; extends §IV-F)"
         },
-        run_report=(
-            RunReport.merge(reports, meta={"harness": "chaos", "seeds": list(seeds)})
-            if reports
-            else None
-        ),
+        run_reports=[out.run_report for out in outs if out.run_report is not None],
     )
 
 
@@ -401,31 +397,13 @@ def run_crash_restart(
     byte-identical to fault-free with zero violations, zero replay
     holes and zero initiator give-ups.
     """
-    rows = []
-    all_ok = True
-    total_violations = 0
-    reports = []
-    for motif in motifs:
-        for seed in seeds:
-            out = run_motif_under_chaos(
-                motif, seed=seed, n_nodes=n_nodes,
-                n_crashes=n_crashes, drop_prob=drop_prob, **kw,
-            )
-            all_ok = all_ok and out.invariants_ok
-            total_violations += out.audit_violations or 0
-            if out.run_report is not None:
-                reports.append(out.run_report)
-            rows.append([
-                motif,
-                seed,
-                out.crash_restarts,
-                out.rejoins,
-                out.retransmits,
-                out.audit_violations if out.audit_violations is not None else "-",
-                out.put_giveups,
-                "yes" if out.completed else "NO",
-                {True: "yes", False: "NO", None: "-"}[out.identical_to_clean],
-            ])
+    outs = [
+        run_motif_under_chaos(
+            motif, seed=seed, n_nodes=n_nodes, n_crashes=n_crashes, drop_prob=drop_prob, **kw
+        )
+        for motif in motifs
+        for seed in seeds
+    ]
     return ExperimentResult(
         name="chaos-crash",
         title=(
@@ -436,10 +414,23 @@ def run_crash_restart(
             "motif", "seed", "crashes", "rejoins", "retransmits",
             "violations", "giveups", "completed", "exact",
         ],
-        rows=rows,
+        rows=[
+            [
+                out.motif,
+                out.seed,
+                out.crash_restarts,
+                out.rejoins,
+                out.retransmits,
+                out.audit_violations if out.audit_violations is not None else "-",
+                out.put_giveups,
+                "yes" if out.completed else "NO",
+                _EXACT[out.identical_to_clean],
+            ]
+            for out in outs
+        ],
         summary={
-            "all_invariants_ok": all_ok,
-            "total_audit_violations": total_violations,
+            "all_invariants_ok": all(out.invariants_ok for out in outs),
+            "total_audit_violations": sum(out.audit_violations or 0 for out in outs),
             "seeds": list(seeds),
             "n_crashes": n_crashes,
         },
@@ -448,11 +439,5 @@ def run_crash_restart(
             "§IV-F rewind a full crash-restart story: a node can lose its NIC "
             "state mid-run and the cluster converges to the fault-free result"
         },
-        run_report=(
-            RunReport.merge(
-                reports, meta={"harness": "chaos-crash", "seeds": list(seeds)}
-            )
-            if reports
-            else None
-        ),
+        run_reports=[out.run_report for out in outs if out.run_report is not None],
     )

@@ -21,6 +21,7 @@ def run_fig6(
     testbed: Testbed = UCX_CX5_THUNDERX2,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ExperimentResult:
+    """Fig 6: exchanges needed to amortize RDMA buffer setup over UCX."""
     sizes = sizes or FIG6_SIZES
     analysis = amortization_analysis(testbed, sizes, "ucx", tolerance)
     rows = []

@@ -462,33 +462,3 @@ def run_kv_cell(spec: KvCellSpec, before_run: Optional[Callable] = None) -> KvCe
                 warmed = {key.decode("latin-1"): value for key, value in spec.warm}
                 result.safety_failures = check_replay_safety(group.driver, driver.outcomes, warmed)
     return result
-
-
-# ------------------------------------------------------------------ CLI helpers
-
-
-def add_seed_arguments(parser, sweep: str) -> None:
-    """``--seed``/``--seeds`` for a KV subcommand whose *sweep* flag runs a seed matrix."""
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help=f"pin to one seed (default: the 3-seed matrix for {sweep}, 1 otherwise)",
-    )
-    parser.add_argument(
-        "--seeds", type=str, default="",
-        help=f"comma-separated seed list for {sweep} (overrides --seed)",
-    )
-
-
-def sweep_seeds(args) -> tuple:
-    """``--seeds``, else ``--seed``, else the default 3-seed matrix."""
-    if args.seeds:
-        return tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    return (args.seed,) if args.seed is not None else (1, 2, 3)
-
-
-def print_sweep(result, *verdicts: str) -> int:
-    """Print a sweep's table and summary; exit status 0 iff every verdict holds."""
-    print(result.to_text())
-    for key, value in result.summary.items():
-        print(f"  {key}: {value}")
-    return 0 if all(result.summary[key] for key in verdicts) else 1

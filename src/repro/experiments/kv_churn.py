@@ -12,28 +12,19 @@ Each cell runs one seed's workload, optionally under a
 * the ``service.kv.request_latency_ns`` p50/p99 and the reliability
   counters that explain them (retransmits, paced deliveries).
 
-Also the home of the ``services`` CLI subcommand
-(``rvma-experiments services --help``).
+Also the home of the ``services`` CLI subcommand, one cell
+(``rvma-experiments services --help``); the sweep is the ``kv-churn``
+experiment.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Optional
 
 from ..observability import RunReport
 from ..services import KvServerConfig, WorkloadConfig
-from .kv_cell import (
-    ClientGroup,
-    FlapPlan,
-    KvCellResult,
-    KvCellSpec,
-    add_seed_arguments,
-    print_sweep,
-    run_kv_cell,
-    sweep_seeds,
-)
-from .report import ExperimentResult
+from .kv_cell import ClientGroup, FlapPlan, KvCellResult, KvCellSpec, run_kv_cell
+from .report import ExperimentResult, save_run_report
 
 #: Chaos shape for churn cells: fabric-level flaps only — the service
 #: must ride them out through the transport, not through recovery.
@@ -111,37 +102,33 @@ def run_kv_churn(
     ``drop_prob`` adds light random loss on top of the flap windows so
     the retransmit column shows the ARQ earning its keep.
     """
-    rows = []
-    all_ok = True
-    reports = []
-    p99s = []
-    for seed in seeds:
-        out = run_kv_service(
+    outs = [
+        run_kv_service(
             seed=seed, chaos=chaos, drop_prob=drop_prob if chaos else 0.0,
             observe=observe, trace=trace, **kw,
         )
-        all_ok = all_ok and out.invariants_ok
-        p99s.append(out.p99_ns)
-        if out.run_report is not None:
-            reports.append(out.run_report)
-        rows.append([
-            seed,
-            out.ops_completed,
-            f"{out.p50_ns:,.0f}",
-            f"{out.p99_ns:,.0f}",
-            f"{out.reply_batch_mean:.2f}",
-            out.retransmits,
-            out.rx_paced,
-            "yes" if out.invariants_ok else "NO",
-        ])
+        for seed in seeds
+    ]
     return ExperimentResult(
         name="kv-churn",
         title="Sharded KV service under churn (Zipf load, link flaps, ARQ transport)",
         headers=["seed", "ops", "p50 ns", "p99 ns", "batch", "retransmits", "paced", "ok"],
-        rows=rows,
+        rows=[
+            [
+                seed,
+                out.ops_completed,
+                f"{out.p50_ns:,.0f}",
+                f"{out.p99_ns:,.0f}",
+                f"{out.reply_batch_mean:.2f}",
+                out.retransmits,
+                out.rx_paced,
+                "yes" if out.invariants_ok else "NO",
+            ]
+            for seed, out in zip(seeds, outs)
+        ],
         summary={
-            "all_invariants_ok": all_ok,
-            "worst_p99_ns": max(p99s) if p99s else float("nan"),
+            "all_invariants_ok": all(out.invariants_ok for out in outs),
+            "worst_p99_ns": max((out.p99_ns for out in outs), default=float("nan")),
             "seeds": list(seeds),
         },
         paper_claims={
@@ -150,27 +137,18 @@ def run_kv_churn(
             "yet incast-style request floods survive loss and flaps exactly "
             "(extends §IV-B to an RPC service)"
         },
-        run_report=(
-            RunReport.merge(reports, meta={"harness": "kv-churn", "seeds": list(seeds)})
-            if reports
-            else None
-        ),
+        run_reports=[out.run_report for out in outs if out.run_report is not None],
     )
 
 
 # ------------------------------------------------------------------- services CLI
 
 
-def services_main(argv: Optional[list[str]] = None) -> int:
-    """``rvma-experiments services``: run one KV workload cell directly."""
-    parser = argparse.ArgumentParser(
-        prog="rvma-experiments services",
+def add_services_command(sub, parents: list) -> None:
+    """Add ``rvma-experiments services``: run one KV workload cell directly."""
+    parser = sub.add_parser(
+        "services", parents=parents, help="run one sharded KV service cell",
         description="Drive the sharded RVMA key-value service",
-    )
-    add_seed_arguments(parser, "--churn")
-    parser.add_argument(
-        "--churn", action="store_true",
-        help="run the kv-churn sweep (chaos on) instead of a single cell",
     )
     parser.add_argument("--servers", type=int, default=3, help="server node count")
     parser.add_argument("--shards-per-node", type=int, default=2)
@@ -187,23 +165,10 @@ def services_main(argv: Optional[list[str]] = None) -> int:
         help="open-loop mean interarrival",
     )
     parser.add_argument("--chaos", action="store_true", help="apply a link-flap schedule")
-    parser.add_argument(
-        "--metrics-out", type=str, default="",
-        help="write the observability RunReport (JSON) here; markdown to <path>.md",
-    )
-    parser.add_argument("--trace", action="store_true", help="enable span tracing")
-    args = parser.parse_args(argv)
+    parser.set_defaults(handler=_services)
 
-    if args.churn:
-        result = run_kv_churn(
-            seeds=sweep_seeds(args), observe=bool(args.metrics_out), trace=args.trace
-        )
-        status = print_sweep(result, "all_invariants_ok")
-        if args.metrics_out and result.run_report is not None:
-            result.run_report.save(args.metrics_out)
-            print(f"observability report: {args.metrics_out}")
-        return status
 
+def _services(args) -> int:
     workload = WorkloadConfig(
         n_ops=args.ops, n_keys=args.keys, value_bytes=args.value_bytes,
         zipf_s=args.zipf, mode=args.mode, batch=args.batch,
@@ -225,9 +190,6 @@ def services_main(argv: Optional[list[str]] = None) -> int:
     print(f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}"
           + (f" ({out.error})" if out.error else ""))
     if args.metrics_out and out.run_report is not None:
-        out.run_report.save(args.metrics_out)
-        with open(args.metrics_out + ".md", "w", encoding="utf-8") as fh:
-            fh.write(out.run_report.to_markdown())
-            fh.write("\n")
+        save_run_report(out.run_report, args.metrics_out)
         print(f"observability report: {args.metrics_out}")
     return 0 if out.invariants_ok else 1

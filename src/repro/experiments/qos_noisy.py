@@ -22,27 +22,18 @@ every issued op resolves as ok / error / RC_OVERLOAD / deadline-
 exceeded — :class:`~repro.services.LoadStats.all_resolved` is part of
 the invariant.
 
-Also the home of the ``qos`` CLI subcommand
-(``rvma-experiments qos --help``).
+Also the home of the ``qos`` CLI subcommand, one cell
+(``rvma-experiments qos --help``); the sweep is the ``qos-noisy``
+experiment.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
 from ..services import ClientRobustnessConfig, TenantDirectory, TenantSpec, WorkloadConfig
-from .kv_cell import (
-    COSTED_SERVICE,
-    ClientGroup,
-    KvCellResult,
-    KvCellSpec,
-    add_seed_arguments,
-    print_sweep,
-    run_kv_cell,
-    sweep_seeds,
-)
+from .kv_cell import COSTED_SERVICE, ClientGroup, KvCellResult, KvCellSpec, run_kv_cell
 from .report import ExperimentResult
 
 #: Tenant ids for the two roles (0 stays the untenanted default).
@@ -242,29 +233,20 @@ def run_noisy_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
 # ------------------------------------------------------------------- qos CLI
 
 
-def qos_main(argv: Optional[list[str]] = None) -> int:
-    """``rvma-experiments qos``: run the noisy-neighbor cell or sweep."""
-    parser = argparse.ArgumentParser(
-        prog="rvma-experiments qos",
+def add_qos_command(sub, parents: list) -> None:
+    """Add ``rvma-experiments qos``: run one noisy-neighbor cell."""
+    parser = sub.add_parser(
+        "qos", parents=parents, help="run one noisy-neighbor isolation cell",
         description="Noisy-neighbor isolation cell for the multi-tenant KV service",
-    )
-    add_seed_arguments(parser, "--sweep")
-    parser.add_argument(
-        "--sweep", action="store_true",
-        help="run the QoS on/off contrast sweep and assert both sides",
     )
     parser.add_argument(
         "--no-qos", action="store_true",
-        help="single cell only: run with QoS disabled (shows the violation)",
+        help="run with QoS disabled (shows the violation)",
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(handler=_qos)
 
-    if args.sweep:
-        return print_sweep(
-            run_noisy_sweep(seeds=sweep_seeds(args)),
-            "all_invariants_ok", "qos_off_shows_violation",
-        )
 
+def _qos(args) -> int:
     out = run_noisy_neighbor(
         seed=args.seed if args.seed is not None else 1, qos=not args.no_qos
     )

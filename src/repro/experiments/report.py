@@ -18,10 +18,20 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
     #: the paper's reported values for EXPERIMENTS.md comparison
     paper_claims: dict = field(default_factory=dict)
-    #: merged observability snapshot across the sweep's runs
-    #: (:class:`repro.observability.RunReport`); None unless the sweep
+    #: one observability snapshot per run of the sweep
+    #: (:class:`repro.observability.RunReport`); empty unless the sweep
     #: was invoked with ``observe=True``.
-    run_report: Any = None
+    run_reports: list = field(default_factory=list)
+
+    @property
+    def run_report(self) -> Any:
+        """The sweep's runs merged under ``{"harness": name, "seeds": [...]}``."""
+        if not self.run_reports:
+            return None
+        from ..observability import RunReport
+
+        meta = {"harness": self.name, "seeds": self.summary["seeds"]}
+        return RunReport.merge(self.run_reports, meta=meta)
 
     def to_text(self) -> str:
         """Fixed-width terminal rendering of the table."""
@@ -42,6 +52,14 @@ class ExperimentResult:
                 lines.append(f"- **{k}** = {_fmt(v)}{suffix}")
         lines.append("")
         return "\n".join(lines)
+
+
+def save_run_report(report, path: str) -> None:
+    """Write a RunReport as JSON to *path* and as markdown to ``<path>.md``."""
+    report.save(path)
+    with open(path + ".md", "w", encoding="utf-8") as fh:
+        fh.write(report.to_markdown())
+        fh.write("\n")
 
 
 def _fmt(value: Any) -> str:

@@ -28,7 +28,6 @@ Also home of the ``trace`` CLI subcommand
 
 from __future__ import annotations
 
-import argparse
 import json
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -36,7 +35,19 @@ from typing import Optional
 from ..core.addressing import stable_hash64
 from ..observability import RunReport, scrub_report
 from ..services import ClientRobustnessConfig, TenantDirectory, TenantSpec, WorkloadConfig
-from ..workloads import EXEMPLAR_NAMES, EXEMPLARS, Trace, load_exemplar, request_frames
+from ..workloads import (
+    EXEMPLAR_NAMES,
+    EXEMPLARS,
+    Trace,
+    amplify_bursts,
+    compose,
+    diurnal_ramp,
+    inject_flash_crowd,
+    load_exemplar,
+    request_frames,
+    tenant_remap,
+    time_scale,
+)
 from .channels import run_channels
 from .kv_cell import COSTED_SERVICE, ClientGroup, KvCellResult, KvCellSpec, run_kv_cell
 
@@ -323,8 +334,6 @@ def build_exemplar(name: str) -> Trace:
     --exemplar NAME`` writes exactly the bytes committed under
     ``corpus/traces/`` (the codec unit tests assert this stays true).
     """
-    from ..workloads import inject_flash_crowd, tenant_remap, time_scale
-
     if name == "steady-mix":
         trace, _stats = record_trace(
             seed=11,
@@ -372,26 +381,28 @@ def _load_trace_arg(ref: str) -> Trace:
 # ------------------------------------------------------------------- trace CLI
 
 
-def trace_main(argv: Optional[list] = None) -> int:
-    """``rvma-experiments trace``: record / replay / transform / compare."""
-    parser = argparse.ArgumentParser(
-        prog="rvma-experiments trace",
+def add_trace_command(sub) -> None:
+    """Add ``rvma-experiments trace``: record / replay / transform / compare."""
+    parser = sub.add_parser(
+        "trace", help="record, transform, replay and compare workload traces",
         description="Trace-driven workload record and bit-identical replay",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    cmds = parser.add_subparsers(dest="trace_command", required=True)
 
-    p_info = sub.add_parser("info", help="describe a trace file or exemplar")
+    p_info = cmds.add_parser("info", help="describe a trace file or exemplar")
     p_info.add_argument("trace", help=f"trace path or exemplar ({', '.join(EXEMPLAR_NAMES)})")
+    p_info.set_defaults(handler=_trace_info)
 
-    p_rec = sub.add_parser("record", help="record a LoadGenerator run into a trace")
+    p_rec = cmds.add_parser("record", help="record a LoadGenerator run into a trace")
     p_rec.add_argument("--seed", type=int, default=1)
     p_rec.add_argument("--ops", type=int, default=200)
     p_rec.add_argument("--mode", choices=("open", "closed"), default="open")
     p_rec.add_argument("--exemplar", choices=EXEMPLAR_NAMES, default=None,
                        help="regenerate a committed exemplar recipe instead")
     p_rec.add_argument("--out", required=True, help="output trace path")
+    p_rec.set_defaults(handler=_trace_record)
 
-    p_rep = sub.add_parser("replay", help="replay a trace against a live KV cluster")
+    p_rep = cmds.add_parser("replay", help="replay a trace against a live KV cluster")
     p_rep.add_argument("trace")
     p_rep.add_argument("--seed", type=int, default=1)
     p_rep.add_argument("--qos", action="store_true")
@@ -400,8 +411,9 @@ def trace_main(argv: Optional[list] = None) -> int:
     p_rep.add_argument("--max-backlog", type=int, default=None)
     p_rep.add_argument("--report-out", default=None,
                        help="write the wall-scrubbed RunReport JSON here")
+    p_rep.set_defaults(handler=_trace_replay)
 
-    p_tr = sub.add_parser("transform", help="apply pure transforms to a trace")
+    p_tr = cmds.add_parser("transform", help="apply pure transforms to a trace")
     p_tr.add_argument("trace")
     p_tr.add_argument("--out", required=True)
     p_tr.add_argument("--time-scale", type=float, default=None)
@@ -417,131 +429,124 @@ def trace_main(argv: Optional[list] = None) -> int:
     p_tr.add_argument("--flash-tenant", type=int, default=0)
     p_tr.add_argument("--tenant-remap", default=None,
                       help='comma list of old:new pairs, e.g. "0:1,2:3"')
+    p_tr.set_defaults(handler=_trace_transform, error=parser.error)
 
-    p_cmp = sub.add_parser("compare", help="base vs qos-on vs active-on on one trace")
+    p_cmp = cmds.add_parser("compare", help="base vs qos-on vs active-on on one trace")
     p_cmp.add_argument("trace")
     p_cmp.add_argument("--seed", type=int, default=1)
     p_cmp.add_argument("--report-out", default=None,
                        help="write the merged wall-scrubbed RunReport JSON here")
+    p_cmp.set_defaults(handler=_trace_compare)
 
-    args = parser.parse_args(argv)
 
-    if args.cmd == "info":
-        trace = _load_trace_arg(args.trace)
-        print(trace.describe())
-        print(json.dumps(trace.provenance, indent=2, sort_keys=True))
-        return 0
+def _trace_info(args) -> int:
+    trace = _load_trace_arg(args.trace)
+    print(trace.describe())
+    print(json.dumps(trace.provenance, indent=2, sort_keys=True))
+    return 0
 
-    if args.cmd == "record":
-        if args.exemplar:
-            trace = build_exemplar(args.exemplar)
-        else:
-            trace, stats = record_trace(
-                seed=args.seed,
-                workload=WorkloadConfig(n_ops=args.ops, mode=args.mode),
-            )
-            print(f"recorded {stats.ops_issued} offered ops")
-        trace.save(args.out)
-        print(f"{args.out}: {trace.describe()}")
-        return 0
 
-    if args.cmd == "transform":
-        from ..workloads import (
-            amplify_bursts,
-            compose,
-            diurnal_ramp,
-            inject_flash_crowd,
-            tenant_remap,
-            time_scale,
+def _trace_record(args) -> int:
+    if args.exemplar:
+        trace = build_exemplar(args.exemplar)
+    else:
+        trace, stats = record_trace(
+            seed=args.seed,
+            workload=WorkloadConfig(n_ops=args.ops, mode=args.mode),
         )
+        print(f"recorded {stats.ops_issued} offered ops")
+    trace.save(args.out)
+    print(f"{args.out}: {trace.describe()}")
+    return 0
 
-        trace = _load_trace_arg(args.trace)
-        steps = []
-        # Fixed, documented application order (docs/WORKLOADS.md).
-        if args.time_scale is not None:
-            steps.append(time_scale(args.time_scale))
-        if args.amplify is not None:
-            steps.append(amplify_bursts(args.amplify, args.idle_threshold_ns))
-        if args.diurnal_period_ns is not None:
-            steps.append(diurnal_ramp(args.diurnal_period_ns, args.diurnal_amplitude))
-        if args.flash_key is not None:
-            if args.flash_client is None:
-                parser.error("--flash-key requires --flash-client")
-            steps.append(inject_flash_crowd(
-                args.flash_key, args.flash_start_ns, args.flash_ops,
-                args.flash_spacing_ns, args.flash_client, args.flash_tenant,
-            ))
-        if args.tenant_remap is not None:
-            mapping = {}
-            for pair in args.tenant_remap.split(","):
-                old, new = pair.split(":")
-                mapping[int(old)] = int(new)
-            steps.append(tenant_remap(mapping))
-        out = compose(*steps)(trace)
-        out.save(args.out)
-        print(f"{trace.trace_id} -> {out.trace_id}: {out.describe()}")
-        return 0
 
-    if args.cmd == "replay":
-        trace = _load_trace_arg(args.trace)
-        cell = replay_trace(
-            trace, seed=args.seed, qos=args.qos, active=args.active,
-            audit=not args.no_audit, observe=args.report_out is not None,
-            max_backlog=args.max_backlog,
-        )
+def _trace_transform(args) -> int:
+    trace = _load_trace_arg(args.trace)
+    steps = []
+    # Fixed, documented application order (docs/WORKLOADS.md).
+    if args.time_scale is not None:
+        steps.append(time_scale(args.time_scale))
+    if args.amplify is not None:
+        steps.append(amplify_bursts(args.amplify, args.idle_threshold_ns))
+    if args.diurnal_period_ns is not None:
+        steps.append(diurnal_ramp(args.diurnal_period_ns, args.diurnal_amplitude))
+    if args.flash_key is not None:
+        if args.flash_client is None:
+            args.error("--flash-key requires --flash-client")
+        steps.append(inject_flash_crowd(
+            args.flash_key, args.flash_start_ns, args.flash_ops,
+            args.flash_spacing_ns, args.flash_client, args.flash_tenant,
+        ))
+    if args.tenant_remap is not None:
+        mapping = {}
+        for pair in args.tenant_remap.split(","):
+            old, new = pair.split(":")
+            mapping[int(old)] = int(new)
+        steps.append(tenant_remap(mapping))
+    out = compose(*steps)(trace)
+    out.save(args.out)
+    print(f"{trace.trace_id} -> {out.trace_id}: {out.describe()}")
+    return 0
+
+
+def _trace_replay(args) -> int:
+    trace = _load_trace_arg(args.trace)
+    cell = replay_trace(
+        trace, seed=args.seed, qos=args.qos, active=args.active,
+        audit=not args.no_audit, observe=args.report_out is not None,
+        max_backlog=args.max_backlog,
+    )
+    print(
+        f"replayed {trace.trace_id} seed={args.seed} "
+        f"qos={'on' if args.qos else 'off'} active={'on' if args.active else 'off'}: "
+        f"{cell.stats.ops_completed}/{cell.stats.ops_issued} ops, "
+        f"p99 {cell.p99_ns:,.0f} ns, outcomes {cell.outcome_digest}"
+    )
+    if cell.safety_failures:
+        for failure in cell.safety_failures[:10]:
+            print(f"  SAFETY: {failure}")
+    print(f"invariants: {'ok' if cell.invariants_ok else 'VIOLATED'}")
+    if args.report_out:
+        with open(args.report_out, "w", encoding="utf-8") as fh:
+            json.dump(cell.report, fh, indent=2, sort_keys=True)
+        print(f"report written to {args.report_out}")
+    return 0 if cell.invariants_ok else 1
+
+
+def _trace_compare(args) -> int:
+    trace = _load_trace_arg(args.trace)
+    out = compare_trace(trace, seed=args.seed,
+                        observe=args.report_out is not None)
+    print(f"compare {out.trace_id} seed={out.seed} (identical offered load: "
+          f"{'yes' if out.offered_identical else 'NO'})")
+    for label, cell in (("base", out.base), ("qos-on", out.qos_on),
+                        ("active-on", out.active_on)):
         print(
-            f"replayed {trace.trace_id} seed={args.seed} "
-            f"qos={'on' if args.qos else 'off'} active={'on' if args.active else 'off'}: "
-            f"{cell.stats.ops_completed}/{cell.stats.ops_issued} ops, "
-            f"p99 {cell.p99_ns:,.0f} ns, outcomes {cell.outcome_digest}"
+            f"  {label:10s} p99 {cell.p99_ns:>12,.0f} ns  "
+            f"host dispatches {cell.requests:>5d}  served {cell.served:>4d}  "
+            f"shed {sum(cell.tenant_shed.values()):>4d}  "
+            f"outcomes {cell.outcome_digest}"
         )
-        if cell.safety_failures:
-            for failure in cell.safety_failures[:10]:
-                print(f"  SAFETY: {failure}")
-        print(f"invariants: {'ok' if cell.invariants_ok else 'VIOLATED'}")
-        if args.report_out:
-            with open(args.report_out, "w", encoding="utf-8") as fh:
-                json.dump(cell.report, fh, indent=2, sort_keys=True)
-            print(f"report written to {args.report_out}")
-        return 0 if cell.invariants_ok else 1
-
-    if args.cmd == "compare":
-        trace = _load_trace_arg(args.trace)
-        out = compare_trace(trace, seed=args.seed,
-                            observe=args.report_out is not None)
-        print(f"compare {out.trace_id} seed={out.seed} (identical offered load: "
-              f"{'yes' if out.offered_identical else 'NO'})")
-        for label, cell in (("base", out.base), ("qos-on", out.qos_on),
-                            ("active-on", out.active_on)):
-            print(
-                f"  {label:10s} p99 {cell.p99_ns:>12,.0f} ns  "
-                f"host dispatches {cell.requests:>5d}  served {cell.served:>4d}  "
-                f"shed {sum(cell.tenant_shed.values()):>4d}  "
-                f"outcomes {cell.outcome_digest}"
-            )
-        print(
-            f"qos contrast: {'ok' if out.qos_contrast_ok else 'NO'}; "
-            f"active contrast: {'ok' if out.active_contrast_ok else 'NO'} "
-            f"(dispatch saving {out.dispatch_saving}); "
-            f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}"
-        )
-        if args.report_out:
-            reports = [
-                RunReport.collect(cell.cluster, meta={
-                    "harness": "trace-compare", "cell": label,
-                    "trace_id": out.trace_id, "seed": out.seed,
-                })
-                for label, cell in (("base", out.base), ("qos_on", out.qos_on),
-                                    ("active_on", out.active_on))
-            ]
-            merged = scrub_report(RunReport.merge(
-                reports, meta={"harness": "trace-compare", "trace_id": out.trace_id},
-            ).to_dict())
-            with open(args.report_out, "w", encoding="utf-8") as fh:
-                json.dump(merged, fh, indent=2, sort_keys=True)
-            print(f"merged report written to {args.report_out}")
-        ok = out.invariants_ok and out.qos_contrast_ok and out.active_contrast_ok
-        return 0 if ok else 1
-
-    parser.error(f"unknown command {args.cmd!r}")
-    return 2
+    print(
+        f"qos contrast: {'ok' if out.qos_contrast_ok else 'NO'}; "
+        f"active contrast: {'ok' if out.active_contrast_ok else 'NO'} "
+        f"(dispatch saving {out.dispatch_saving}); "
+        f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}"
+    )
+    if args.report_out:
+        reports = [
+            RunReport.collect(cell.cluster, meta={
+                "harness": "trace-compare", "cell": label,
+                "trace_id": out.trace_id, "seed": out.seed,
+            })
+            for label, cell in (("base", out.base), ("qos_on", out.qos_on),
+                                ("active_on", out.active_on))
+        ]
+        merged = scrub_report(RunReport.merge(
+            reports, meta={"harness": "trace-compare", "trace_id": out.trace_id},
+        ).to_dict())
+        with open(args.report_out, "w", encoding="utf-8") as fh:
+            json.dump(merged, fh, indent=2, sort_keys=True)
+        print(f"merged report written to {args.report_out}")
+    ok = out.invariants_ok and out.qos_contrast_ok and out.active_contrast_ok
+    return 0 if ok else 1

@@ -20,15 +20,12 @@ same scenario twice produces byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from ..observability import RunReport, scrub_report
-from .corpus import CORPUS_DIR, list_entries, load_entry, replay_entry, save_entry
+from .corpus import CORPUS_DIR, list_entries, replay_entry, save_entry
 from .generator import generate
 from .runner import ScenarioOutcome, run_scenario
 from .schema import Scenario
@@ -193,14 +190,15 @@ def _cmd_corpus(args) -> int:
     return 1 if bad else 0
 
 
-def fuzz_main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rvma-experiments fuzz",
+def add_fuzz_command(sub) -> None:
+    """Add ``rvma-experiments fuzz`` and its four subcommands."""
+    parser = sub.add_parser(
+        "fuzz", help="seeded scenario fuzzer: campaigns, replay, shrink, corpus",
         description="Seeded scenario fuzzer: campaigns, replay, shrink, corpus",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    cmds = parser.add_subparsers(dest="fuzz_command", required=True)
 
-    p_run = sub.add_parser("run", help="run a fuzz campaign over a seed range")
+    p_run = cmds.add_parser("run", help="run a fuzz campaign over a seed range")
     p_run.add_argument("--seed-start", type=int, default=1)
     p_run.add_argument("--count", type=int, default=10)
     p_run.add_argument(
@@ -224,9 +222,9 @@ def fuzz_main(argv: Optional[list] = None) -> int:
         help="write the campaign's merged observability report (JSON) here",
     )
     p_run.add_argument("--trace", action="store_true", help="enable span tracing")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(handler=_cmd_run)
 
-    p_replay = sub.add_parser(
+    p_replay = cmds.add_parser(
         "replay", help="replay one scenario from its file or master seed"
     )
     p_replay.add_argument("scenario", help="scenario JSON path, or a master seed")
@@ -240,17 +238,17 @@ def fuzz_main(argv: Optional[list] = None) -> int:
         help="exit 0 when the scenario fails (regression-pin mode)",
     )
     p_replay.add_argument("--trace", action="store_true")
-    p_replay.set_defaults(func=_cmd_replay)
+    p_replay.set_defaults(handler=_cmd_replay)
 
-    p_shrink = sub.add_parser("shrink", help="minimize a failing scenario")
+    p_shrink = cmds.add_parser("shrink", help="minimize a failing scenario")
     p_shrink.add_argument("scenario", help="scenario JSON path, or a master seed")
     p_shrink.add_argument("--known-bad", action="store_true")
     p_shrink.add_argument("--out", type=str, default="", help="write the shrunk document here")
     p_shrink.add_argument("--max-attempts", type=int, default=200)
     p_shrink.add_argument("--verbose", action="store_true")
-    p_shrink.set_defaults(func=_cmd_shrink)
+    p_shrink.set_defaults(handler=_cmd_shrink)
 
-    p_corpus = sub.add_parser(
+    p_corpus = cmds.add_parser(
         "corpus", help="replay the pinned corpus (or --add a new entry)"
     )
     p_corpus.add_argument("--dir", type=str, default="", help="corpus directory")
@@ -259,11 +257,4 @@ def fuzz_main(argv: Optional[list] = None) -> int:
     p_corpus.add_argument(
         "--shrink", action="store_true", help="shrink a failing entry before pinning"
     )
-    p_corpus.set_defaults(func=_cmd_corpus)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(fuzz_main())
+    p_corpus.set_defaults(handler=_cmd_corpus)

@@ -8,7 +8,6 @@ from .amortization import (
 )
 from .bandwidth import (
     BandwidthPoint,
-    message_rate_comparison,
     rdma_bandwidth,
     rvma_bandwidth,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "latency_sweep",
     "memoize_timing",
     "measure_setup_ns",
-    "message_rate_comparison",
     "rdma_bandwidth",
     "rvma_bandwidth",
     "rdma_ucx_latency",

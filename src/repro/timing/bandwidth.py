@@ -156,12 +156,3 @@ def rdma_bandwidth(
         raise RuntimeError("bandwidth stream incomplete")
     return BandwidthPoint(size, n_messages, marks["end"] - marks["start"])
 
-
-def message_rate_comparison(
-    testbed: Testbed, sizes: list[int], n_messages: int = 64
-) -> list[tuple[int, BandwidthPoint, BandwidthPoint]]:
-    """(size, rvma, rdma) streaming points across *sizes*."""
-    return [
-        (s, rvma_bandwidth(testbed, s, n_messages), rdma_bandwidth(testbed, s, n_messages))
-        for s in sizes
-    ]

@@ -11,6 +11,8 @@ the chaos matrix.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster
@@ -244,14 +246,16 @@ def test_run_crash_restart_driver_aggregates():
 def test_cli_seed_flag_pins_chaos_matrix(monkeypatch, capsys):
     captured = {}
 
-    def fake_runner(args):
-        captured["seeds"] = cli._seeds_of(args)
+    def fake_run(seeds, **kw):
+        captured["seeds"] = seeds
         return run_crash_restart(seeds=(1,), motifs=("incast",), n_nodes=4)
 
-    monkeypatch.setitem(cli.RUNNERS, "chaos-crash", fake_runner)
+    entry = replace(cli.REGISTRY["chaos-crash"], run=fake_run)
+    monkeypatch.setitem(cli.REGISTRY, "chaos-crash", entry)
     assert cli.main(["chaos-crash", "--seed", "7"]) == 0
     assert captured["seeds"] == (7,)
     capsys.readouterr()
-    monkeypatch.setitem(cli.RUNNERS, "chaos-crash", fake_runner)
     assert cli.main(["chaos-crash"]) == 0
     assert captured["seeds"] == (1, 2, 3)
+    assert cli.main(["chaos-crash", "--seeds", "4,5"]) == 0
+    assert captured["seeds"] == (4, 5)

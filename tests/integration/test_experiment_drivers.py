@@ -1,12 +1,16 @@
 """Integration: experiment drivers and the CLI produce sane artifacts."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.ablations import run_ablation_completion, run_ablation_lut
 from repro.experiments.cli import main as cli_main
 from repro.experiments.fig45 import run_fig4, run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.motif_sweep import run_fig7, run_fig8
+from repro.experiments.report import ExperimentResult
 from repro.network.routing import RoutingMode
 
 
@@ -70,6 +74,58 @@ def test_cli_runs_and_writes_markdown(tmp_path, capsys):
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         cli_main(["fig99"])
+
+
+#: Every registry entry (fig7/fig8 have their own small-grid tests above)
+#: plus one single-cell command per tool, each as the argv a user types.
+SMOKE_COMMANDS = [
+    f"{name} --seed 1" for name in cli.REGISTRY if name not in ("fig7", "fig8", "kv-churn")
+] + [
+    "kv-churn --seed 1 --metrics-out {tmp}/report.json",
+    "services --ops 40",
+    "qos --no-qos",
+    "active --chaos",
+    "fuzz shrink 7 --known-bad --out {tmp}/shrunk.json",
+]
+
+
+@pytest.mark.parametrize("command", SMOKE_COMMANDS)
+def test_cli_command_smoke(command, tmp_path, capsys):
+    argv = command.format(tmp=tmp_path).split()
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] in cli.REGISTRY:
+        assert f"[{argv[0]} regenerated in" in out
+        if "--metrics-out" in argv:
+            assert (tmp_path / "report.json.md").read_text().startswith("#")
+    elif argv[0] == "fuzz":
+        assert (tmp_path / "shrunk.json").exists()
+    else:
+        assert "invariants: ok" in out or "audit ok" in out
+
+
+#: The summary keys that make up each sweep's verdict.
+SWEEP_VERDICTS = {
+    "chaos": ("all_invariants_ok",),
+    "chaos-crash": ("all_invariants_ok",),
+    "kv-churn": ("all_invariants_ok",),
+    "qos-noisy": ("all_invariants_ok", "qos_off_shows_violation"),
+    "active-flash": ("all_invariants_ok", "contrast_ok", "chaos_ok"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,false_key",
+    [(name, key) for name, keys in SWEEP_VERDICTS.items() for key in keys + (None,)],
+)
+def test_sweep_exit_status_follows_its_verdict(name, false_key, monkeypatch, capsys):
+    def fake_run(**kw):
+        summary = {key: key != false_key for key in SWEEP_VERDICTS[name]}
+        return ExperimentResult(name, "fake", ["seed"], [[1]], summary={**summary, "seeds": [1]})
+
+    monkeypatch.setitem(cli.REGISTRY, name, replace(cli.REGISTRY[name], run=fake_run))
+    assert cli_main([name, "--seed", "1"]) == (0 if false_key is None else 1)
+    capsys.readouterr()
 
 
 def test_fault_recovery_driver():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from repro.experiments.cli import main
 from repro.scenarios import (
     CORPUS_DIR,
     FailureFingerprint,
@@ -20,7 +21,6 @@ from repro.scenarios import (
     run_scenario,
     save_entry,
 )
-from repro.scenarios.cli import fuzz_main
 
 
 def test_checked_in_corpus_replays_exactly():
@@ -73,4 +73,4 @@ def test_save_and_load_entry_round_trip(tmp_path):
 
 
 def test_fuzz_cli_corpus_replay_passes():
-    assert fuzz_main(["corpus"]) == 0
+    assert main(["fuzz", "corpus"]) == 0

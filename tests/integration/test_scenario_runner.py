@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.scenarios import ShrinkError, generate, run_scenario, shrink
-from repro.scenarios.cli import fuzz_main
 
 #: A differential scenario (small star cluster, no faults): the cheapest
 #: full oracle path, and it carries a RunReport for the replay check.
@@ -122,19 +122,19 @@ def test_fuzz_cli_replay_writes_deterministic_reports(tmp_path):
     scenario = generate(PASSING_SEED)
     path = scenario.save(str(tmp_path / "scenario.json"))
     rep_a, rep_b = tmp_path / "a.json", tmp_path / "b.json"
-    assert fuzz_main(["replay", path, "--report-out", str(rep_a)]) == 0
-    assert fuzz_main(["replay", path, "--report-out", str(rep_b)]) == 0
+    assert main(["fuzz", "replay", path, "--report-out", str(rep_a)]) == 0
+    assert main(["fuzz", "replay", path, "--report-out", str(rep_b)]) == 0
     assert rep_a.read_bytes() == rep_b.read_bytes()
     # Replaying from the bare seed hits the same document.
-    assert fuzz_main(["replay", str(PASSING_SEED)]) == 0
+    assert main(["fuzz", "replay", str(PASSING_SEED)]) == 0
 
 
 def test_fuzz_cli_campaign_saves_and_shrinks_failures(tmp_path):
     fail_dir = tmp_path / "failures"
     report = tmp_path / "campaign.json"
-    rc = fuzz_main(
+    rc = main(
         [
-            "run",
+            "fuzz", "run",
             "--seed-start", str(KNOWN_BAD_SEED),
             "--count", "1",
             "--known-bad",

@@ -14,12 +14,12 @@ import json
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.experiments.trace_replay import (
     build_exemplar,
     compare_trace,
     record_trace,
     replay_trace,
-    trace_main,
 )
 from repro.scenarios.generator import generate
 from repro.scenarios.runner import run_scenario
@@ -123,10 +123,10 @@ def test_trace_scenarios_generate_and_run():
 
 
 def test_cli_info_and_replay(capsys):
-    rc = trace_main(["info", "steady-mix"])
+    rc = main(["trace", "info", "steady-mix"])
     assert rc == 0
-    assert "steady-mix" in capsys.readouterr().out or True
-    rc = trace_main(["replay", "steady-mix", "--seed", "2"])
+    assert "exemplar:steady-mix" in capsys.readouterr().out
+    rc = main(["trace", "replay", "steady-mix", "--seed", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "invariants: ok" in out
@@ -134,11 +134,11 @@ def test_cli_info_and_replay(capsys):
 
 def test_cli_record_transform_compare(tmp_path, capsys):
     raw = tmp_path / "raw.jsonl"
-    rc = trace_main(["record", "--seed", "9", "--ops", "40", "--out", str(raw)])
+    rc = main(["trace", "record", "--seed", "9", "--ops", "40", "--out", str(raw)])
     assert rc == 0
     shaped = tmp_path / "shaped.jsonl"
-    rc = trace_main([
-        "transform", str(raw), "--out", str(shaped),
+    rc = main([
+        "trace", "transform", str(raw), "--out", str(shaped),
         "--time-scale", "2.0", "--amplify", "2.0",
     ])
     assert rc == 0
@@ -146,8 +146,8 @@ def test_cli_record_transform_compare(tmp_path, capsys):
     assert trace.n_ops == Trace.load(str(raw)).n_ops
     assert trace.provenance["transforms"]
     report = tmp_path / "cmp.json"
-    rc = trace_main([
-        "compare", "flash-crowd", "--seed", "1", "--report-out", str(report),
+    rc = main([
+        "trace", "compare", "flash-crowd", "--seed", "1", "--report-out", str(report),
     ])
     capsys.readouterr()
     assert rc == 0
