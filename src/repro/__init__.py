@@ -32,7 +32,6 @@ from .core import (
     StreamClient,
     StreamServer,
     Window,
-    execute,
     mpix_rewind,
 )
 from .faults import ChaosSchedule, FaultInjector
@@ -99,7 +98,6 @@ __all__ = [
     "WorkloadConfig",
     "__version__",
     "connect",
-    "execute",
     "make_topology",
     "mpix_rewind",
     "spawn",

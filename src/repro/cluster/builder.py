@@ -80,7 +80,3 @@ class Cluster:
     def node(self, i: int) -> Node:
         """The i-th node of the cluster."""
         return self.nodes[i]
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run the cluster's simulator (to quiescence or ``until``)."""
-        return self.sim.run(until=until)

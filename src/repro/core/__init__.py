@@ -2,7 +2,7 @@
 
 from ..nic.lut import BufferMode, EpochType, RetiredBuffer
 from .addressing import PID_SHIFT, RvmaAddress, resolve_destination
-from .api import RvmaApi, execute
+from .api import RvmaApi
 from .fault_tolerance import (
     CoordinatedRewind,
     EpochJournal,
@@ -40,7 +40,6 @@ __all__ = [
     "Window",
     "alloc_notification_slot",
     "coordinated_rewind",
-    "execute",
     "latest_consistent_epoch",
     "mpix_rewind",
     "negotiate_consistent_epoch",

@@ -22,9 +22,6 @@ All time-consuming calls are generator functions to be driven inside a
         win = yield from api.init_window(0xBEEF, epoch_threshold=1024)
         yield from api.post_buffer(win, size=1024)
         ...
-
-``execute(sim, gen)`` runs one such generator to completion for tests
-and scripts.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ from ..memory.mwait import MWAIT, WakeupModel
 from ..nic.lut import BufferMode, EpochType, LutError, RetiredBuffer
 from ..nic.rvma import GetOp, PutOp, RvmaNic
 from ..network.routing import RoutingMode
-from ..sim.engine import Simulator
-from ..sim.process import SimProcess
 from .addressing import RvmaAddress, resolve_destination
 from .status import RvmaApiError, RvmaStatus
 from .window import CompletionInfo, PostedRecord, Window, alloc_notification_slot
@@ -324,19 +319,6 @@ class RvmaApi:
         detector = self.nic.detector
         return detector is not None and detector.is_suspected(peer)
 
-    def reinstate_peer(self, peer: int) -> None:
-        """Clear suspicion of *peer* after it crash-restarted and
-        rejoined (no-op when not suspected or no detector).
-
-        The recovery stack (:mod:`repro.recovery`) does this
-        automatically when it services the peer's rejoin hello; this is
-        the manual escape hatch for applications running their own
-        membership protocol.
-        """
-        detector = self.nic.detector
-        if detector is not None:
-            detector.reinstate(peer)
-
     # ------------------------------------------------------------------ observability
 
     def metrics(self, prefix: str = ""):
@@ -416,16 +398,3 @@ class RvmaApi:
         yield from self._overhead()
         ok = yield self.nic.hw_kv_sync(win.virtual_addr, key, value, delete, executed)
         return bool(ok)
-
-
-def execute(sim: Simulator, gen: Generator, name: str = "api"):
-    """Drive one API generator to completion; returns its value.
-
-    Convenience for tests/examples: spawns a process and drains the
-    event loop.
-    """
-    proc = SimProcess(sim, gen, name)
-    sim.run()
-    if not proc.finished:
-        raise RuntimeError(f"process {name} deadlocked (pending events drained)")
-    return proc.result

@@ -16,10 +16,6 @@ class RvmaStatus(Enum):
     ERR_OUT_OF_BOUNDS = "out_of_bounds"  # offset+len beyond active buffer
     ERR_INVALID = "invalid"  # malformed arguments
 
-    @property
-    def ok(self) -> bool:
-        return self is RvmaStatus.SUCCESS
-
 
 class RvmaApiError(RuntimeError):
     """Raised for local misuse of the API (not for remote NACKs)."""

@@ -39,6 +39,21 @@ from .report import ExperimentResult
 DEFAULT_HOT_KEYS = 4
 
 
+def active_contrast_ok(off: KvCellResult, on: KvCellResult) -> bool:
+    """The active-serving contrast of *on* against *off* on the same load.
+
+    Active on must have the faster tail, and every NIC-served GET must
+    be a handler serve that accounts for at least one host dispatch the
+    off cell paid for (``off.requests - on.requests >= served > 0``).
+    """
+    return bool(
+        on.p99_ns < off.p99_ns
+        and on.served > 0
+        and off.requests - on.requests >= on.served
+        and on.handler_served >= on.served
+    )
+
+
 def hot_key_set(n_hot: int = DEFAULT_HOT_KEYS) -> tuple:
     """The workload's hottest *n_hot* keys (LoadGenerator's rank naming)."""
     return tuple(b"k%06d" % rank for rank in range(n_hot))
@@ -74,17 +89,8 @@ class FlashOutcome:
 
     @property
     def contrast_ok(self) -> bool:
-        """The acceptance contrast: faster tail, fewer host dispatches.
-
-        Every NIC-served GET must account for at least one host dispatch
-        the off cell paid for (``dispatch_saving >= served > 0``).
-        """
-        return bool(
-            self.on.p99_ns < self.off.p99_ns
-            and self.on.served > 0
-            and self.dispatch_saving >= self.on.served
-            and self.on.handler_served >= self.on.served
-        )
+        """The acceptance contrast: :func:`active_contrast_ok`."""
+        return active_contrast_ok(self.off, self.on)
 
 
 def _run_cell(

@@ -62,7 +62,7 @@ CHAOS_RELIABILITY = ReliabilityConfig(
     min_suspicion_timeout=120_000.0,
 )
 
-#: Default schedule shape for the harness (overridable per call).
+#: Schedule shape of the harness's generated plans.
 DEFAULT_HORIZON_NS = 400_000.0
 DEFAULT_EVENTS = 4
 DEFAULT_MAX_WINDOW_NS = 50_000.0
@@ -193,17 +193,11 @@ def run_motif_under_chaos(
     n_nodes: int = 8,
     topology: str = "dragonfly",
     reliability: bool = True,
-    reliability_config: Optional[ReliabilityConfig] = None,
-    n_events: int = DEFAULT_EVENTS,
-    horizon_ns: float = DEFAULT_HORIZON_NS,
-    max_window_ns: float = DEFAULT_MAX_WINDOW_NS,
     drop_prob: float = 0.05,
     compare_clean: bool = True,
-    configure: Optional[Callable[[FaultInjector], None]] = None,
     n_crashes: int = 0,
     audit: Optional[bool] = None,
     recovery: bool = True,
-    recovery_config: Optional[RecoveryConfig] = None,
     observe: bool = False,
     trace: bool = False,
     schedule: Optional[ChaosSchedule] = None,
@@ -239,9 +233,7 @@ def run_motif_under_chaos(
     before the motif starts (the runner opens its ``scenario`` span
     there).
     """
-    nic_config = RvmaNicConfig(
-        reliability=(reliability_config or CHAOS_RELIABILITY) if reliability else None
-    )
+    nic_config = RvmaNicConfig(reliability=CHAOS_RELIABILITY if reliability else None)
     net_config = NetworkConfig(routing=routing) if routing is not None else None
     cluster = Cluster.build(
         n_nodes=n_nodes, topology=topology, nic_type="rvma", fidelity="flow",
@@ -254,18 +246,15 @@ def run_motif_under_chaos(
     manager: Optional[RecoveryManager] = None
     if n_crashes > 0 and reliability and recovery:
         manager = RecoveryManager(
-            cluster,
-            recovery_config or RecoveryConfig(horizon_ns=horizon_ns),
+            cluster, RecoveryConfig(horizon_ns=DEFAULT_HORIZON_NS)
         ).start()
         manager.arm(injector)
     if schedule is None:
         schedule = ChaosSchedule.generate(
-            cluster, horizon_ns=horizon_ns, n_events=n_events,
-            max_window_ns=max_window_ns, drop_prob=drop_prob, n_crashes=n_crashes,
+            cluster, horizon_ns=DEFAULT_HORIZON_NS, n_events=DEFAULT_EVENTS,
+            max_window_ns=DEFAULT_MAX_WINDOW_NS, drop_prob=drop_prob, n_crashes=n_crashes,
         )
     schedule.apply(injector)
-    if configure is not None:
-        configure(injector)
     motif = _build_motif(motif_name, cluster, motif_params)
     if observe and trace:
         cluster.sim.spans.enable()
@@ -384,23 +373,19 @@ def run_crash_restart(
     seeds: tuple = (1, 2, 3),
     motifs: tuple = ("allreduce", "incast", "halo3d"),
     n_nodes: int = 8,
-    n_crashes: int = 1,
-    drop_prob: float = 0.05,
     **kw,
 ) -> ExperimentResult:
     """The crash-restart sweep: motifs survive a mid-run node crash.
 
-    Every cell crash-stops ``n_crashes`` random nodes (NIC state
-    destroyed) on top of the usual fabric chaos, recovers them through
+    Every cell crash-stops one random node (NIC state
+    destroyed) on top of the usual fabric chaos, recovers it through
     the checkpoint/rejoin/replay stack, and audits with the runtime
     invariant auditor.  A cell passes only if the run completes
     byte-identical to fault-free with zero violations, zero replay
     holes and zero initiator give-ups.
     """
     outs = [
-        run_motif_under_chaos(
-            motif, seed=seed, n_nodes=n_nodes, n_crashes=n_crashes, drop_prob=drop_prob, **kw
-        )
+        run_motif_under_chaos(motif, seed=seed, n_nodes=n_nodes, n_crashes=1, **kw)
         for motif in motifs
         for seed in seeds
     ]
@@ -432,7 +417,7 @@ def run_crash_restart(
             "all_invariants_ok": all(out.invariants_ok for out in outs),
             "total_audit_violations": sum(out.audit_violations or 0 for out in outs),
             "seeds": list(seeds),
-            "n_crashes": n_crashes,
+            "n_crashes": 1,
         },
         paper_claims={
             "observation": "retained-epoch state plus host-side journals makes "

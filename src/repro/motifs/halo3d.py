@@ -127,12 +127,6 @@ class Halo3D(Motif):
             return x + y * gx + z * gx * gy
         return None
 
-    def neighbour(self, rank: int, axis: int, sign: int) -> Optional[int]:
-        """Neighbouring rank one step along *axis*, or None at the face."""
-        c = list(self.coords(rank))
-        c[axis] += sign
-        return self.rank_of(tuple(c))
-
     def _tag(self, offset: tuple[int, int, int]) -> int:
         if self.neighbours == 6:
             axis = next(i for i, c in enumerate(offset) if c != 0)

@@ -32,7 +32,6 @@ from ..core.api import RvmaApi
 from ..memory.buffer import HostBuffer
 from ..nic.lut import BufferMode, EpochType
 from ..network.routing import RoutingMode
-from ..rdma.completion_modes import CompletionMode, check_mode_safety
 from ..rdma.handshake import pack_region, unpack_region, DESC_BYTES
 from ..rdma.ucx import UcpEndpoint
 from ..rdma.verbs import VerbsEndpoint
@@ -183,7 +182,6 @@ class _RdmaRecv(RecvEndpoint):
         buffer: HostBuffer,
         region,
         mode: Optional[RoutingMode],
-        completion: CompletionMode,
     ) -> None:
         self.verbs = verbs
         self.sender = sender
@@ -191,27 +189,19 @@ class _RdmaRecv(RecvEndpoint):
         self.buffer = buffer
         self.region = region
         self.mode = mode
-        self.completion = completion
         self.ctl = HostBuffer.allocate(verbs.node.memory, 64, label="rdma-ctl")
         self.received = 0
 
     def recv(self) -> Generator:
-        if self.completion is CompletionMode.SEND_RECV:
-            # Arm for the completion signal *before* green-lighting the
-            # sender, or the signal could beat the recv post.
-            yield from self.verbs.post_recv(self.ctl, wr_id=_wr(self.tag, 2), tag=_wr(self.tag, 2))
+        # Arm for the completion signal *before* green-lighting the
+        # sender, or the signal could beat the recv post.
+        yield from self.verbs.post_recv(self.ctl, wr_id=_wr(self.tag, 2), tag=_wr(self.tag, 2))
         # Tell the sender the buffer may be overwritten (epoch sync).
-        op = yield from self.verbs.send(
+        yield from self.verbs.send(
             self.sender, READY_BYTES, b"", tag=_wr(self.tag, 1),
             mode=self.mode, wr_id=_wr(self.tag, 1),
         )
-        if self.completion is CompletionMode.SEND_RECV:
-            entry = yield from self.verbs.wait_cq(_wr(self.tag, 2))
-        else:
-            routing = self.mode or self.verbs.node.nic.fabric.config.routing
-            entry = yield from self.verbs.wait_write_completion(
-                self.buffer, self.completion, routing
-            )
+        entry = yield from self.verbs.wait_cq(_wr(self.tag, 2))
         self.received += 1
         return entry
 
@@ -227,14 +217,12 @@ class _RdmaSend(SendEndpoint):
         tag: int,
         region,
         mode: Optional[RoutingMode],
-        completion: CompletionMode,
     ) -> None:
         self.verbs = verbs
         self.dst = dst
         self.tag = tag
         self.region = region
         self.mode = mode
-        self.completion = completion
         self.ready_buf = HostBuffer.allocate(verbs.node.memory, 64, label="rdma-ready")
         self.sent = 0
 
@@ -247,35 +235,30 @@ class _RdmaSend(SendEndpoint):
         op = yield from self.verbs.rdma_write(
             self.dst, self.region, size, data, mode=self.mode, wr_id=_wr(self.tag, 2)
         )
-        if self.completion is CompletionMode.SEND_RECV:
-            entry = yield op.done  # transport-ack fence before the signal
-            if not entry.ok:
-                raise RuntimeError(f"rdma write failed on channel tag {self.tag}")
-            yield from self.verbs.send(
-                self.dst, SIGNAL_BYTES, b"", tag=_wr(self.tag, 2),
-                mode=self.mode, wr_id=_wr(self.tag, 2),
-            )
-        else:
-            yield op.done  # still fence for send-buffer reuse semantics
+        entry = yield op.done  # transport-ack fence before the signal
+        if not entry.ok:
+            raise RuntimeError(f"rdma write failed on channel tag {self.tag}")
+        yield from self.verbs.send(
+            self.dst, SIGNAL_BYTES, b"", tag=_wr(self.tag, 2),
+            mode=self.mode, wr_id=_wr(self.tag, 2),
+        )
         self.sent += 1
         return op
 
 
 class RdmaProtocol(TransferProtocol):
-    """Registered-region writes with ready/ack/signal coordination."""
+    """Registered-region writes with ready/ack/signal coordination.
+
+    One completion sequence, the only one that is correct on an adaptive
+    network: write, transport-ack fence, then a trailing send/recv
+    signal (:attr:`repro.rdma.completion_modes.CompletionMode.SEND_RECV`).
+    """
 
     name = "rdma"
     nic_type = "rdma"
 
-    def __init__(
-        self,
-        mode: Optional[RoutingMode] = None,
-        completion: CompletionMode = CompletionMode.SEND_RECV,
-        allow_unsafe: bool = False,
-    ) -> None:
+    def __init__(self, mode: Optional[RoutingMode] = None) -> None:
         self.mode = mode
-        self.completion = completion
-        self.allow_unsafe = allow_unsafe
         self._verbs: dict[int, VerbsEndpoint] = {}
 
     def verbs(self, node: Node) -> VerbsEndpoint:
@@ -286,8 +269,6 @@ class RdmaProtocol(TransferProtocol):
         return v
 
     def recv_setup(self, node: Node, src: int, tag: int, max_msg: int, slots: int) -> Generator:
-        routing = self.mode or node.nic.fabric.config.routing
-        check_mode_safety(self.completion, routing, self.allow_unsafe)
         verbs = self.verbs(node)
         buffer = HostBuffer.allocate(node.memory, max_msg, label="rdma-landing")
         region = yield from verbs.reg_mr(buffer)
@@ -299,13 +280,13 @@ class RdmaProtocol(TransferProtocol):
         yield from verbs.send(
             src, DESC_BYTES, desc, tag=_wr(tag, 0), mode=self.mode, wr_id=_wr(tag, 0)
         )
-        return _RdmaRecv(verbs, src, tag, buffer, region, self.mode, self.completion)
+        return _RdmaRecv(verbs, src, tag, buffer, region, self.mode)
 
     def send_setup(self, node: Node, dst: int, tag: int, max_msg: int) -> Generator:
         verbs = self.verbs(node)
         desc_buf = HostBuffer.allocate(node.memory, DESC_BYTES, label="rdma-desc")
         yield from verbs.post_recv(desc_buf, wr_id=_wr(tag, 0), tag=_wr(tag, 0))
-        ep = _RdmaSend(verbs, dst, tag, None, self.mode, self.completion)
+        ep = _RdmaSend(verbs, dst, tag, None, self.mode)
         # Arm the first "ready" recv before learning the region so the
         # receiver's first green light can never RNR.
         yield from verbs.post_recv(ep.ready_buf, wr_id=_wr(tag, 1), tag=_wr(tag, 1))

@@ -82,13 +82,7 @@ class MpiRma:
         protocol = RvmaProtocol() if self.backend == "rvma" else RdmaProtocol()
         # Count vectors need n slots; the RDMA descriptor allgather 3n.
         self.comm = TreeComm(cluster, protocol, vector_slots=max(self.n, 3 * self.n))
-        self._next_win_id = 0
         self._protocol = protocol
-
-    def next_win_id(self) -> int:
-        """A fresh collective window id (same value on every rank)."""
-        self._next_win_id += 1
-        return self._next_win_id
 
     def win_allocate(self, rank: int, size: int, win_id: int) -> Generator:
         """Collective: every rank calls this with the same *win_id*.

@@ -187,10 +187,6 @@ class MailboxLUT:
 
     # --- accounting ---------------------------------------------------------------
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.entries)
-
     def memory_bytes(self) -> int:
         """On-NIC table footprint: 24 B/entry (mailbox, head, completion
         pointer — paper §IV-A) plus 8 B per live counter."""

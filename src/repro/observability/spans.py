@@ -193,10 +193,6 @@ class SpanTracer:
                 self._stack.pop()
                 self.end(sp)
 
-    def clear(self) -> None:
-        self._spans = []
-        self._stack = []
-
     # -- queries ----------------------------------------------------------
 
     def spans(self, category: str = "") -> list[Span]:

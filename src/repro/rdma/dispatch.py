@@ -10,12 +10,14 @@ explicitly keeps the comparison honest.
 
 from __future__ import annotations
 
-from ..memory.mwait import CQ_POLL, WakeupModel
+from ..memory.mwait import CQ_POLL
 from ..nic.cq import CompletionQueue, CqEntry, CqKind
 from ..sim.engine import Simulator
 from ..sim.process import Future
 
 _RECV = CqKind.RECV
+#: One CQ poll: what pulling and routing one entry costs.
+_POLL_NS = CQ_POLL.delay_after_store()
 
 
 class CqDispatcher:
@@ -31,10 +33,9 @@ class CqDispatcher:
     them.
     """
 
-    def __init__(self, sim: Simulator, cq: CompletionQueue, model: WakeupModel = CQ_POLL) -> None:
+    def __init__(self, sim: Simulator, cq: CompletionQueue) -> None:
         self.sim = sim
         self.cq = cq
-        self.model = model
         #: wr_id -> [future] in registration order.
         self._waiters: dict[int, list[Future]] = {}
         #: wr_id -> [RECV entry] in arrival order, entries nobody waited for.
@@ -49,7 +50,7 @@ class CqDispatcher:
         kept = self._unclaimed.get(wr_id)
         if kept:
             entry = _pop_first(self._unclaimed, wr_id, kept)
-            self.sim.post(self.model.delay_after_store(), fut.resolve, entry)
+            self.sim.post(_POLL_NS, fut.resolve, entry)
             return fut
         self._waiters.setdefault(wr_id, []).append(fut)
         if not self._pulling:
@@ -60,7 +61,7 @@ class CqDispatcher:
     def _take(self, entry: CqEntry) -> None:
         """The CQ hands over one entry: route it one poll later."""
         self.entries_dispatched += 1
-        self.sim.post(self.model.delay_after_store(), self._route, entry)
+        self.sim.post(_POLL_NS, self._route, entry)
 
     def _route(self, entry: CqEntry) -> None:
         if entry.kind is _RECV:

@@ -48,20 +48,6 @@ class UcpEndpoint:
         self.dispatcher = CqDispatcher(self.sim, self.nic.cq)
         self._inflight: list[RdmaOp] = []
 
-    # ------------------------------------------------------------------ memory
-
-    def mem_map(self, buffer: HostBuffer) -> Generator:
-        """ucp_mem_map + rkey pack; returns the MemoryRegion."""
-        yield (
-            self.costs.reg_mr_base
-            + self.costs.reg_mr_per_kb * (buffer.size / 1024.0)
-            + self.costs.rkey_pack
-        )
-        mr = yield self.nic.hw_reg_mr(buffer)
-        if isinstance(mr, Exception):
-            raise mr
-        return mr
-
     # ------------------------------------------------------------------ RMA
 
     def put_nbi(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..memory.buffer import HostBuffer, MemoryRegion
-from ..memory.mwait import POLL, WakeupModel
+from ..memory.mwait import POLL
 from ..nic.rdma import RdmaNic, RdmaOp
 from ..network.routing import RoutingMode
 from .completion_modes import CompletionMode, check_mode_safety
@@ -143,19 +143,16 @@ class VerbsEndpoint:
         routing: RoutingMode,
         ctl_buffer: Optional[HostBuffer] = None,
         wr_id: int = 0,
-        allow_unsafe: bool = False,
-        wakeup: WakeupModel = POLL,
     ) -> Generator:
         """Target side: detect that an incoming write finished.
 
         LAST_BYTE_POLL requires a statically routed (byte-ordered)
-        network — :func:`check_mode_safety` refuses otherwise unless the
-        caller is deliberately demonstrating the corruption.
+        network — :func:`check_mode_safety` refuses it otherwise.
         """
-        check_mode_safety(completion, routing, allow_unsafe)
+        check_mode_safety(completion, routing)
         if completion is CompletionMode.LAST_BYTE_POLL:
             last = region_buffer.addr + region_buffer.size - 1
-            addr = yield self.node.waiter.wait_for_write(last, wakeup)
+            addr = yield self.node.waiter.wait_for_write(last, POLL)
             return addr
         if ctl_buffer is None:
             raise ValueError("SEND_RECV completion needs a posted control buffer")

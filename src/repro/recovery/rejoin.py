@@ -90,20 +90,6 @@ class RecoveryReport:
             for r in self.rejoins
         )
 
-    def describe(self) -> list[str]:
-        lines = []
-        for r in self.rejoins:
-            age = "no checkpoint" if r.checkpoint_age_ns is None else f"ckpt {r.checkpoint_age_ns:.0f}ns old"
-            lines.append(
-                f"node {r.node} rejoined at {r.time:.0f}ns (incarnation {r.incarnation}, "
-                f"{r.mailboxes_restored} mailboxes, {r.peers_greeted} peers, {age})"
-            )
-        lines.append(f"hellos serviced: {len(self.hellos_serviced)}")
-        lines.append(f"replies consumed: {len(self.replies_consumed)}")
-        for hole in self.replay_holes:
-            lines.append(f"replay hole: {hole}")
-        return lines
-
 
 class RecoveryAgent:
     """Per-node recovery logic: journals, checkpoints, rejoin handshake."""
@@ -378,11 +364,6 @@ class RecoveryManager:
 
     def agent(self, node_id: int) -> RecoveryAgent:
         return self.agents[node_id]
-
-    def checkpoint_now(self) -> None:
-        """Force an immediate snapshot on every healthy node (tests)."""
-        for agent in self.agents.values():
-            agent.daemon.take()
 
     def _node_crashed(self, node_id: int) -> None:
         self.agents[node_id].on_crash()

@@ -19,7 +19,7 @@ retry budget is immediate evidence of death, reported via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..sim.process import Future
 from .transport import ReliabilityConfig, ReliableTransport
@@ -61,7 +61,6 @@ class FailureDetector:
         #: smoothed inter-arrival of proofs of life, per peer (EWMA).
         self._smoothed: dict[int, float] = {}
         self.suspected: dict[int, PeerFailed] = {}
-        self._callbacks: list[Callable[[PeerFailed], None]] = []
         #: open suspicion spans, peer -> Span (suspect -> reinstate).
         self._susp_spans: dict[int, object] = {}
         transport.on_heard_from = self.heard_from
@@ -96,10 +95,6 @@ class FailureDetector:
     def failure_future(self, peer: int) -> Future:
         """A future resolved with :class:`PeerFailed` (starts a watch)."""
         return self.watch(peer).failed
-
-    def on_failure(self, cb: Callable[[PeerFailed], None]) -> None:
-        """Register a callback fired once per newly suspected peer."""
-        self._callbacks.append(cb)
 
     def is_suspected(self, peer: int) -> bool:
         return peer in self.suspected
@@ -152,7 +147,6 @@ class FailureDetector:
         for w in self._watches.values():
             w.active = False
         self._watches.clear()
-        self._callbacks.clear()
 
     # ------------------------------------------------------------------ internals
 
@@ -183,5 +177,3 @@ class FailureDetector:
             if w.failed is not None and not w.failed.done:
                 w.failed.resolve(record)
         self.nic.on_peer_suspected(record)
-        for cb in list(self._callbacks):
-            cb(record)

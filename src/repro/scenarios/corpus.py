@@ -39,10 +39,6 @@ class CorpusEntry:
     expected: FailureFingerprint
     note: str = ""
 
-    def describe(self) -> str:
-        want = self.expected.describe() if self.expected else "pass"
-        return f"{self.path.name}: {self.scenario.workload_kind}, expect {want}"
-
 
 @dataclass
 class ReplayVerdict:

@@ -89,12 +89,7 @@ class ShardMap:
     indirection buys over address-based RDMA placement.
     """
 
-    def __init__(
-        self,
-        server_nodes: list[int],
-        shards_per_node: int = 1,
-        request_mailbox_base: int = REQUEST_MAILBOX_BASE,
-    ) -> None:
+    def __init__(self, server_nodes: list[int], shards_per_node: int = 1) -> None:
         if not server_nodes:
             raise ValueError("shard map requires at least one server node")
         if shards_per_node < 1:
@@ -102,7 +97,6 @@ class ShardMap:
         self.server_nodes = list(server_nodes)
         self.shards_per_node = shards_per_node
         self.n_shards = len(server_nodes) * shards_per_node
-        self.request_mailbox_base = request_mailbox_base
 
     def shard_of(self, key: bytes) -> int:
         return stable_hash64(key) % self.n_shards
@@ -111,7 +105,7 @@ class ShardMap:
         return self.server_nodes[shard % len(self.server_nodes)]
 
     def mailbox_of(self, shard: int) -> int:
-        return self.request_mailbox_base + shard
+        return REQUEST_MAILBOX_BASE + shard
 
     def locate(self, key: bytes) -> tuple[int, int, int]:
         """(shard, server node, request mailbox) for *key*."""
@@ -141,7 +135,6 @@ class KvServerConfig:
     #: so the service has a finite capacity worth isolating.
     service_ns_per_request: float = 0.0
     service_ns_per_byte: float = 0.0
-    reply_mailbox_base: int = REPLY_MAILBOX_BASE
     #: Opt-in active mailboxes (repro.nic.active): keys listed here get
     #: a NIC-side GET short-circuit — the completion unit serves them
     #: from a server-synced read-only view, and the host sweep never
@@ -218,10 +211,6 @@ class KvServer:
         """Stop sweeping at the next idle wakeup (processes drain out)."""
         self._stopped = True
 
-    @property
-    def finished(self) -> bool:
-        return all(p.finished for p in self._procs)
-
     # ------------------------------------------------------------------ sweeping
 
     def _stream_backlog(self, stream: StreamServer) -> int:
@@ -247,7 +236,7 @@ class KvServer:
         if hot:
             # Arm the NIC-side GET short-circuit, then seed its view
             # with whatever the store already holds for the hot keys.
-            handler = KvServeHandler(hot_keys=hot, reply_mailbox_base=cfg.reply_mailbox_base)
+            handler = KvServeHandler(hot_keys=hot, reply_mailbox_base=REPLY_MAILBOX_BASE)
             yield from self.api.attach_handler(stream.win, handler)
             for key in hot:
                 value = store.get(key)
@@ -393,7 +382,7 @@ class KvServer:
             self._bytes_out.add(len(batch))
             op = yield from self.api.put(
                 node_of_client(client_id),
-                self.config.reply_mailbox_base + client_id,
+                REPLY_MAILBOX_BASE + client_id,
                 data=batch,
                 mode=RoutingMode.STATIC,
             )
@@ -439,7 +428,6 @@ class KvClient:
         api: RvmaApi,
         shard_map: ShardMap,
         index: int = 0,
-        reply_mailbox_base: int = REPLY_MAILBOX_BASE,
         reply_slots: int = 8,
         max_reply_bytes: int = 8192,
         max_put_bytes: int = 4096,
@@ -456,7 +444,7 @@ class KvClient:
         #: within one server chunk (keep this <= KvServerConfig.chunk_bytes).
         self.max_put_bytes = max_put_bytes
         self.client_id = client_id_of(api.node.node_id, index)
-        self.reply_mailbox = reply_mailbox_base + self.client_id
+        self.reply_mailbox = REPLY_MAILBOX_BASE + self.client_id
         self.reply_slots = reply_slots
         self.max_reply_bytes = max_reply_bytes
         #: Tenant stamped into every request frame this client issues.

@@ -77,9 +77,6 @@ class TenantDirectory:
         """Spec for *tenant_id*; unknown tenants get the default policy."""
         return self._specs.get(tenant_id, self.default_spec)
 
-    def ids(self) -> list[int]:
-        return sorted(self._specs)
-
     # ------------------------------------------------------------- membership
 
     def assign_node(self, node_id: int, tenant_id: int) -> None:

@@ -140,13 +140,6 @@ class Connection:
                 yield from self._pull_more()
         return bytes(out)
 
-    def recv_some(self) -> Generator:
-        """Receive whatever arrives next, like a plain recv."""
-        if self._pending:
-            return bytes(self._pending.popleft())
-        yield from self._pull_more()
-        return bytes(self._pending.popleft())
-
     def flush_peer_tail(self) -> Generator:
         """Surface a partially-filled incoming chunk now (push semantics)."""
         yield from self.rx.flush()

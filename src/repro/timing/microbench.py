@@ -153,7 +153,6 @@ def rdma_verbs_latency(
     iterations: int = DEFAULT_ITERATIONS,
     warmup: int = DEFAULT_WARMUP,
     fidelity: str = "packet",
-    allow_unsafe: bool = False,
 ) -> float:
     """Mean one-way RDMA completed-write latency over Verbs, in ns.
 

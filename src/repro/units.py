@@ -31,11 +31,6 @@ def us(x: float) -> float:
     return x * US
 
 
-def ms(x: float) -> float:
-    """Return *x* milliseconds in nanoseconds."""
-    return x * MS
-
-
 def seconds(x: float) -> float:
     """Return *x* seconds in nanoseconds."""
     return x * S
@@ -68,11 +63,6 @@ def gbps(x: float) -> float:
     crossbar and DMA engine in the simulator.
     """
     return x / 8.0
-
-
-def gBps(x: float) -> float:
-    """Convert gigabytes/second to bytes/nanosecond (identity by design)."""
-    return float(x)
 
 
 def serialization_ns(size_bytes: int, bw_bytes_per_ns: float) -> float:

@@ -21,7 +21,7 @@ an A/B instrument over *identical* offered load.
   ``corpus/traces/`` with pinned identities.
 """
 
-from .exemplars import EXEMPLAR_NAMES, EXEMPLARS, exemplar_path, load_exemplar
+from .exemplars import EXEMPLAR_NAMES, EXEMPLARS, load_exemplar
 from .recorder import TraceRecorder
 from .replayer import TraceReplayer, apply_kv_step, check_replay_safety, request_frames, value_for
 from .trace import (
@@ -59,7 +59,6 @@ __all__ = [
     "check_replay_safety",
     "compose",
     "diurnal_ramp",
-    "exemplar_path",
     "inject_flash_crowd",
     "load_exemplar",
     "request_frames",

@@ -64,13 +64,6 @@ EXEMPLARS = {
 EXEMPLAR_NAMES = tuple(sorted(EXEMPLARS))
 
 
-def exemplar_path(name: str) -> Path:
-    info = EXEMPLARS.get(name)
-    if info is None:
-        raise KeyError(f"unknown exemplar trace {name!r} (have {EXEMPLAR_NAMES})")
-    return TRACES_DIR / info.file
-
-
 def load_exemplar(name: str) -> Trace:
     """Load a committed exemplar and verify it matches its pinned shape."""
     info = EXEMPLARS[name] if name in EXEMPLARS else None

@@ -43,11 +43,6 @@ class TraceRecorder:
             client.recorder = self
         return self
 
-    def detach(self, *clients) -> None:
-        for client in clients:
-            if client.recorder is self:
-                client.recorder = None
-
     def note(self, t_ns: float, tenant: int, client_id: int,
              op_code: int, key: bytes, value_size: int) -> None:
         """Record one offered op (called from the KvClient hot path)."""
@@ -65,10 +60,6 @@ class TraceRecorder:
         self._recorded.add()
 
     # ------------------------------------------------------------- output
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._rows)
 
     def finish(self, provenance: Optional[dict] = None) -> Trace:
         """Freeze the recording into a validated Trace.

@@ -54,6 +54,51 @@ def test_connect_accept_roundtrip():
     assert echo == (b"0123456789abcdef" * 2)[::-1]
 
 
+def test_closed_connection_nacks_peer_sends():
+    cl = _cluster()
+    srv_api, cli_api = RvmaApi(cl.node(0)), RvmaApi(cl.node(1))
+
+    def server():
+        listener = yield from RvmaListener(srv_api, port=5, chunk_size=32).listen()
+        conn = yield from listener.accept()
+        yield from conn.close()
+        return conn
+
+    def client():
+        yield 1000.0
+        conn = yield from connect(cli_api, 0, port=5, chunk_size=32)
+        yield 20_000.0  # the server has closed its receive window by now
+        yield from conn.send(b"x" * 32)
+
+    conn, _ = _drive(cl, server(), client())
+    assert conn.closed
+    assert cl.node(0).nic.stat("nic.rvma.nacks_closed").value == 1
+    assert cl.node(1).nic.stat("nic.rvma.puts_lost").value == 1
+    with pytest.raises(SocketError):
+        next(conn.recv(1))
+
+
+def test_closed_listener_nacks_connect_hello():
+    cl = _cluster()
+    srv_api, cli_api = RvmaApi(cl.node(0)), RvmaApi(cl.node(1))
+
+    def server():
+        listener = yield from RvmaListener(srv_api, port=6).listen()
+        yield from listener.close()
+
+    def client():
+        yield 5000.0
+        yield from connect(cli_api, 0, port=6)
+
+    srv = spawn(cl.sim, server(), "srv")
+    cli = spawn(cl.sim, client(), "cli")
+    cl.sim.run()
+    assert srv.finished
+    assert not cli.finished  # the refused hello is never accepted
+    assert cl.node(0).nic.stat("nic.rvma.nacks_closed").value == 1
+    assert cl.node(1).nic.stat("nic.rvma.puts_lost").value == 1
+
+
 def test_recv_exact_spans_multiple_chunks():
     cl = _cluster()
     srv_api, cli_api = RvmaApi(cl.node(0)), RvmaApi(cl.node(1))

@@ -283,3 +283,32 @@ def test_stream_recycling_keeps_rewind_ring_intact(stream_pair):
     # Fresh chunks stop once the first consumed chunk leaves the ring:
     # n_chunks + retain chunks in all, each with one notification line.
     assert memory.allocation_count - allocated == 2 * (server.n_chunks + retain)
+
+
+# --- MPI RMA window ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nic", ["rvma", "rdma"])
+def test_write_local_is_kept_beside_remote_puts_and_readable_remotely(nic):
+    from repro.mpi import MpiRma
+
+    cl = Cluster.build(n_nodes=2, topology="star", nic_type=nic, fidelity="flow")
+    rma = MpiRma(cl, ring_depth=3)
+    seen = {}
+
+    def rank_proc(r):
+        win = yield from rma.win_allocate(r, size=32, win_id=1)
+        if r == 1:
+            win.write_local(0, b"L" * 8)
+        else:
+            yield from win.put(1, data=b"R" * 8, disp=16)
+        yield from win.fence()
+        seen[r] = win.read(0, 24)
+        if r == 0:
+            seen["get"] = yield from win.get(1, 8, disp=0)
+        yield from win.fence()
+
+    run_gens(cl.sim, rank_proc(0), rank_proc(1))
+    assert seen[1] == b"L" * 8 + bytes(8) + b"R" * 8
+    assert seen[0] == bytes(24)
+    assert seen["get"] == b"L" * 8

@@ -12,10 +12,13 @@ from repro.timing import (
     VERBS_OPA_SKYLAKE,
     AmortizationPoint,
     amortization_analysis,
+    clear_timing_caches,
     latency_sweep,
     measure_setup_ns,
+    rdma_bandwidth,
     rdma_ucx_latency,
     rdma_verbs_latency,
+    rvma_bandwidth,
     rvma_latency,
 )
 
@@ -58,6 +61,24 @@ def test_lastbyte_static_close_to_rvma():
         RoutingMode.STATIC, iterations=3, warmup=1,
     )
     assert abs(rvma - lastbyte) / lastbyte < 0.15  # "comparable" (paper)
+
+
+def test_small_message_stream_rate_favours_rvma():
+    rvma = rvma_bandwidth(VERBS_OPA_SKYLAKE, 64, n_messages=16, window=4)
+    rdma = rdma_bandwidth(VERBS_OPA_SKYLAKE, 64, n_messages=16, window=4)
+    assert rdma.n_messages == rvma.n_messages == 16
+    # RDMA's ready/write/ack/signal cycle caps its rate well below RVMA's.
+    assert rvma.msgs_per_us > 3 * rdma.msgs_per_us
+
+
+def test_cleared_cache_recomputes_an_equal_result():
+    first = rdma_bandwidth(VERBS_OPA_SKYLAKE, 64, n_messages=8, window=2)
+    assert rdma_bandwidth(VERBS_OPA_SKYLAKE, 64, n_messages=8, window=2) is first
+    clear_timing_caches()
+    assert not rdma_bandwidth.cache
+    fresh = rdma_bandwidth(VERBS_OPA_SKYLAKE, 64, n_messages=8, window=2)
+    assert fresh is not first
+    assert fresh == first
 
 
 def test_ucx_latency_above_verbs_latency():

@@ -11,7 +11,14 @@ deps, and is how the committed ``--cov-fail-under`` number was measured.
     python tools/coverage_floor.py --per-file tests/unit -k fabric
 
 Every argument except ``--per-file`` (print every module's number) is
-passed to pytest unchanged and in order.
+passed to pytest unchanged and in order.  ``src`` is exported on
+``PYTHONPATH`` too, so tests that start a Python subprocess import the
+same tree.
+
+After the totals it lists the never-run functions: those none of whose
+body lines executed.  Abstract methods, ``# pragma: no cover`` blocks and
+bodies that hold only a docstring or ``raise NotImplementedError`` are
+not listed; a function inside a listed one is counted with it.
 
 It installs a ``sys.settrace`` hook (threads included via
 ``threading.settrace``), runs pytest in-process, then reports
@@ -28,6 +35,7 @@ of tests for a quick look.
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import threading
 from pathlib import Path
@@ -57,6 +65,60 @@ def executable_lines(path: Path) -> set[int]:
             excluded.update(span)
         lines.add(node.lineno)
     return {l for l in lines if l not in excluded}
+
+
+def _is_stub(body: list[ast.stmt]) -> bool:
+    """True for a body of only a docstring and/or ``raise NotImplementedError``."""
+    for stmt in body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue
+        if isinstance(stmt, ast.Raise) and stmt.exc is not None:
+            exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+            if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+                continue
+        return False
+    return True
+
+
+def _is_abstract(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    for dec in node.decorator_list:
+        name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+        if name == "abstractmethod":
+            return True
+    return False
+
+
+def never_run(path: Path, hits: set[int]) -> list[tuple[str, int, int]]:
+    """``(qualname, def line, body lines)`` of each function in *path* none
+    of whose executable body lines is in *hits*."""
+    want = executable_lines(path)
+    found: list[tuple[str, int, int]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}{child.name}"
+                body = child.body
+                if (body and isinstance(body[0], ast.Expr)
+                        and isinstance(body[0].value, ast.Constant)):
+                    body = body[1:]
+                if child.lineno not in want or _is_abstract(child) or _is_stub(body):
+                    continue
+                lines = {
+                    l for l in want
+                    if body[0].lineno <= l <= (child.end_lineno or l)
+                }
+                if lines and not lines & hits:
+                    found.append((qualname, child.lineno, len(lines)))
+                else:
+                    visit(child, f"{qualname}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
 
 
 class Collector:
@@ -96,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     pytest_args, per_file = split_args(sys.argv[1:] if argv is None else argv)
 
     sys.path.insert(0, str(SRC))
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
     import pytest
 
     collector = Collector()
@@ -109,20 +174,28 @@ def main(argv: list[str] | None = None) -> int:
 
     total_exec = total_hit = 0
     rows = []
+    unrun = []
     for path in sorted(PKG.rglob("*.py")):
         want = executable_lines(path)
         if not want:
             continue
-        got = collector.hits.get(str(path), set()) & want
+        hits = collector.hits.get(str(path), set())
+        got = hits & want
         total_exec += len(want)
         total_hit += len(got)
-        rows.append((path.relative_to(SRC), len(got), len(want)))
+        rel = path.relative_to(SRC)
+        rows.append((rel, len(got), len(want)))
+        unrun.extend((rel, *fn) for fn in never_run(path, hits))
 
     if per_file:
         for rel, hit, want in rows:
             print(f"{100.0 * hit / want:6.1f}%  {hit:5}/{want:<5}  {rel}")
     pct = 100.0 * total_hit / max(total_exec, 1)
     print(f"\nTOTAL: {total_hit}/{total_exec} lines = {pct:.2f}%")
+    n_lines = sum(n for *_, n in unrun)
+    print(f"\nNEVER RUN: {len(unrun)} functions, {n_lines} lines")
+    for rel, qualname, line, n in unrun:
+        print(f"  {rel.as_posix()}:{line}  {qualname}  ({n} lines)")
     return 0 if exit_code == 0 else int(exit_code)
 
 
