@@ -18,7 +18,7 @@ retry budget is immediate evidence of death, reported via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sim.process import Future
