@@ -30,8 +30,8 @@ from typing import Generator, Optional
 
 from ..memory.buffer import HostBuffer
 from ..memory.mwait import MWAIT, WakeupModel
-from ..nic.lut import BufferMode, EpochType, LutError, RetiredBuffer
-from ..nic.rvma import GetOp, PutOp, RvmaNic
+from ..nic.lut import BufferMode, EpochType, LutError
+from ..nic.rvma import RvmaNic
 from ..network.routing import RoutingMode
 from .addressing import RvmaAddress, resolve_destination
 from .status import RvmaApiError, RvmaStatus

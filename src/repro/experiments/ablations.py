@@ -16,34 +16,35 @@ from ..memory.mwait import CQ_POLL, MWAIT, POLL
 from ..memory.pcie import GEN3, GEN4, GEN5, GEN6, PAPER_SIM
 from ..nic.lut import EpochType
 from ..nic.rvma import RvmaNicConfig
-from ..timing.calibration import Testbed, VERBS_OPA_SKYLAKE
+from ..timing.calibration import VERBS_OPA_SKYLAKE
 from ..timing.microbench import rvma_latency
 from .report import ExperimentResult
 
 ABLATION_SIZE = 1024
 
 
-def run_ablation_lut(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABLATION_SIZE) -> ExperimentResult:
+def _nic_config(gen, **kw) -> RvmaNicConfig:
+    """The calibrated testbed's RVMA NIC on PCIe generation *gen*."""
+    return RvmaNicConfig(
+        pcie=gen, nic_proc=VERBS_OPA_SKYLAKE.nic_proc,
+        issue_overhead=VERBS_OPA_SKYLAKE.issue_overhead, **kw,
+    )
+
+
+def run_ablation_lut() -> ExperimentResult:
     """A1: completion latency with on-NIC vs spilled (host) counters."""
     rows = []
     for gen in (GEN3, GEN4, PAPER_SIM, GEN5, GEN6):
-        on_nic = rvma_latency(
-            testbed, size,
-            nic_cfg=RvmaNicConfig(pcie=gen, nic_proc=testbed.nic_proc,
-                                  issue_overhead=testbed.issue_overhead),
-        )
+        on_nic = rvma_latency(VERBS_OPA_SKYLAKE, ABLATION_SIZE, nic_cfg=_nic_config(gen))
         spilled = rvma_latency(
-            testbed, size,
-            nic_cfg=RvmaNicConfig(pcie=gen, nic_proc=testbed.nic_proc,
-                                  issue_overhead=testbed.issue_overhead,
-                                  nic_counters=0),
+            VERBS_OPA_SKYLAKE, ABLATION_SIZE, nic_cfg=_nic_config(gen, nic_counters=0)
         )
         rows.append([gen.name, round(on_nic), round(spilled),
                      round(spilled - on_nic), (spilled - on_nic) / on_nic * 100.0])
     penalties = {r[0]: r[3] for r in rows}
     return ExperimentResult(
         name="ablation-lut",
-        title=f"A1: on-NIC vs host-memory threshold counters ({size}B put)",
+        title=f"A1: on-NIC vs host-memory threshold counters ({ABLATION_SIZE}B put)",
         headers=["pcie", "on_nic_ns", "spilled_ns", "penalty_ns", "penalty_%"],
         rows=rows,
         summary={
@@ -57,16 +58,16 @@ def run_ablation_lut(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABLATION_
     )
 
 
-def run_ablation_completion(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABLATION_SIZE) -> ExperimentResult:
+def run_ablation_completion() -> ExperimentResult:
     """A2: receiver wakeup mechanism comparison."""
     rows = []
     for model in (MWAIT, POLL, CQ_POLL):
-        lat = rvma_latency(testbed, size, wakeup=model)
+        lat = rvma_latency(VERBS_OPA_SKYLAKE, ABLATION_SIZE, wakeup=model)
         rows.append([model.name, round(lat), model.wake_latency, model.poll_interval])
     mwait = rows[0][1]
     return ExperimentResult(
         name="ablation-completion",
-        title=f"A2: completion wakeup mechanism ({size}B put)",
+        title=f"A2: completion wakeup mechanism ({ABLATION_SIZE}B put)",
         headers=["mechanism", "latency_ns", "wake_ns", "poll_interval_ns"],
         rows=rows,
         summary={"mwait_ns": mwait, "cq_poll_extra_ns": rows[2][1] - mwait},
@@ -77,7 +78,7 @@ def run_ablation_completion(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = AB
     )
 
 
-def run_ablation_threshold(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABLATION_SIZE) -> ExperimentResult:
+def run_ablation_threshold() -> ExperimentResult:
     """A3: EPOCH_BYTES vs EPOCH_OPS for single-put epochs.
 
     Uses the same ping-pong with the two threshold interpretations;
@@ -85,15 +86,14 @@ def run_ablation_threshold(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABL
     check as much as a cost ablation.
     """
     import repro.timing.microbench as mb
-    from ..cluster.builder import Cluster
     from ..core.api import RvmaApi
     from ..sim.process import spawn
 
     rows = []
-    for etype, threshold in ((EpochType.EPOCH_BYTES, size), (EpochType.EPOCH_OPS, 1)):
-        cl = mb._build(testbed, "rvma", testbed.net.routing, "packet")
-        api0 = RvmaApi(cl.node(0), testbed.rvma_sw_overhead)
-        api1 = RvmaApi(cl.node(1), testbed.rvma_sw_overhead)
+    for etype, threshold in ((EpochType.EPOCH_BYTES, ABLATION_SIZE), (EpochType.EPOCH_OPS, 1)):
+        cl = mb._build(VERBS_OPA_SKYLAKE, "rvma", VERBS_OPA_SKYLAKE.net.routing, "packet")
+        api0 = RvmaApi(cl.node(0), VERBS_OPA_SKYLAKE.rvma_sw_overhead)
+        api1 = RvmaApi(cl.node(1), VERBS_OPA_SKYLAKE.rvma_sw_overhead)
         samples: list[float] = []
         starts: list[float] = []
         total = 6
@@ -102,7 +102,7 @@ def run_ablation_threshold(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABL
                      samples=samples, starts=starts):
             win = yield from api1.init_window(0xE0, threshold, etype)
             for _ in range(total):
-                yield from api1.post_buffer(win, size=size)
+                yield from api1.post_buffer(win, size=ABLATION_SIZE)
             for i in range(total):
                 yield from api1.wait_completion(win)
                 samples.append(cl.sim.now - starts[i])
@@ -116,7 +116,7 @@ def run_ablation_threshold(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABL
             yield 5000.0
             for _ in range(total):
                 starts.append(cl.sim.now)
-                yield from api0.put(1, 0xE0, size=size)
+                yield from api0.put(1, 0xE0, size=ABLATION_SIZE)
                 yield from api0.wait_completion(pong)
 
         spawn(cl.sim, receiver(), "rx")
@@ -127,7 +127,7 @@ def run_ablation_threshold(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABL
     delta = abs(rows[0][1] - rows[1][1])
     return ExperimentResult(
         name="ablation-threshold",
-        title=f"A3: epoch threshold type parity ({size}B single-put epochs)",
+        title=f"A3: epoch threshold type parity ({ABLATION_SIZE}B single-put epochs)",
         headers=["threshold_type", "latency_ns"],
         rows=rows,
         summary={"bytes_vs_ops_delta_ns": delta},
@@ -136,19 +136,15 @@ def run_ablation_threshold(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABL
     )
 
 
-def run_ablation_pcie(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABLATION_SIZE) -> ExperimentResult:
+def run_ablation_pcie() -> ExperimentResult:
     """A4: end-to-end completed-put latency across PCIe generations."""
     rows = []
     for gen in (GEN3, GEN4, PAPER_SIM, GEN5, GEN6):
-        lat = rvma_latency(
-            testbed, size,
-            nic_cfg=RvmaNicConfig(pcie=gen, nic_proc=testbed.nic_proc,
-                                  issue_overhead=testbed.issue_overhead),
-        )
+        lat = rvma_latency(VERBS_OPA_SKYLAKE, ABLATION_SIZE, nic_cfg=_nic_config(gen))
         rows.append([gen.name, gen.latency, round(lat)])
     return ExperimentResult(
         name="ablation-pcie",
-        title=f"A4: PCIe generation sweep ({size}B put)",
+        title=f"A4: PCIe generation sweep ({ABLATION_SIZE}B put)",
         headers=["pcie", "bus_latency_ns", "put_latency_ns"],
         rows=rows,
         summary={"gen3_ns": rows[0][2], "gen6_ns": rows[-1][2]},
@@ -159,7 +155,7 @@ def run_ablation_pcie(testbed: Testbed = VERBS_OPA_SKYLAKE, size: int = ABLATION
     )
 
 
-def run_ablation_write_imm(testbed: Testbed = VERBS_OPA_SKYLAKE) -> ExperimentResult:
+def run_ablation_write_imm() -> ExperimentResult:
     """A5: write-with-immediate as a completion mechanism.
 
     The paper (§I, §VI) notes RDMA's completion-carrying commands only
@@ -173,11 +169,11 @@ def run_ablation_write_imm(testbed: Testbed = VERBS_OPA_SKYLAKE) -> ExperimentRe
 
     rows = []
     for size in (16, 64, 256, 4096):
-        rvma = rvma_latency(testbed, size)
-        send_recv = rdma_verbs_latency(testbed, size, CompletionMode.SEND_RECV)
+        rvma = rvma_latency(VERBS_OPA_SKYLAKE, size)
+        send_recv = rdma_verbs_latency(VERBS_OPA_SKYLAKE, size, CompletionMode.SEND_RECV)
         if size <= MAX_IMM_PAYLOAD:
             imm = round(
-                rdma_verbs_latency(testbed, size, CompletionMode.WRITE_IMM)
+                rdma_verbs_latency(VERBS_OPA_SKYLAKE, size, CompletionMode.WRITE_IMM)
             )
         else:
             imm = "n/a (>64B)"

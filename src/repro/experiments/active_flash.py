@@ -20,9 +20,9 @@ re-runs the active-on flash crowd under link flaps with the
 :class:`~repro.recovery.auditor.InvariantAuditor` armed — handler
 effects must stay byte-identical through retransmits and replay.
 
-Also the home of the ``active`` CLI subcommand, one cell
-(``rvma-experiments active --help``); the sweep is the
-``active-flash`` experiment.
+The ``active-flash`` experiment runs the sweep; ``--seed N`` runs one
+seed, whose three rows (flash, incast, chaos) print every number of its
+cells.
 """
 
 from __future__ import annotations
@@ -182,18 +182,14 @@ def run_flash_crowd(
     return FlashOutcome(seed=seed, variant=variant, off=off, on=on)
 
 
-def run_flash_chaos(
-    seed: int = 1,
-    n_hot: int = DEFAULT_HOT_KEYS,
-    n_ops: int = 200,
-) -> KvCellResult:
+def run_flash_chaos(seed: int = 1) -> KvCellResult:
     """Active-on flash crowd under link flaps with the auditor shadowing
     every placement/completion — handler rewrites and injected replies
     must keep epoch bytes identical through retransmits."""
     return _run_cell(
         seed, active=True,
-        workload=_flash_workload(n_hot, n_ops, deadline_ns=8_000_000.0),
-        n_hot=n_hot, n_server_nodes=2, shards_per_node=2,
+        workload=_flash_workload(DEFAULT_HOT_KEYS, 200, deadline_ns=8_000_000.0),
+        n_hot=DEFAULT_HOT_KEYS, n_server_nodes=2, shards_per_node=2,
         n_client_nodes=3, clients_per_node=2, chaos=True,
     )
 
@@ -258,48 +254,3 @@ def run_flash_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
             "host-served reply"
         },
     )
-
-
-# ---------------------------------------------------------------- active CLI
-
-
-def add_active_command(sub, parents: list) -> None:
-    """Add ``rvma-experiments active``: run one flash-crowd cell."""
-    parser = sub.add_parser(
-        "active", parents=parents, help="run one hot-key flash-crowd cell",
-        description="Hot-key flash-crowd cell for NIC-side active mailboxes",
-    )
-    parser.add_argument(
-        "--variant", choices=("flash", "incast"), default="flash",
-        help="workload shape of the contrast cell",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="active-on under link flaps with the auditor armed",
-    )
-    parser.set_defaults(handler=_active)
-
-
-def _active(args) -> int:
-    seed = args.seed if args.seed is not None else 1
-    if args.chaos:
-        chaos = run_flash_chaos(seed=seed)
-        print(
-            f"active-chaos seed={seed}: served {chaos.served}, "
-            f"client handler replies {chaos.handler_served}, "
-            f"p99 {chaos.p99_ns:,.0f} ns, "
-            f"audit {'ok' if chaos.audit_ok else f'{chaos.audit_violations} VIOLATIONS'}"
-        )
-        return 0 if chaos.invariants_ok and chaos.served > 0 else 1
-    out = run_flash_crowd(seed=seed, variant=args.variant)
-    print(
-        f"active-flash seed={out.seed} variant={out.variant}: "
-        f"p99 {out.off.p99_ns:,.0f} ns off vs {out.on.p99_ns:,.0f} ns on "
-        f"(speedup {out.speedup:.2f}), served {out.on.served}, "
-        f"host dispatches saved {out.dispatch_saving}"
-    )
-    print(
-        f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}; "
-        f"contrast: {'yes' if out.contrast_ok else 'NO'}"
-    )
-    return 0 if out.invariants_ok and out.contrast_ok else 1

@@ -67,6 +67,9 @@ DEFAULT_HORIZON_NS = 400_000.0
 DEFAULT_EVENTS = 4
 DEFAULT_MAX_WINDOW_NS = 50_000.0
 
+#: Cluster size of the chaos and crash sweeps' cells.
+CHAOS_NODES = 8
+
 
 #: Default motif shapes for the chaos sweeps (the scenario fuzzer
 #: overrides these per scenario via ``motif_params``).
@@ -331,18 +334,17 @@ _EXACT = {True: "yes", False: "NO", None: "-"}
 def run_chaos(
     seeds: tuple = (1, 2, 3),
     motifs: tuple = ("allreduce", "incast", "halo3d"),
-    n_nodes: int = 8,
     **kw,
 ) -> ExperimentResult:
     """The chaos sweep: every motif x every seed, invariants audited."""
     outs = [
-        run_motif_under_chaos(motif, seed=seed, n_nodes=n_nodes, **kw)
+        run_motif_under_chaos(motif, seed=seed, n_nodes=CHAOS_NODES, **kw)
         for motif in motifs
         for seed in seeds
     ]
     return ExperimentResult(
         name="chaos",
-        title=f"Chaos harness: motifs under composed fault schedules ({n_nodes} nodes)",
+        title=f"Chaos harness: motifs under composed fault schedules ({CHAOS_NODES} nodes)",
         headers=["motif", "seed", "drops", "retransmits", "dups", "completed", "exact"],
         rows=[
             [
@@ -372,7 +374,7 @@ def run_chaos(
 def run_crash_restart(
     seeds: tuple = (1, 2, 3),
     motifs: tuple = ("allreduce", "incast", "halo3d"),
-    n_nodes: int = 8,
+    n_nodes: int = CHAOS_NODES,
     **kw,
 ) -> ExperimentResult:
     """The crash-restart sweep: motifs survive a mid-run node crash.

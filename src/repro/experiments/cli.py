@@ -7,14 +7,14 @@ Usage::
     rvma-experiments all --nodes 64 --out results.md
     rvma-experiments fig7 --paper-scale     # 8,192 nodes, slow
     rvma-experiments kv-churn --seed 2      # exits 1 if its verdict fails
-    rvma-experiments services --ops 40      # one KV cell (also qos, active)
+    rvma-experiments services --ops 40      # one KV cell
     rvma-experiments trace replay steady-mix --seed 2
     rvma-experiments fuzz run --seed-start 1 --count 20
 
 This module holds the only argument parser.  Every :data:`REGISTRY`
 entry is a subcommand that prints the regenerated table, its summary
 and the paper's headline claims next to the measured ones.  The
-single-cell KV commands, ``trace`` and ``fuzz`` add their own
+single-cell ``services`` command, ``trace`` and ``fuzz`` add their own
 subcommands from the modules that implement them.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..scenarios.cli import add_fuzz_command
-from .active_flash import add_active_command, run_flash_sweep
+from .active_flash import run_flash_sweep
 from .ablations import (
     run_ablation_completion,
     run_ablation_lut,
@@ -42,7 +42,7 @@ from .fig45 import run_fig4, run_fig5
 from .fig6 import run_fig6
 from .kv_churn import add_services_command, run_kv_churn
 from .motif_sweep import run_fig7, run_fig8
-from .qos_noisy import add_qos_command, run_noisy_sweep
+from .qos_noisy import run_noisy_sweep
 from .report import ExperimentResult, save_run_report
 from .trace_replay import add_trace_command
 
@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     command = sub.add_parser("all", parents=[run, seeds, report], help="every experiment above")
     command.set_defaults(handler=run_experiments)
     add_services_command(sub, [seeds, report])
-    add_qos_command(sub, [seeds])
-    add_active_command(sub, [seeds])
     add_trace_command(sub)
     add_fuzz_command(sub)
     return parser

@@ -10,20 +10,16 @@ steady states.
 from __future__ import annotations
 
 from ..timing.amortization import DEFAULT_TOLERANCE, amortization_analysis
-from ..timing.calibration import UCX_CX5_THUNDERX2, Testbed
+from ..timing.calibration import UCX_CX5_THUNDERX2
 from .report import ExperimentResult
 
 FIG6_SIZES = [2 ** k for k in range(4, 17, 2)]  # 16 B .. 64 KiB
 
 
-def run_fig6(
-    sizes: list[int] | None = None,
-    testbed: Testbed = UCX_CX5_THUNDERX2,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ExperimentResult:
+def run_fig6(sizes: list[int] | None = None) -> ExperimentResult:
     """Fig 6: exchanges needed to amortize RDMA buffer setup over UCX."""
     sizes = sizes or FIG6_SIZES
-    analysis = amortization_analysis(testbed, sizes, "ucx", tolerance)
+    analysis = amortization_analysis(UCX_CX5_THUNDERX2, sizes, "ucx")
     rows = []
     for stat, adap in zip(analysis["static"], analysis["adaptive"]):
         rows.append(
@@ -39,7 +35,7 @@ def run_fig6(
     max_static = max(p.exchanges_needed for p in analysis["static"])
     return ExperimentResult(
         name="fig6",
-        title=f"UCX Amortization Analysis (tolerance {tolerance:.0%})",
+        title=f"UCX Amortization Analysis (tolerance {DEFAULT_TOLERANCE:.0%})",
         headers=[
             "size_B",
             "setup_ns",
@@ -51,7 +47,7 @@ def run_fig6(
         rows=rows,
         summary={
             "max_exchanges_needed": max_static,
-            "testbed": testbed.name,
+            "testbed": UCX_CX5_THUNDERX2.name,
         },
         paper_claims={
             "observation": "a large number of exchanges is needed to amortize setup"

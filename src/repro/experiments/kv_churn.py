@@ -31,6 +31,8 @@ from .report import ExperimentResult, save_run_report
 DEFAULT_HORIZON_NS = 600_000.0
 DEFAULT_EVENTS = 3
 DEFAULT_MAX_WINDOW_NS = 40_000.0
+#: Random loss the churn sweep adds on top of its flap windows.
+CHURN_DROP_PROB = 0.02
 
 
 def run_kv_service(
@@ -91,20 +93,18 @@ def run_kv_service(
 
 def run_kv_churn(
     seeds: tuple = (1, 2, 3),
-    chaos: bool = True,
-    drop_prob: float = 0.02,
     observe: bool = False,
     trace: bool = False,
     **kw,
 ) -> ExperimentResult:
     """The churn sweep: the KV service across seeds, faults on.
 
-    ``drop_prob`` adds light random loss on top of the flap windows so
-    the retransmit column shows the ARQ earning its keep.
+    ``CHURN_DROP_PROB`` adds light random loss on top of the flap
+    windows so the retransmit column shows the ARQ earning its keep.
     """
     outs = [
         run_kv_service(
-            seed=seed, chaos=chaos, drop_prob=drop_prob if chaos else 0.0,
+            seed=seed, chaos=True, drop_prob=CHURN_DROP_PROB,
             observe=observe, trace=trace, **kw,
         )
         for seed in seeds

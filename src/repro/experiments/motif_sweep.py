@@ -10,7 +10,6 @@ scale at flow fidelity).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Type
 
@@ -26,6 +25,12 @@ from .report import ExperimentResult
 DEFAULT_TOPOLOGIES = ("dragonfly", "fattree", "hyperx", "torus3d")
 DEFAULT_RATES = ("100Gbps", "200Gbps", "400Gbps", "2Tbps")
 DEFAULT_ROUTINGS = (RoutingMode.STATIC, RoutingMode.ADAPTIVE)
+
+#: Per-message payload and per-step compute of the figures' motifs.
+FIG7_MSG_BYTES = 2048
+FIG7_COMPUTE_NS = 900.0
+FIG8_MSG_BYTES = 96 * 1024
+FIG8_COMPUTE_NS = 1000.0
 
 
 @dataclass
@@ -157,15 +162,13 @@ def run_fig7(
     rates: tuple = DEFAULT_RATES,
     routings: tuple = DEFAULT_ROUTINGS,
     kb: int = 8,
-    msg_bytes: int = 2048,
-    compute_ns: float = 900.0,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Fig 7: Sweep3D.  Paper: >=2x at contemporary rates, 4.4x at
     2 Tbps on an adaptively routed dragonfly, 3.56x average."""
     comps = run_motif_sweep(
         Sweep3D, n_nodes, topologies, rates, routings, jobs=jobs,
-        kb=kb, msg_bytes=msg_bytes, compute_ns=compute_ns,
+        kb=kb, msg_bytes=FIG7_MSG_BYTES, compute_ns=FIG7_COMPUTE_NS,
     )
     return _to_result(
         "fig7",
@@ -186,15 +189,13 @@ def run_fig8(
     rates: tuple = DEFAULT_RATES,
     routings: tuple = DEFAULT_ROUTINGS,
     iterations: int = 10,
-    msg_bytes: int = 96 * 1024,
-    compute_ns: float = 1000.0,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Fig 8: Halo3D.  Paper: 1.57x average; HyperX DOR 1.64x at
     400 Gbps and 1.89x at 2 Tbps."""
     comps = run_motif_sweep(
         Halo3D, n_nodes, topologies, rates, routings, jobs=jobs,
-        iterations=iterations, msg_bytes=msg_bytes, compute_ns=compute_ns,
+        iterations=iterations, msg_bytes=FIG8_MSG_BYTES, compute_ns=FIG8_COMPUTE_NS,
     )
     return _to_result(
         "fig8",

@@ -22,9 +22,8 @@ every issued op resolves as ok / error / RC_OVERLOAD / deadline-
 exceeded — :class:`~repro.services.LoadStats.all_resolved` is part of
 the invariant.
 
-Also the home of the ``qos`` CLI subcommand, one cell
-(``rvma-experiments qos --help``); the sweep is the ``qos-noisy``
-experiment.
+The ``qos-noisy`` experiment runs the sweep; ``--seed N`` runs one seed,
+whose two rows (QoS on, QoS off) print every number of its cells.
 """
 
 from __future__ import annotations
@@ -228,38 +227,3 @@ def run_noisy_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
             "while the victim's tail stays within a small factor of solo"
         },
     )
-
-
-# ------------------------------------------------------------------- qos CLI
-
-
-def add_qos_command(sub, parents: list) -> None:
-    """Add ``rvma-experiments qos``: run one noisy-neighbor cell."""
-    parser = sub.add_parser(
-        "qos", parents=parents, help="run one noisy-neighbor isolation cell",
-        description="Noisy-neighbor isolation cell for the multi-tenant KV service",
-    )
-    parser.add_argument(
-        "--no-qos", action="store_true",
-        help="run with QoS disabled (shows the violation)",
-    )
-    parser.set_defaults(handler=_qos)
-
-
-def _qos(args) -> int:
-    out = run_noisy_neighbor(
-        seed=args.seed if args.seed is not None else 1, qos=not args.no_qos
-    )
-    print(
-        f"qos-noisy seed={out.seed} qos={'on' if out.qos else 'off'}: "
-        f"victim p99 {out.victim_p99_ns:,.0f} ns vs solo "
-        f"{out.victim_solo_p99_ns:,.0f} ns (factor {out.isolation_factor:.2f}), "
-        f"shed {out.overload_replies}, quota rejects {out.quota_rejects}, "
-        f"victim misses {out.victim_deadline_misses}"
-    )
-    print(
-        f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}; "
-        f"isolated: {'yes' if out.isolated else 'no'}"
-        + (f" ({out.error})" if out.error else "")
-    )
-    return 0 if out.invariants_ok and (out.isolated or not out.qos) else 1

@@ -254,10 +254,7 @@ def record_trace(
     seed: int = 1,
     workload: Optional[WorkloadConfig] = None,
     client_tenants: tuple = (0, 0, 0),
-    shards_per_node: int = 2,
-    topology: str = "dragonfly",
     source: str = "loadgen",
-    sim_deadline_ns: float = TRACE_SIM_DEADLINE_NS,
 ) -> tuple:
     """Record a stock LoadGenerator run into a Trace; returns (trace, stats).
 
@@ -269,12 +266,10 @@ def record_trace(
     cell = run_kv_cell(KvCellSpec(
         groups=(ClientGroup(workload, nodes=len(client_tenants), tenants=tuple(client_tenants)),),
         seed=seed,
-        shards_per_node=shards_per_node,
         server_config=COSTED_SERVICE,
-        topology=topology,
         drain_ns=100_000.0,
         record=True,
-        deadline_ns=sim_deadline_ns,
+        deadline_ns=TRACE_SIM_DEADLINE_NS,
     ))
     if not cell.completed:
         raise RuntimeError(f"recording {cell.outcome}")
@@ -295,7 +290,6 @@ def replay_trace_frames(
     trace: Trace,
     backend: str,
     seed: int = 1,
-    topology: str = "star",
 ) -> tuple:
     """Push every trace row's wire frame through one protocol backend.
 
@@ -315,7 +309,7 @@ def replay_trace_frames(
     ]
     max_msg = max((len(f) for fs in frames.values() for f in fs), default=64)
     delivered, counts, stalled, _cluster = run_channels(
-        backend, channels, 1 + len(frames), topology, seed, max_msg, TRACE_SIM_DEADLINE_NS,
+        backend, channels, 1 + len(frames), "star", seed, max_msg, TRACE_SIM_DEADLINE_NS,
     )
     return delivered, counts, stalled
 

@@ -128,21 +128,20 @@ class ChaosSchedule:
         max_window_ns: float = 60_000.0,
         drop_prob: float = 0.0,
         kinds: tuple = WINDOW_KINDS,
-        stream: str = "chaos",
         n_crashes: int = 0,
     ) -> "ChaosSchedule":
         """Draw a random schedule from the cluster's named RNG streams.
 
-        Deterministic per (simulator seed, stream, parameters); the
-        same cluster seed always suffers the same chaos.  ``n_crashes``
-        adds crash-restart events (:func:`sample_crashes`, streams
-        ``{stream}.crash.*``) ahead of the fault windows
-        (:func:`sample_windows`, streams ``{stream}.*``).
+        Deterministic per (simulator seed, parameters); the same
+        cluster seed always suffers the same chaos.  ``n_crashes`` adds
+        crash-restart events (:func:`sample_crashes`, streams
+        ``chaos.crash.*``) ahead of the fault windows
+        (:func:`sample_windows`, streams ``chaos.*``).
         """
         rng = cluster.sim.rng
-        events = sample_crashes(rng, f"{stream}.crash", cluster.n_nodes, horizon_ns, n_crashes)
+        events = sample_crashes(rng, "chaos.crash", cluster.n_nodes, horizon_ns, n_crashes)
         events += sample_windows(
-            rng, stream, cluster.topology, horizon_ns, n_events, max_window_ns, kinds
+            rng, "chaos", cluster.topology, horizon_ns, n_events, max_window_ns, kinds
         )
         events.sort(key=lambda e: e.start)
         return cls(events=events, drop_prob=drop_prob)

@@ -59,18 +59,16 @@ class Allocation:
         return f"<Allocation {self.label or hex(self.base)} base={self.base:#x} size={self.size}>"
 
 
+#: First allocatable physical address (kept non-zero so that 0 can serve
+#: as a null pointer in completion words).
+BASE_ADDRESS = 0x1000
+
+
 class NodeMemory:
-    """Physical memory of a simulated node.
+    """Physical memory of a simulated node, allocated from ``BASE_ADDRESS`` up."""
 
-    Parameters
-    ----------
-    base:
-        First allocatable physical address (kept non-zero so that 0 can
-        serve as a null pointer in completion words).
-    """
-
-    def __init__(self, base: int = 0x1000) -> None:
-        self._next = base
+    def __init__(self) -> None:
+        self._next = BASE_ADDRESS
         self._bases: list[int] = []  # sorted allocation base addresses
         self._allocs: list[Allocation] = []  # parallel to _bases
         self._watchpoints: list[tuple[int, int, Callable[[int, bytes], None]]] = []

@@ -61,8 +61,6 @@ class PcieBus:
         self.transactions += 1
         return self.gen.latency + (size_bytes / self.gen.bandwidth if size_bytes else 0.0)
 
-    def round_trip(self, size_bytes: int = 0) -> float:
+    def round_trip(self) -> float:
         """Posted request + completion, e.g. a host-memory counter update."""
-        return 2.0 * self.gen.latency + (
-            size_bytes / self.gen.bandwidth if size_bytes else 0.0
-        )
+        return 2.0 * self.gen.latency

@@ -16,7 +16,7 @@ from typing import Generator, Optional
 
 from ..cluster.builder import Cluster
 from .base import Motif
-from .transfer import RecvEndpoint, SendEndpoint, TransferProtocol
+from .transfer import TransferProtocol
 
 #: Octant sweep directions over the 2-D grid: (sx, sy), each appearing
 #: twice (the two z directions share the 2-D wavefront pattern).

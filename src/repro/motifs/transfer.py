@@ -138,16 +138,15 @@ class RvmaProtocol(TransferProtocol):
     name = "rvma"
     nic_type = "rvma"
 
-    def __init__(self, mode: Optional[RoutingMode] = None, sw_overhead: float = 0.0) -> None:
+    def __init__(self, mode: Optional[RoutingMode] = None) -> None:
         self.mode = mode
-        self.sw_overhead = sw_overhead
         self._apis: dict[int, RvmaApi] = {}
 
     def api(self, node: Node) -> RvmaApi:
         """The per-node RVMA endpoint (cached)."""
         api = self._apis.get(node.node_id)
         if api is None:
-            api = self._apis[node.node_id] = RvmaApi(node, self.sw_overhead)
+            api = self._apis[node.node_id] = RvmaApi(node)
         return api
 
     def recv_setup(self, node: Node, src: int, tag: int, max_msg: int, slots: int) -> Generator:

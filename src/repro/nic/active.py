@@ -63,22 +63,20 @@ from .headers import NackReason, RvmaPutHeader
 from .lut import BufferMode, LutError, MailboxEntry
 
 
-@dataclass
-class ActiveCostConfig:
-    """Deterministic cost model for completion-unit handler execution."""
+# --- deterministic cost model for completion-unit handler execution -------------
 
-    #: Fixed activation cost per handler invocation at threshold time.
-    invoke_ns: float = 10.0
-    #: One atomic word op (fetch-add / compare-and-swap) on NIC SRAM.
-    word_op_ns: float = 8.0
-    #: Predicate evaluation per admitted put (header + prefix compare).
-    filter_ns: float = 12.0
-    #: Streaming scan of a completed chunk (frame walk, no payload copy).
-    scan_ns_per_byte: float = 0.05
-    #: Building + injecting one served reply (doorbell, header).
-    serve_ns: float = 60.0
-    #: DMA read of the hot view per served payload byte.
-    serve_ns_per_byte: float = 0.1
+#: Fixed activation cost per handler invocation at threshold time.
+INVOKE_NS = 10.0
+#: One atomic word op (fetch-add / compare-and-swap) on NIC SRAM.
+WORD_OP_NS = 8.0
+#: Predicate evaluation per admitted put (header + prefix compare).
+FILTER_NS = 12.0
+#: Streaming scan of a completed chunk (frame walk, no payload copy).
+SCAN_NS_PER_BYTE = 0.05
+#: Building + injecting one served reply (doorbell, header).
+SERVE_NS = 60.0
+#: DMA read of the hot view per served payload byte.
+SERVE_NS_PER_BYTE = 0.1
 
 
 # --- handler kinds --------------------------------------------------------------
@@ -207,9 +205,8 @@ class ActiveRegistry:
     at threshold time; both are no-ops for unbound mailboxes.
     """
 
-    def __init__(self, nic, costs: Optional[ActiveCostConfig] = None) -> None:
+    def __init__(self, nic) -> None:
         self.nic = nic
-        self.costs = costs or ActiveCostConfig()
         self.bindings: dict[int, ActiveBinding] = {}
 
     # ------------------------------------------------------------------ lifecycle
@@ -287,7 +284,7 @@ class ActiveRegistry:
             return 0.0
         if flt.matches(bytes(data)):
             self.nic.stat("nic.rvma.active.filter_passed").add()
-            return self.costs.filter_ns
+            return FILTER_NS
         self.nic.stat("nic.rvma.active.filtered_puts").add()
         spans = self.nic.sim.spans
         if spans.active and spans.wants("active"):
@@ -316,7 +313,7 @@ class ActiveRegistry:
         epoch = entry.epoch
         chunk_len = buf.bytes_received
         nic.stat("nic.rvma.active.invocations").add()
-        cost = self.costs.invoke_ns
+        cost = INVOKE_NS
 
         journal = nic.op_journal
         replay = journal.active_effect(entry.mailbox, epoch) if journal is not None else None
@@ -349,7 +346,7 @@ class ActiveRegistry:
             nic.stat("nic.rvma.active.word_ops").add()
             if not applied:
                 nic.stat("nic.rvma.active.cas_failures").add()
-            cost += self.costs.word_op_ns
+            cost += WORD_OP_NS
             effect.word = binding.word
         served: list[int] = []
         if binding.kv is not None and chunk_len > 0:
@@ -384,7 +381,7 @@ class ActiveRegistry:
         st = binding.kv_state
         hot = handler.hot_keys
         chunk = bytes(buf.buffer.read(0, chunk_len))
-        cost = self.costs.scan_ns_per_byte * chunk_len
+        cost = SCAN_NS_PER_BYTE * chunk_len
         pos, n = 0, chunk_len
         while pos < n:
             if st.skip:
@@ -435,7 +432,7 @@ class ActiveRegistry:
                 if not st.pending.get(key) and key in st.view:
                     value = st.view[key]
                     reply = encode_reply(STATUS_OK | STATUS_HANDLER_FLAG, req_id, value)
-                    serve_cost = self.costs.serve_ns + self.costs.serve_ns_per_byte * len(reply)
+                    serve_cost = SERVE_NS + SERVE_NS_PER_BYTE * len(reply)
                     cost += serve_cost
                     buf.buffer.write(pos, bytes((OP_SERVED,)))
                     served.append(pos)

@@ -24,6 +24,12 @@ from ..sim.engine import Simulator
 from ..sim.process import Future
 from .headers import CONTROL_BYTES
 
+#: Gap between a DMA data store and the completion/CQE store that
+#: follows it (ns), on both NICs: PCIe posted writes pipeline, so the
+#: notification does not pay a second full bus traversal (it lands just
+#: behind the data).
+COMPLETION_PIPELINE_GAP_NS = 25.0
+
 
 @dataclass
 class NicConfig:
@@ -36,10 +42,6 @@ class NicConfig:
     #: Host doorbell -> NIC descriptor fetch -> first byte on the wire (ns),
     #: *excluding* the PCIe traversal itself (added from ``pcie``).
     issue_overhead: float = 40.0
-    #: Gap between a DMA data store and the completion/CQE store that
-    #: follows it: PCIe posted writes pipeline, so the notification does
-    #: not pay a second full bus traversal (it lands just behind the data).
-    completion_pipeline_gap: float = 25.0
     #: When set, all application traffic rides the reliability transport
     #: (retransmission + dedup) and a failure detector is attached; when
     #: None (the default), the NIC models the lossless happy path.

@@ -26,7 +26,7 @@ from ..network.message import Delivery
 from ..network.routing import RoutingMode
 from ..sim.engine import Simulator
 from ..sim.process import Future
-from .base import BaseNic, NicConfig
+from .base import COMPLETION_PIPELINE_GAP_NS, BaseNic, NicConfig
 from .cq import CompletionQueue, CqEntry, CqKind
 from .headers import (
     AckHeader,
@@ -40,10 +40,12 @@ from .headers import (
 #: carrying RDMA commands support only small payloads (< 64 B).
 MAX_IMM_PAYLOAD = 64
 
+#: Entries the completion queue holds.
+CQ_CAPACITY = 4096
+
 
 @dataclass
 class RdmaNicConfig(NicConfig):
-    cq_capacity: int = 4096
     max_memory_regions: int = 4096
     #: Receiver-not-ready retry behaviour (IB RNR NAK semantics).
     rnr_timeout: float = 2000.0
@@ -88,7 +90,7 @@ class RdmaNic(BaseNic):
         config = config or RdmaNicConfig()
         super().__init__(sim, node_id, memory, fabric, config, name or f"rdma{node_id}")
         self.cfg: RdmaNicConfig = config
-        self.cq = CompletionQueue(sim, config.cq_capacity)
+        self.cq = CompletionQueue(sim, CQ_CAPACITY)
         self.mr_table: dict[int, MemoryRegion] = {}
         self._next_rkey = 0x1000
         # Posted receives: (buffer, wr_id, tag).  ``tag=None`` matches any
@@ -294,7 +296,7 @@ class RdmaNic(BaseNic):
             # Immediate data produces a *target-side* CQ entry; it
             # pipelines behind the payload DMA (posted writes).
             self.sim.post(
-                self.cfg.completion_pipeline_gap,
+                COMPLETION_PIPELINE_GAP_NS,
                 self.cq.push,
                 CqEntry(
                     CqKind.WRITE_IMM,
@@ -374,7 +376,7 @@ class RdmaNic(BaseNic):
         self.send_control(src, AckHeader(op_id=hdr.op_id))
         # The recv CQE pipelines behind the payload DMA (posted writes).
         self.sim.post(
-            self.cfg.completion_pipeline_gap,
+            COMPLETION_PIPELINE_GAP_NS,
             self.cq.push,
             CqEntry(CqKind.RECV, hdr.op_id, hdr.total_size, None, wr_id, self.sim.now),
         )

@@ -26,7 +26,7 @@ from ..network.message import Delivery
 from ..network.routing import RoutingMode
 from ..sim.engine import Simulator
 from ..sim.process import Future
-from .base import BaseNic, NicConfig
+from .base import COMPLETION_PIPELINE_GAP_NS, BaseNic, NicConfig
 from .headers import (
     NackReason,
     RvmaGetHeader,
@@ -766,7 +766,7 @@ class RvmaNic(BaseNic):
         # only the pipeline gap — plus a full host round trip when the
         # threshold counter spilled to host memory.
         self.sim.post(
-            self.cfg.completion_pipeline_gap + spill_penalty + handler_cost,
+            COMPLETION_PIPELINE_GAP_NS + spill_penalty + handler_cost,
             self._write_completion,
             pb,
             record,

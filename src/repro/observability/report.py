@@ -15,6 +15,9 @@ from typing import Any, Optional
 from repro.observability.metrics import MetricsRegistry, lookup
 from repro.observability.spans import SpanTracer
 
+#: Hottest spans a report keeps, by sim time and by wall time.
+TOP_N = 10
+
 
 class RunReport:
     """Immutable-ish snapshot of one run's observable state."""
@@ -42,7 +45,6 @@ class RunReport:
         cls,
         target: Any,
         meta: Optional[dict] = None,
-        top_n: int = 10,
     ) -> "RunReport":
         """Snapshot *target* (a Simulator or anything with ``.sim``)."""
         sim = getattr(target, "sim", target)
@@ -51,8 +53,8 @@ class RunReport:
         if spans is not None:
             span_summary = spans.summary()
             categories = spans.categories()
-            hot_sim = [s.to_dict() for s in spans.top_by_sim_time(top_n)]
-            hot_wall = [s.to_dict() for s in spans.top_by_wall_time(top_n)]
+            hot_sim = [s.to_dict() for s in spans.top_by_sim_time(TOP_N)]
+            hot_wall = [s.to_dict() for s in spans.top_by_wall_time(TOP_N)]
         else:
             span_summary, categories, hot_sim, hot_wall = {}, [], [], []
         return cls(
@@ -133,8 +135,8 @@ class RunReport:
             },
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def save(self, path: str) -> str:
         """Write JSON to *path* (and markdown next to it for ``.json`` paths)."""

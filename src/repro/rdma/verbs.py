@@ -13,7 +13,7 @@ from typing import Generator, Optional
 
 from ..memory.buffer import HostBuffer, MemoryRegion
 from ..memory.mwait import POLL
-from ..nic.rdma import RdmaNic, RdmaOp
+from ..nic.rdma import RdmaNic
 from ..network.routing import RoutingMode
 from .completion_modes import CompletionMode, check_mode_safety
 from .dispatch import CqDispatcher

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..memory.buffer import PostedBuffer
-from ..nic.lut import BufferMode, EpochType, RetiredBuffer
+from ..nic.lut import BufferMode, EpochType
 
 
 @dataclass

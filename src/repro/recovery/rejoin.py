@@ -43,6 +43,9 @@ from ..network.message import Delivery
 from ..nic.headers import RejoinHello, RejoinReply
 from .checkpoint import CheckpointDaemon, NodeCheckpoint, OpJournal, SendJournal
 
+#: Send-journal retention per (dst, flow) — replay coverage bound.
+JOURNAL_RETAIN = 4096
+
 
 @dataclass
 class RecoveryConfig:
@@ -53,8 +56,6 @@ class RecoveryConfig:
     #: Last instant the checkpoint daemons tick (bounds the event heap
     #: so a run still terminates; set >= the workload's horizon).
     horizon_ns: float = 400_000.0
-    #: Send-journal retention per (dst, flow) — replay coverage bound.
-    journal_retain: int = 4096
 
 
 @dataclass
@@ -99,7 +100,7 @@ class RecoveryAgent:
         self.cfg = cfg
         self.report = report
         self.op_journal = OpJournal()
-        self.send_journal = SendJournal(retain=cfg.journal_retain)
+        self.send_journal = SendJournal(retain=JOURNAL_RETAIN)
         self.daemon = CheckpointDaemon(
             node, cfg.checkpoint_interval_ns, cfg.horizon_ns
         )

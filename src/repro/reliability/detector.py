@@ -24,6 +24,11 @@ from typing import Optional
 from ..sim.process import Future
 from .transport import ReliabilityConfig, ReliableTransport
 
+#: Suspicion threshold: a peer is suspected when nothing has been heard
+#: for ``SUSPICION_PHI`` times the smoothed inter-arrival of proofs of
+#: life (phi-accrual-lite).
+SUSPICION_PHI = 6.0
+
 
 @dataclass(frozen=True)
 class PeerFailed:
@@ -104,7 +109,7 @@ class FailureDetector:
         mean = self._smoothed.get(peer, self.cfg.heartbeat_interval)
         return max(
             self.cfg.min_suspicion_timeout,
-            self.cfg.suspicion_phi * max(mean, self.cfg.heartbeat_interval),
+            SUSPICION_PHI * max(mean, self.cfg.heartbeat_interval),
         )
 
     # ------------------------------------------------------------------ evidence

@@ -57,10 +57,6 @@ class ReliabilityConfig:
     max_retries: int = 8
     #: Failure-detector probe period (ns).
     heartbeat_interval: float = 50_000.0
-    #: Suspicion threshold: a peer is suspected when nothing has been
-    #: heard for ``phi`` times the smoothed inter-arrival of proofs of
-    #: life (phi-accrual-lite).
-    suspicion_phi: float = 6.0
     #: Floor on the suspicion timeout (ns) so a quiet-but-alive peer is
     #: not declared dead during normal gaps.
     min_suspicion_timeout: float = 150_000.0

@@ -101,6 +101,6 @@ def replay_entry(entry: CorpusEntry) -> ReplayVerdict:
     )
 
 
-def replay_corpus(corpus_dir: Optional[Path] = None) -> list:
-    """Replay every corpus entry; returns one verdict per entry."""
-    return [replay_entry(e) for e in list_entries(corpus_dir)]
+def replay_corpus() -> list:
+    """Replay every committed corpus entry; returns one verdict per entry."""
+    return [replay_entry(e) for e in list_entries()]

@@ -19,8 +19,6 @@ them explicitly, so the shrinker can drop them one at a time.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..faults.chaos import WINDOW_KINDS, sample_crashes, sample_windows
 from ..network.topology import make_topology
 from ..sim.rng import RngRegistry
@@ -286,7 +284,7 @@ def generate_many(seed_start: int, count: int, known_bad: bool = False) -> list:
     return [generate(seed_start + i, known_bad=known_bad) for i in range(count)]
 
 
-def regenerate(scenario_or_seed, known_bad: bool = False) -> Scenario:
+def regenerate(scenario_or_seed) -> Scenario:
     """Replay aid: a scenario from its master seed alone."""
     seed = getattr(scenario_or_seed, "seed", scenario_or_seed)
-    return generate(int(seed), known_bad=known_bad)
+    return generate(int(seed))

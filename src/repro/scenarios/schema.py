@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import os
 from _blake2 import blake2s
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import dataclass, replace
+from typing import Any
 
 from ..faults.chaos import WINDOW_KINDS, ChaosEvent
 

@@ -68,6 +68,14 @@ REPLY_MAILBOX_BASE = 0x5EC7_0000
 LATENCY_HI_NS = 400_000.0
 LATENCY_NBINS = 800
 
+#: QoS sweeps: the DRR quantum in request-frame bytes per ring visit
+#: (× tenant weight), and the admitted request bytes one sweep executes;
+#: backlog beyond it waits for the next sweep in DRR order.
+DRR_QUANTUM_BYTES = 2048
+SWEEP_BUDGET_BYTES = 8192
+#: Max items returned per SCAN.
+SCAN_LIMIT = 64
+
 
 def client_id_of(node_id: int, index: int) -> int:
     """Self-describing client id (reply-routable without a registry)."""
@@ -127,8 +135,6 @@ class KvServerConfig:
     #: Sweep interval when a shard is idle (partial chunks are flushed
     #: via ``RVMA_Win_inc_epoch`` so small requests never stall).
     poll_interval_ns: float = 2000.0
-    #: Max items returned per SCAN.
-    scan_limit: int = 64
     #: Modeled host CPU cost per executed request (+ per payload byte).
     #: Zero (the default) keeps execution instantaneous — the historical
     #: behaviour every event-identical test relies on; QoS cells set it
@@ -279,14 +285,13 @@ class KvServer:
 
         Work-conserving: the loop only sleeps when the stream is idle
         *and* the scheduler is empty.  A sweep drains at most
-        ``QosConfig.sweep_budget_bytes`` of admitted requests, so one
+        ``SWEEP_BUDGET_BYTES`` of admitted requests, so one
         tenant's burst cannot execute ahead of everyone for long —
         whatever remains waits its DRR turn next sweep.
         """
         cfg = self.config
-        qos = self.qos
         adm = self.admission
-        sched = self.schedulers[shard] = DeficitRoundRobin(qos.quantum_bytes)
+        sched = self.schedulers[shard] = DeficitRoundRobin(DRR_QUANTUM_BYTES)
         spans = self.node.sim.spans
         while not self._stopped:
             data = b""
@@ -327,7 +332,7 @@ class KvServer:
                 sp = None
                 if spans.active and spans.wants("qos"):
                     sp = spans.begin("qos", "drr_drain", shard=shard)
-                batch = sched.take(qos.sweep_budget_bytes)
+                batch = sched.take(SWEEP_BUDGET_BYTES)
                 now = self.node.sim.now
                 requests = []
                 for req, cost, enq_at in batch:
@@ -408,8 +413,21 @@ class KvServer:
             (k, v)
             for k, v in sorted(store.items())
             if k.startswith(req.key)
-        ][: self.config.scan_limit]
+        ][:SCAN_LIMIT]
         return KvReply(STATUS_OK, req.req_id, encode_scan_payload(items))
+
+
+#: Reply buffers each client keeps armed on its completion mailbox, and
+#: the size of each.
+REPLY_SLOTS = 8
+MAX_REPLY_BYTES = 8192
+#: A robust client's timeout multiplier per retry and its ceiling, the
+#: uniform jitter fraction on each attempt's timeout, and the reply
+#: mailbox poll interval while it waits under a timeout.
+CLIENT_BACKOFF_FACTOR = 2.0
+CLIENT_MAX_BACKOFF_NS = 1_000_000.0
+CLIENT_JITTER_FRAC = 0.1
+CLIENT_POLL_NS = 1_000.0
 
 
 class KvClient:
@@ -428,16 +446,12 @@ class KvClient:
         api: RvmaApi,
         shard_map: ShardMap,
         index: int = 0,
-        reply_slots: int = 8,
-        max_reply_bytes: int = 8192,
         max_put_bytes: int = 4096,
-        mode: RoutingMode = RoutingMode.STATIC,
         tenant_id: int = DEFAULT_TENANT,
         robustness: Optional[ClientRobustnessConfig] = None,
     ) -> None:
         self.api = api
         self.map = shard_map
-        self.mode = mode
         #: Largest request put (liveness bound): a put bigger than the
         #: shard's bucket can never acquire ``flow_room`` and the
         #: transport would hold it forever, so batches are split to stay
@@ -445,8 +459,6 @@ class KvClient:
         self.max_put_bytes = max_put_bytes
         self.client_id = client_id_of(api.node.node_id, index)
         self.reply_mailbox = REPLY_MAILBOX_BASE + self.client_id
-        self.reply_slots = reply_slots
-        self.max_reply_bytes = max_reply_bytes
         #: Tenant stamped into every request frame this client issues.
         self.tenant_id = tenant_id
         #: When set, requests carry deadlines and time out → retry with
@@ -495,15 +507,15 @@ class KvClient:
             epoch_type=EpochType.EPOCH_OPS,
             mode=BufferMode.STEERED,
         )
-        for _ in range(self.reply_slots):
-            yield from self.api.post_buffer(self.reply_win, size=self.max_reply_bytes)
+        for _ in range(REPLY_SLOTS):
+            yield from self.api.post_buffer(self.reply_win, size=MAX_REPLY_BYTES)
         return self
 
     def _stream_to(self, shard: int) -> StreamClient:
         stream = self._streams.get(shard)
         if stream is None:
             stream = self._streams[shard] = StreamClient(
-                self.api, self.map.node_of(shard), self.map.mailbox_of(shard), self.mode
+                self.api, self.map.node_of(shard), self.map.mailbox_of(shard)
             )
         return stream
 
@@ -659,7 +671,6 @@ class KvClient:
 
     def _poll_until(self, req_id: int, until: float) -> Generator:
         """Poll for *req_id*'s reply until sim-time *until*; True if seen."""
-        poll = self.robustness.poll_interval_ns
         while True:
             if req_id in self._replies:
                 return True
@@ -669,7 +680,7 @@ class KvClient:
             now = self.api.sim.now
             if now >= until:
                 return False
-            yield min(poll, until - now)
+            yield min(CLIENT_POLL_NS, until - now)
 
     def _await_reply_robust(self, req_id: int, deadline: float) -> Generator:
         """Wait with timeout → retransmit → backoff, bounded by *deadline*.
@@ -693,7 +704,7 @@ class KvClient:
                 self._replies.pop(req_id, None)
                 self._deadline_misses.add()
                 return KvReply(STATUS_DEADLINE_EXCEEDED, req_id), now
-            jitter = 1.0 + cfg.jitter_frac * rng.random("kv.client.jitter")
+            jitter = 1.0 + CLIENT_JITTER_FRAC * rng.random("kv.client.jitter")
             got = yield from self._poll_until(req_id, min(now + timeout * jitter, deadline))
             if got or self.api.sim.now >= deadline:
                 continue
@@ -705,7 +716,7 @@ class KvClient:
                 shard, frame = self._frames[req_id]
                 put_op = yield from self._stream_to(shard).send(frame)
                 yield put_op.local_done
-                timeout = min(timeout * cfg.backoff_factor, cfg.max_backoff_ns)
+                timeout = min(timeout * CLIENT_BACKOFF_FACTOR, CLIENT_MAX_BACKOFF_NS)
             # Retry budget spent: keep polling out the remaining deadline.
 
     def _one(self, op: int, key: bytes, value: bytes = b"") -> Generator:

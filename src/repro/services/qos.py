@@ -169,13 +169,12 @@ class DeficitRoundRobin:
 
 @dataclass
 class QosConfig:
-    """Server-side QoS tuning (scheduler + admission + shedding)."""
+    """Server-side QoS tuning (admission + shedding).
 
-    #: DRR quantum in request-frame bytes per ring visit (× weight).
-    quantum_bytes: int = 2048
-    #: Max admitted request bytes executed per sweep; backlog beyond
-    #: this waits for the next sweep in DRR order.
-    sweep_budget_bytes: int = 8192
+    The DRR sweep's quantum and byte budget are ``repro.services.kv``'s
+    ``DRR_QUANTUM_BYTES`` and ``SWEEP_BUDGET_BYTES``.
+    """
+
     #: SLO target: scheduler-sojourn p99 above this flips overload on.
     slo_p99_ns: float = 150_000.0
     #: Overload re-evaluation cadence (percentile() is not free).
@@ -300,7 +299,9 @@ class ClientRobustnessConfig:
     Mirrors the reliability layer's backoff idiom
     (:class:`~repro.reliability.transport.ReliabilityConfig`): timeout
     doubles per retry up to a cap, with deterministic jitter drawn from
-    the named ``kv.client.jitter`` RNG stream.  Every attempt's wait is
+    the named ``kv.client.jitter`` RNG stream (the growth factor, cap,
+    jitter fraction and poll interval are ``repro.services.kv``'s
+    ``CLIENT_*`` constants).  Every attempt's wait is
     clamped to the request's absolute deadline, so retries never
     outlive the caller's budget; at the deadline the request resolves
     locally as ``STATUS_DEADLINE_EXCEEDED``.
@@ -308,15 +309,7 @@ class ClientRobustnessConfig:
 
     #: First-attempt reply timeout before a retransmission.
     request_timeout_ns: float = 60_000.0
-    #: Timeout multiplier per retry (exponential backoff).
-    backoff_factor: float = 2.0
-    #: Backoff ceiling.
-    max_backoff_ns: float = 1_000_000.0
-    #: Uniform jitter fraction applied to each attempt's timeout.
-    jitter_frac: float = 0.1
     #: Retransmissions per request (after this, wait out the deadline).
     max_retries: int = 6
     #: Per-request budget when the caller does not pass one.
     default_deadline_ns: float = 5_000_000.0
-    #: Reply-mailbox poll interval while waiting under a timeout.
-    poll_interval_ns: float = 1_000.0

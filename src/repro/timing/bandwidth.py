@@ -59,10 +59,9 @@ def rvma_bandwidth(
     size: int,
     n_messages: int = 64,
     window: int = DEFAULT_WINDOW,
-    routing: RoutingMode = RoutingMode.ADAPTIVE,
 ) -> BandwidthPoint:
     """Streamed RVMA puts; elapsed measured first-post -> last-completion."""
-    cl = _build(testbed, "rvma", routing, "flow")
+    cl = _build(testbed, "rvma", RoutingMode.ADAPTIVE, "flow")
     api0 = RvmaApi(cl.node(0), testbed.rvma_sw_overhead)
     api1 = RvmaApi(cl.node(1), testbed.rvma_sw_overhead)
     marks: dict[str, float] = {}
@@ -102,7 +101,6 @@ def rdma_bandwidth(
     size: int,
     n_messages: int = 64,
     window: int = DEFAULT_WINDOW,
-    routing: RoutingMode = RoutingMode.ADAPTIVE,
 ) -> BandwidthPoint:
     """Streamed spec-compliant RDMA: per-message ready/write/ack/signal.
 
@@ -110,7 +108,7 @@ def rdma_bandwidth(
     receiver must green-light reuse, as in the motif protocol), which is
     what bounds RDMA's message rate at small sizes.
     """
-    cl = _build(testbed, "rdma", routing, "flow")
+    cl = _build(testbed, "rdma", RoutingMode.ADAPTIVE, "flow")
     v0 = VerbsEndpoint(cl.node(0), testbed.verbs)
     v1 = VerbsEndpoint(cl.node(1), testbed.verbs)
     marks: dict[str, float] = {}

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from ..memory.pcie import GEN3, PcieGen
 from ..network.config import NetworkConfig
 from ..network.routing import RoutingMode
-from ..nic.base import NicConfig
 from ..nic.rdma import RdmaNicConfig
 from ..nic.rvma import RvmaNicConfig
 from ..rdma.ucx import UcpCosts

@@ -321,18 +321,17 @@ def latency_sweep(
     routing: RoutingMode = RoutingMode.ADAPTIVE,
     iterations: int = DEFAULT_ITERATIONS,
     warmup: int = DEFAULT_WARMUP,
-    fidelity: str = "packet",
 ) -> list[LatencyPoint]:
     """Fig 4 (interface='verbs') / Fig 5 (interface='ucx') data series."""
     points = []
     for size in sizes:
-        rvma = rvma_latency(testbed, size, iterations, warmup, routing, fidelity)
+        rvma = rvma_latency(testbed, size, iterations, warmup, routing)
         if interface == "verbs":
             rdma = rdma_verbs_latency(
-                testbed, size, CompletionMode.SEND_RECV, routing, iterations, warmup, fidelity
+                testbed, size, CompletionMode.SEND_RECV, routing, iterations, warmup
             )
         elif interface == "ucx":
-            rdma = rdma_ucx_latency(testbed, size, iterations, warmup, routing, fidelity)
+            rdma = rdma_ucx_latency(testbed, size, iterations, warmup, routing)
         else:
             raise ValueError(f"unknown interface {interface!r}")
         points.append(LatencyPoint(size=size, rvma_ns=rvma, rdma_ns=rdma))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..network.routing import RoutingMode
 from ..rdma.completion_modes import CompletionMode
 from .bandwidth import rvma_bandwidth
-from .calibration import Testbed, UCX_CX5_THUNDERX2, VERBS_OPA_SKYLAKE
+from .calibration import UCX_CX5_THUNDERX2, VERBS_OPA_SKYLAKE
 from .microbench import rdma_verbs_latency, rvma_latency
 
 

@@ -82,9 +82,8 @@ def inject_flash_crowd(
     spacing_ns: float,
     client: int,
     tenant: int,
-    op: str = "get",
 ) -> Transform:
-    """Merge a hot-key crowd (n_ops × *op* on *key*) into the trace.
+    """Merge a hot-key crowd (n_ops GETs on *key*) into the trace.
 
     The crowd arrives at ``start_ns, start_ns + spacing, ...`` from a
     dedicated *client* (which must either be new or already belong to
@@ -99,7 +98,7 @@ def inject_flash_crowd(
 
     def apply(trace: Trace) -> Trace:
         crowd = [
-            TraceRow(_norm_ts(start_ns + i * spacing_ns), tenant, client, op, key, 0)
+            TraceRow(_norm_ts(start_ns + i * spacing_ns), tenant, client, "get", key, 0)
             for i in range(n_ops)
         ]
         merged = sorted(
@@ -109,7 +108,7 @@ def inject_flash_crowd(
             "transform": "inject_flash_crowd",
             "key": key, "start_ns": start_ns, "n_ops": n_ops,
             "spacing_ns": spacing_ns, "client": client, "tenant": tenant,
-            "op": op,
+            "op": "get",
         })
 
     return apply

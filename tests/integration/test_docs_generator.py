@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -33,6 +35,25 @@ def test_gen_api_docs_runs_and_covers_packages():
     assert text.count("####") > 100
     # The committed reference is current: regenerate it with `make docs`.
     assert (ROOT / "docs" / "API.md").read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize(
+    "argv,status,stream",
+    [(["--help"], 0, "out"), (["--no-such-option"], 2, "err")],
+    ids=["help", "unknown-option"],
+)
+def test_gen_api_docs_help_and_bad_arguments_write_nothing(
+    argv, status, stream, tmp_path, monkeypatch, capsys
+):
+    gen = _generator()
+    out = tmp_path / "API.md"
+    out.write_text("hand-edited reference\n", encoding="utf-8")
+    monkeypatch.setattr(gen, "OUT", out)
+    with pytest.raises(SystemExit) as exit_info:
+        gen.main(argv)
+    assert exit_info.value.code == status
+    assert "usage: " in getattr(capsys.readouterr(), stream)
+    assert out.read_text(encoding="utf-8") == "hand-edited reference\n"
 
 
 def test_render_figures_tool_fast_subset(tmp_path, monkeypatch):

@@ -83,8 +83,6 @@ SMOKE_COMMANDS = [
 ] + [
     "kv-churn --seed 1 --metrics-out {tmp}/report.json",
     "services --ops 40",
-    "qos --no-qos",
-    "active --chaos",
     "fuzz shrink 7 --known-bad --out {tmp}/shrunk.json",
 ]
 
@@ -101,7 +99,7 @@ def test_cli_command_smoke(command, tmp_path, capsys):
     elif argv[0] == "fuzz":
         assert (tmp_path / "shrunk.json").exists()
     else:
-        assert "invariants: ok" in out or "audit ok" in out
+        assert "invariants: ok" in out
 
 
 #: The summary keys that make up each sweep's verdict.

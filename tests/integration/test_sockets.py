@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import RvmaApi
 from repro.network import NetworkConfig, RoutingMode
-from repro.sockets import Connection, RvmaListener, SocketError, connect
+from repro.sockets import RvmaListener, SocketError, connect
 from repro.sim import spawn
 
 

@@ -18,7 +18,6 @@ from repro.core.api import RvmaApi
 from repro.faults import FaultInjector
 from repro.nic.active import (
     ActiveBinding,
-    ActiveCostConfig,
     ActiveEffect,
     ActiveRegistry,
     AtomicWordHandler,
@@ -267,7 +266,7 @@ BASE = 0x4000
 
 def _kv_binding(view=None):
     nic = _StubNic()
-    reg = ActiveRegistry(nic, ActiveCostConfig())
+    reg = ActiveRegistry(nic)
     binding = ActiveBinding(
         mailbox=0x9, kv=KvServeHandler(hot_keys=HOT, reply_mailbox_base=BASE)
     )

@@ -18,6 +18,7 @@ from repro.nic.headers import ReliAckHeader, SeqHeader
 from repro.nic.rvma import RvmaNicConfig
 from repro.observability import MetricsRegistry
 from repro.reliability import ReliabilityConfig
+from repro.reliability.detector import SUSPICION_PHI
 from repro.reliability.transport import _RxFlow
 
 from tests.helpers import run_gens
@@ -317,4 +318,4 @@ def test_suspicion_timeout_adapts_to_observed_intervals():
     for t in (0.0, 100_000.0, 200_000.0, 300_000.0):
         cl.sim.now = t  # direct clock poke: unit-testing the math only
         det.heard_from(0)
-    assert det.suspicion_timeout(0) == pytest.approx(cfg.suspicion_phi * 100_000.0)
+    assert det.suspicion_timeout(0) == pytest.approx(SUSPICION_PHI * 100_000.0)

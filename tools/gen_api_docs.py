@@ -13,6 +13,7 @@ file differs from :func:`render`.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -134,7 +135,10 @@ def render() -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    """Write ``docs/API.md``; the tool takes no options (``--help`` says so)."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.parse_args(argv)
     OUT.write_text(render(), encoding="utf-8")
     print(f"wrote {OUT}")
 
