@@ -177,11 +177,11 @@ LEDGER = {
     "sweep3d-fig7-rvma": {"events": 3624, "sim_ns": 100284.57600000015, "calls": 97096},
     "sweep3d-fig7-rdma": {"events": 13305, "sim_ns": 340844.2840000008, "calls": 204309},
     "incast-pkt": {"events": 2659, "sim_ns": 25396.573333333334, "calls": 60764},
-    "kv-get-closed": {"events": 3154, "p50_ns": 3480.0, "p99_ns": 4500.0, "calls": 157811},
-    "kv-put-open": {"events": 5577, "p50_ns": 5897.4358974358975, "p99_ns": 13740.000000000002, "trace_id": "6a435915cd61", "digest": "ed185a447f1e6859", "calls": 231622},
+    "kv-get-closed": {"events": 3154, "p50_ns": 3480.0, "p99_ns": 4500.0, "calls": 157810},
+    "kv-put-open": {"events": 5577, "p50_ns": 5897.4358974358975, "p99_ns": 13740.000000000002, "trace_id": "6a435915cd61", "digest": "ed185a447f1e6859", "calls": 231621},
     "kv-noisy": {"events": 7179, "p50_ns": 5657.894736842105, "p99_ns": 269875.0, "calls": 276250},
-    "active-flash": {"events": 6072, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 230663},
-    "kv-trace": {"events": 6080, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 256022},
+    "active-flash": {"events": 6072, "p50_ns": 3547.6190476190473, "p99_ns": 5970.000000000001, "calls": 230659},
+    "kv-trace": {"events": 6080, "p50_ns": 5605.263157894738, "p99_ns": 11890.0, "trace_id": "1ff9996b3c04", "digest": "94298908219159c9", "calls": 256021},
     "chaos-crash": {"sim_ns": 398290.0, "calls": 39266},
 }
 
