@@ -49,8 +49,9 @@ def test_gen_api_docs_help_and_bad_arguments_write_nothing(
     out = tmp_path / "API.md"
     out.write_text("hand-edited reference\n", encoding="utf-8")
     monkeypatch.setattr(gen, "OUT", out)
+    monkeypatch.setattr("sys.argv", ["gen_api_docs.py", *argv])
     with pytest.raises(SystemExit) as exit_info:
-        gen.main(argv)
+        gen.main()
     assert exit_info.value.code == status
     assert "usage: " in getattr(capsys.readouterr(), stream)
     assert out.read_text(encoding="utf-8") == "hand-edited reference\n"

@@ -135,10 +135,9 @@ def render() -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> None:
+def main() -> None:
     """Write ``docs/API.md``; the tool takes no options (``--help`` says so)."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     OUT.write_text(render(), encoding="utf-8")
     print(f"wrote {OUT}")
 
